@@ -25,7 +25,6 @@ from .equation import (
     sigma_star,
     sigma_tilde_nu,
     tau_k,
-    tau_nu,
     tau_of_s,
     tau_star,
 )
@@ -54,12 +53,10 @@ from .grid import (
     iterated_delta,
     iterated_nabla,
     nabla_k,
-    nabla_sum,
 )
 from .identities import IdentityResult, identity_names, run_identity_suite
 from .lattice import (
     HalfInt,
-    KappaTable,
     Lattice,
     QQuadraticLattice,
     QuadraticLattice,
@@ -67,17 +64,11 @@ from .lattice import (
     unit_steps,
 )
 from .numerics import (
-    Backend,
     Rational,
     Scalar,
     format_rational,
     format_scalar,
     parse_rational,
-    rat_add,
-    rat_div,
-    rat_mul,
-    rat_pow,
-    rat_sub,
 )
 from .problem import (
     ParseDiagnostic,

@@ -8,9 +8,10 @@ Four subcommands, each reading one problem file (see ``problem``):
     table    tabulate the coefficient ladder nu, alpha, kappa, lambda_k, hat_mu_k
 
 Exit codes: 0 success, 1 identity/residual failure, 2 usage or parse error,
-3 singularity (Pearson zero, singular summand, degenerate step).  Output is
-CSV by default, JSON with ``--format json``; identical inputs produce byte
-identical output.
+3 singularity (Pearson zero, singular summand, degenerate step).  Arithmetic
+is exact, so a residual passes only when it is literally zero; no flag
+relaxes that.  Output is CSV by default, JSON with ``--format json``;
+identical inputs produce byte identical output.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .errors import (
     SingularSummand,
 )
 from .identities import run_identity_suite
-from .numerics import Backend, format_scalar, parse_rational
+from .numerics import format_scalar
 from .problem import ProblemSpec, parse_problem_bytes
 from .solutions import solve
 
@@ -39,8 +40,6 @@ EXIT_USAGE = 2
 EXIT_SINGULAR = 3
 
 _SINGULAR = (PearsonSingularity, SingularSummand, DegenerateStep)
-
-DEFAULT_APPROX_TOL = 1e-9
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -60,8 +59,6 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--format", choices=("csv", "json"), default="csv")
         cmd.add_argument("--out", metavar="PATH", default=None,
                          help="output path (default: standard output)")
-        cmd.add_argument("--tol", default=None, metavar="RATIONAL-OR-FLOAT",
-                         help="residual tolerance, approx backend only")
         if name == "solve":
             cmd.add_argument("--kind", default="polynomial",
                              choices=("polynomial", "second", "generalized"))
@@ -71,22 +68,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_spec(path: str) -> ProblemSpec:
     with open(path, "rb") as handle:
         return parse_problem_bytes(handle.read())
-
-
-def _tolerance(args, spec: ProblemSpec):
-    if spec.backend is Backend.EXACT:
-        return 0    # exactness is the contract; --tol is ignored
-    if args.tol is None:
-        return DEFAULT_APPROX_TOL
-    try:
-        return parse_rational(args.tol)
-    except HyperlatError:
-        try:
-            return float(args.tol)
-        except ValueError:
-            from .problem import ParseDiagnostic
-            raise ProblemFormatError([ParseDiagnostic(
-                1, 1, f"--tol must be a rational or float, got {args.tol!r}")])
 
 
 def _emit(args, text: str) -> None:
@@ -99,7 +80,6 @@ def _emit(args, text: str) -> None:
 
 def _cmd_solve(args) -> int:
     spec = _load_spec(args.spec)
-    tol = _tolerance(args, spec)
     eq = spec.equation()
     if args.kind == "generalized" and spec.poly_p is None:
         print("error: --kind generalized requires P in the problem file",
@@ -107,7 +87,7 @@ def _cmd_solve(args) -> int:
         return EXIT_USAGE
     report = solve(
         eq, spec.n, spec.window, kind=args.kind,
-        N=spec.sum_base, P=spec.poly_for_backend(),
+        N=spec.sum_base, P=spec.poly_p,
         residual_lam=eq.lam if spec.lam is not None else None)
     if args.format == "json":
         _emit(args, json.dumps(report.to_json_dict(), indent=2) + "\n")
@@ -117,13 +97,11 @@ def _cmd_solve(args) -> int:
             lines.append(f"{s},{format_scalar(value)},"
                          f"{format_scalar(report.residual.value_at(s))}")
         _emit(args, "\n".join(lines) + "\n")
-    return EXIT_OK if report.is_exact_solution(tol) else EXIT_FAILED
+    return EXIT_OK if report.is_exact_solution() else EXIT_FAILED
 
 
 def _cmd_verify(args) -> int:
-    spec = _load_spec(args.spec)
-    tol = _tolerance(args, spec)
-    results = run_identity_suite(spec, tol)
+    results = run_identity_suite(_load_spec(args.spec))
     first_failure = next((r for r in results if not r.passed), None)
     if args.format == "json":
         payload = [{"name": r.name, "passed": r.passed, "detail": r.detail}
@@ -143,9 +121,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_adjoint(args) -> int:
     spec = _load_spec(args.spec)
-    tol = _tolerance(args, spec)
     eq = spec.equation()
-    coeffs = eqn.adjoint_coeffs(eq, spec.window, tol)
+    coeffs = eqn.adjoint_coeffs(eq, spec.window)
     kappa_m1 = eq.kappa(-1)
     scalars = (("lambda_star", coeffs.lambda_star),
                ("kappa_minus_one", kappa_m1),
@@ -186,7 +163,7 @@ def _cmd_table(args) -> int:
             "kappa_2k_plus_1": eq.kappa(2 * k + 1),
             "mu": eqn.mu_k(eq, k),
             "lambda": eqn.lambda_n(eq, k),
-            "hat_mu": eqn.hat_mu_n(eq, k, _tolerance(args, spec)),
+            "hat_mu": eqn.hat_mu_n(eq, k),
         })
     if args.format == "json":
         payload = [{key: (value if key == "k" else format_scalar(value))

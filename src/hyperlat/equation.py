@@ -41,8 +41,8 @@ from .errors import (
     WindowTooSmall,
 )
 from .grid import GridFunction, Window, delta_k, nabla_k
-from .lattice import HalfInt, Lattice, kappa
-from .numerics import Scalar, is_zero
+from .lattice import HalfInt, Lattice, divide_by_step, kappa
+from .numerics import Scalar
 
 
 @dataclass(frozen=True)
@@ -122,13 +122,10 @@ def tau_k(eq: HyperEquation, k: int, s: HalfInt) -> Scalar:
     """Level-k linear coefficient; defined for every integer k (also
     negative), where it has slope kappa_{2k+1} against x_k(s)."""
     lat = eq.lattice
-    den = lat.nabla_x(k + 1, s)
-    if den == 0:
-        raise DegenerateStep(f"zero step of x_{k + 1} at s={s}", point=s)
     shifted = s + k
     num = (sigma_of_s(eq, shifted) - sigma_of_s(eq, s)
            + tau_of_s(eq, shifted) * lat.nabla_x(1, shifted))
-    return num / den
+    return divide_by_step(num, lat.nabla_x(k + 1, s), k + 1, s)
 
 
 def mu_k(eq: HyperEquation, k: int) -> Scalar:
@@ -227,11 +224,9 @@ def sigma_star(eq: HyperEquation, s: HalfInt) -> Scalar:
 
 def tau_star(eq: HyperEquation, s: HalfInt) -> Scalar:
     lat = eq.lattice
-    den = lat.delta_x(-1, s)
-    if den == 0:
-        raise DegenerateStep(f"zero step of x_-1 at s={s}", point=s)
-    return (sigma_of_s(eq, s + 1) - sigma_of_s(eq, s - 1)
-            - tau_of_s(eq, s - 1) * lat.nabla_x(-1, s)) / den
+    return divide_by_step(sigma_of_s(eq, s + 1) - sigma_of_s(eq, s - 1)
+                          - tau_of_s(eq, s - 1) * lat.nabla_x(-1, s),
+                          lat.delta_x(-1, s), -1, s)
 
 
 def lambda_star_at(eq: HyperEquation, s: HalfInt) -> Scalar:
@@ -242,25 +237,20 @@ def lambda_star_at(eq: HyperEquation, s: HalfInt) -> Scalar:
     lat = eq.lattice
 
     def h(t: HalfInt) -> Scalar:
-        den = lat.nabla_x(0, t)
-        if den == 0:
-            raise DegenerateStep(f"zero step of x_0 at s={t}", point=t)
-        return (tau_of_s(eq, t - 1) * lat.nabla_x(-1, t)
-                - (sigma_of_s(eq, t) - sigma_of_s(eq, t - 1))) / den
+        return divide_by_step(tau_of_s(eq, t - 1) * lat.nabla_x(-1, t)
+                              - (sigma_of_s(eq, t) - sigma_of_s(eq, t - 1)),
+                              lat.nabla_x(0, t), 0, t)
 
-    den = lat.delta_x(-1, s)
-    if den == 0:
-        raise DegenerateStep(f"zero step of x_-1 at s={s}", point=s)
-    return eq.lam - (h(s + 1) - h(s)) / den
+    return eq.lam - divide_by_step(h(s + 1) - h(s), lat.delta_x(-1, s), -1, s)
 
 
-def lambda_star(eq: HyperEquation, tol: Scalar = 0) -> Scalar:
+def lambda_star(eq: HyperEquation) -> Scalar:
     """lambda* = lambda - kappa_{-1}, cross-checked against the defining
     expression at a regular grid point.  Disagreement is a hard error."""
     closed = eq.lam - eq.kappa(-1)
     s = _regular_point(eq.lattice)
     direct = lambda_star_at(eq, s)
-    if not is_zero(direct - closed, tol):
+    if direct != closed:
         raise NonConstantLambdaStar(
             f"lambda* mismatch: direct {direct} vs closed form {closed} at s={s}")
     return closed
@@ -276,7 +266,7 @@ def _regular_point(lat: Lattice) -> HalfInt:
     raise DegenerateStep("no regular grid point found for this lattice")
 
 
-def adjoint_coeffs(eq: HyperEquation, window: Window, tol: Scalar = 0) -> AdjointCoefficients:
+def adjoint_coeffs(eq: HyperEquation, window: Window) -> AdjointCoefficients:
     """sigma*, tau* sampled on the window, with the constant lambda*.
 
     lambda* is evaluated from its defining expression at every window point
@@ -288,18 +278,18 @@ def adjoint_coeffs(eq: HyperEquation, window: Window, tol: Scalar = 0) -> Adjoin
     closed = eq.lam - eq.kappa(-1)
     for s in window.points():
         value = lambda_star_at(eq, s)
-        if not is_zero(value - closed, tol):
+        if value != closed:
             raise NonConstantLambdaStar(
                 f"lambda* varies: {value} at s={s}, expected {closed}")
     return AdjointCoefficients(sig, tau, closed)
 
 
-def apply_L_star(eq: HyperEquation, w: GridFunction, tol: Scalar = 0) -> GridFunction:
+def apply_L_star(eq: HyperEquation, w: GridFunction) -> GridFunction:
     """Residual of L*[w] = sigma* delta_{-1} nabla_0 w + tau* delta_0 w + lambda* w."""
     if len(w) < 3:
         raise WindowTooSmall("apply_L_star needs at least three points")
     lat = eq.lattice
-    lam_star = lambda_star(eq, tol)
+    lam_star = lambda_star(eq)
     inner = nabla_k(lat, 0, w)
     second = delta_k(lat, -1, inner)
     first = delta_k(lat, 0, w)
@@ -311,7 +301,7 @@ def apply_L_star(eq: HyperEquation, w: GridFunction, tol: Scalar = 0) -> GridFun
     return GridFunction(second.start, tuple(out))
 
 
-def dual_coefficients(eq: HyperEquation, s: HalfInt, tol: Scalar = 0):
+def dual_coefficients(eq: HyperEquation, s: HalfInt):
     """Reconstruct (sigma(s), tau(s), lambda) from the starred coefficients.
 
     The adjoint relations are involutive in exactly this sense:
@@ -322,14 +312,16 @@ def dual_coefficients(eq: HyperEquation, s: HalfInt, tol: Scalar = 0):
     """
     lat = eq.lattice
     sig = sigma_star(eq, s - 1) + tau_star(eq, s - 1) * lat.nabla_x(-1, s)
-    tau = (sigma_star(eq, s + 1) - sigma_star(eq, s - 1)
-           - tau_star(eq, s - 1) * lat.nabla_x(-1, s)) / lat.delta_x(-1, s)
+    tau = divide_by_step(sigma_star(eq, s + 1) - sigma_star(eq, s - 1)
+                         - tau_star(eq, s - 1) * lat.nabla_x(-1, s),
+                         lat.delta_x(-1, s), -1, s)
 
     def h(t: HalfInt) -> Scalar:
-        return (tau_star(eq, t - 1) * lat.nabla_x(-1, t)
-                - (sigma_star(eq, t) - sigma_star(eq, t - 1))) / lat.nabla_x(0, t)
+        return divide_by_step(tau_star(eq, t - 1) * lat.nabla_x(-1, t)
+                              - (sigma_star(eq, t) - sigma_star(eq, t - 1)),
+                              lat.nabla_x(0, t), 0, t)
 
-    lam = lambda_star(eq, tol) - (h(s + 1) - h(s)) / lat.delta_x(-1, s)
+    lam = lambda_star(eq) - divide_by_step(h(s + 1) - h(s), lat.delta_x(-1, s), -1, s)
     return sig, tau, lam
 
 
@@ -337,16 +329,11 @@ def dual_coefficients(eq: HyperEquation, s: HalfInt, tol: Scalar = 0):
 # level-nu coefficient functions and the hat ladder
 
 
-def tau_nu(eq: HyperEquation, nu: int, s: HalfInt) -> Scalar:
-    """Identical machinery to tau_k; kept as the level-nu alias."""
-    return tau_k(eq, nu, s)
-
-
 def sigma_tilde_nu(eq: HyperEquation, nu: int, s: HalfInt) -> Scalar:
     """sigma~_nu(s) = sigma(s) + (1/2) tau_nu(s) nabla x_{nu+1}(s), a
-    polynomial of degree at most two in x_nu(s)."""
+    polynomial of degree at most two in x_nu(s); tau_nu is tau_k at k = nu."""
     lat = eq.lattice
-    return sigma_of_s(eq, s) + tau_nu(eq, nu, s) * lat.nabla_x(nu + 1, s) / 2
+    return sigma_of_s(eq, s) + tau_k(eq, nu, s) * lat.nabla_x(nu + 1, s) / 2
 
 
 def hat_tau_k(eq: HyperEquation, n: int, k: int, s: HalfInt) -> Scalar:
@@ -363,13 +350,13 @@ def hat_tau_k(eq: HyperEquation, n: int, k: int, s: HalfInt) -> Scalar:
     return -tau_k(eq, n - k - 2, s + (k - n + 1))
 
 
-def hat_mu_n(eq: HyperEquation, n: int, tol: Scalar = 0) -> Scalar:
+def hat_mu_n(eq: HyperEquation, n: int) -> Scalar:
     """hat_mu_n = -kappa_{n-1} nu(n+1), cross-checked against the equivalent
     form -kappa_{-1} - kappa_n nu(n)."""
     lat = eq.lattice
     primary = -eq.kappa(n - 1) * lat.nu(n + 1)
     other = -eq.kappa(-1) - eq.kappa(n) * lat.nu(n)
-    if not is_zero(primary - other, tol):
+    if primary != other:
         raise NonConstantLambdaStar(
             f"hat_mu_n closed forms disagree: {primary} vs {other}")
     return primary

@@ -21,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .errors import DegenerateStep, OutOfWindow, WindowTooSmall
-from .lattice import HalfInt, Lattice, unit_steps
+from .errors import OutOfWindow, WindowTooSmall
+from .lattice import HalfInt, Lattice, divide_by_step, unit_steps
 from .numerics import Scalar, format_scalar
 
 
@@ -151,9 +151,8 @@ class GridFunction:
     def max_abs(self) -> Scalar:
         return max(abs(v) for v in self.values)
 
-    def is_zero(self, tol: Scalar = 0) -> bool:
-        from .numerics import is_zero
-        return all(is_zero(v, tol) for v in self.values)
+    def is_zero(self) -> bool:
+        return all(v == 0 for v in self.values)
 
 
 def delta_k(lat: Lattice, k: int, f: GridFunction) -> GridFunction:
@@ -164,10 +163,7 @@ def delta_k(lat: Lattice, k: int, f: GridFunction) -> GridFunction:
     for j, s in enumerate(f.points()):
         if j == len(f) - 1:
             break
-        step = lat.delta_x(k, s)
-        if step == 0:
-            raise DegenerateStep(f"zero step of x_{k} at s={s}", point=s)
-        out.append((f.values[j + 1] - f.values[j]) / step)
+        out.append(divide_by_step(f.values[j + 1] - f.values[j], lat.delta_x(k, s), k, s))
     return GridFunction(f.start, tuple(out))
 
 
@@ -179,10 +175,7 @@ def nabla_k(lat: Lattice, k: int, f: GridFunction) -> GridFunction:
     for j, s in enumerate(f.points()):
         if j == 0:
             continue
-        step = lat.nabla_x(k, s)
-        if step == 0:
-            raise DegenerateStep(f"zero step of x_{k} at s={s}", point=s)
-        out.append((f.values[j] - f.values[j - 1]) / step)
+        out.append(divide_by_step(f.values[j] - f.values[j - 1], lat.nabla_x(k, s), k, s))
     return GridFunction(f.start + 1, tuple(out))
 
 
@@ -202,21 +195,6 @@ def iterated_nabla(lat: Lattice, k: int, n: int, f: GridFunction) -> GridFunctio
     for j in range(n):
         f = nabla_k(lat, k - j, f)
     return f
-
-
-def nabla_sum(lat: Lattice, k: int, g: GridFunction, N: HalfInt, s: HalfInt) -> Scalar:
-    """sum_{t=N..s} g(t) * nabla x_k(t), the discrete integral from N to s."""
-    window = g.window
-    if N not in window or s not in window:
-        raise OutOfWindow(f"sum endpoints {N}, {s} must lie in {window}")
-    if s.twice < N.twice:
-        raise OutOfWindow("sum upper endpoint precedes the base point")
-    total = 0
-    t = N
-    while t.twice <= s.twice:
-        total += g.value_at(t) * lat.nabla_x(k, t)
-        t = t + 1
-    return total
 
 
 def cumulative_nabla_sum(lat: Lattice, k: int, g: GridFunction, N: HalfInt) -> GridFunction:

@@ -29,9 +29,9 @@ from .grid import (
     iterated_delta,
     iterated_nabla,
     nabla_k,
-    nabla_sum,
 )
-from .numerics import Scalar, is_zero
+from .lattice import divide_by_step
+from .numerics import Scalar
 from .problem import ProblemSpec
 
 
@@ -51,8 +51,8 @@ def _ensure(cond: bool, message: str) -> None:
         raise _CheckFailed(message)
 
 
-def _ensure_zero(value: Scalar, tol: Scalar, message: str) -> None:
-    if not is_zero(value, tol):
+def _ensure_zero(value: Scalar, message: str) -> None:
+    if value != 0:
         raise _CheckFailed(f"{message} (off by {value})")
 
 
@@ -60,7 +60,6 @@ def _ensure_zero(value: Scalar, tol: Scalar, message: str) -> None:
 class _Ctx:
     spec: ProblemSpec
     eq: eqn.HyperEquation
-    tol: Scalar
     rng: random.Random
 
     @property
@@ -95,24 +94,21 @@ def _check_suslov_alpha(ctx: _Ctx):
     lat = ctx.lat
     for k in range(1, 13):
         total = sum(lat.alpha(2 * j) for j in range(k))
-        _ensure_zero(total - lat.alpha(k - 1) * lat.nu(k), ctx.tol,
-                     f"alpha sum fails at k={k}")
+        _ensure_zero(total - lat.alpha(k - 1) * lat.nu(k), f"alpha sum fails at k={k}")
 
 
 def _check_suslov_nu(ctx: _Ctx):
     lat = ctx.lat
     for k in range(1, 13):
         total = sum(lat.nu(2 * j) for j in range(k))
-        _ensure_zero(total - lat.nu(k - 1) * lat.nu(k), ctx.tol,
-                     f"nu sum fails at k={k}")
+        _ensure_zero(total - lat.nu(k - 1) * lat.nu(k), f"nu sum fails at k={k}")
 
 
 def _check_nu_alpha_symmetry(ctx: _Ctx):
     lat = ctx.lat
     for mu in range(13):
-        _ensure_zero(lat.nu(-mu) + lat.nu(mu), ctx.tol, f"nu(-{mu}) != -nu({mu})")
-        _ensure_zero(lat.alpha(-mu) - lat.alpha(mu), ctx.tol,
-                     f"alpha(-{mu}) != alpha({mu})")
+        _ensure_zero(lat.nu(-mu) + lat.nu(mu), f"nu(-{mu}) != -nu({mu})")
+        _ensure_zero(lat.alpha(-mu) - lat.alpha(mu), f"alpha(-{mu}) != alpha({mu})")
 
 
 def _check_mean_shift(ctx: _Ctx):
@@ -121,14 +117,14 @@ def _check_mean_shift(ctx: _Ctx):
     for s in list(ctx.window.points())[:6]:
         lhs = (lat.x(s + 1) + lat.x(s)) / 2
         rhs = lat.alpha(1) * lat.x_k(1, s) + beta
-        _ensure_zero(lhs - rhs, ctx.tol, f"midpoint condition fails at s={s}")
+        _ensure_zero(lhs - rhs, f"midpoint condition fails at s={s}")
 
 
 def _check_level_shift(ctx: _Ctx):
     lat = ctx.lat
     for k in range(-4, 5):
         for s in list(ctx.window.points())[:5]:
-            _ensure_zero(lat.x_k(k, s) - lat.x_k(k + 2, s - 1), ctx.tol,
+            _ensure_zero(lat.x_k(k, s) - lat.x_k(k + 2, s - 1),
                          f"x_{k}(s) != x_{k + 2}(s-1) at s={s}")
 
 
@@ -141,18 +137,18 @@ def _check_mu_closed_vs_sum(ctx: _Ctx):
     for k in range(9):
         total = eq.lam
         for j in range(k):
-            step = lat.delta_x(j, s)
-            total += (eqn.tau_k(eq, j, s + 1) - eqn.tau_k(eq, j, s)) / step
-        _ensure_zero(total - eqn.mu_k(eq, k), ctx.tol, f"mu_{k} sum mismatch")
+            total += divide_by_step(eqn.tau_k(eq, j, s + 1) - eqn.tau_k(eq, j, s),
+                                    lat.delta_x(j, s), j, s)
+        _ensure_zero(total - eqn.mu_k(eq, k), f"mu_{k} sum mismatch")
 
 
 def _check_tau_k_slope(ctx: _Ctx):
     eq, lat = ctx.eq, ctx.lat
     s = ctx.window.start + 1
     for k in range(-6, 7):
-        slope = (eqn.tau_k(eq, k, s + 1) - eqn.tau_k(eq, k, s)) / lat.delta_x(k, s)
-        _ensure_zero(slope - eq.kappa(2 * k + 1), ctx.tol,
-                     f"tau_{k} slope != kappa_{2 * k + 1}")
+        slope = divide_by_step(eqn.tau_k(eq, k, s + 1) - eqn.tau_k(eq, k, s),
+                               lat.delta_x(k, s), k, s)
+        _ensure_zero(slope - eq.kappa(2 * k + 1), f"tau_{k} slope != kappa_{2 * k + 1}")
 
 
 # --- Pearson weight --------------------------------------------------------
@@ -165,7 +161,7 @@ def _check_pearson_residual(ctx: _Ctx):
     sigma_rho = GridFunction.sample(rho.window, lambda s: eqn.sigma_of_s(eq, s)) * rho
     lhs = delta_k(ctx.lat, -1, sigma_rho)
     rhs = GridFunction.sample(rho.window, lambda s: eqn.tau_of_s(eq, s)) * rho
-    _ensure((lhs - rhs).is_zero(ctx.tol), "Pearson residual is not zero")
+    _ensure((lhs - rhs).is_zero(), "Pearson residual is not zero")
 
 
 def _check_rho_k_pearson(ctx: _Ctx):
@@ -178,7 +174,7 @@ def _check_rho_k_pearson(ctx: _Ctx):
         lhs = delta_k(ctx.lat, k - 1, sigma_grid * grid)
         for s in lhs.points():
             rhs = eqn.tau_k(eq, k, s) * grid.value_at(s)
-            _ensure_zero(lhs.value_at(s) - rhs, ctx.tol,
+            _ensure_zero(lhs.value_at(s) - rhs,
                          f"level-{k} Pearson identity fails at s={s}")
 
 
@@ -195,22 +191,22 @@ def _check_product_rules(ctx: _Ctx):
         df, dg = delta_k(lat, k, f), delta_k(lat, k, g)
         for j, s in enumerate(dfg.points()):
             expect = f.value_at(s + 1) * dg.values[j] + g.value_at(s) * df.values[j]
-            _ensure_zero(dfg.values[j] - expect, ctx.tol, f"delta product rule k={k}")
+            _ensure_zero(dfg.values[j] - expect, f"delta product rule k={k}")
         dq = delta_k(lat, k, f / g)
         for j, s in enumerate(dq.points()):
             expect = ((g.value_at(s + 1) * df.values[j] - f.value_at(s + 1) * dg.values[j])
                       / (g.value_at(s) * g.value_at(s + 1)))
-            _ensure_zero(dq.values[j] - expect, ctx.tol, f"delta quotient rule k={k}")
+            _ensure_zero(dq.values[j] - expect, f"delta quotient rule k={k}")
         nfg = nabla_k(lat, k, f * g)
         nf, ng = nabla_k(lat, k, f), nabla_k(lat, k, g)
         for j, s in enumerate(nfg.points()):
             expect = f.value_at(s - 1) * ng.values[j] + g.value_at(s) * nf.values[j]
-            _ensure_zero(nfg.values[j] - expect, ctx.tol, f"nabla product rule k={k}")
+            _ensure_zero(nfg.values[j] - expect, f"nabla product rule k={k}")
         nq = nabla_k(lat, k, f / g)
         for j, s in enumerate(nq.points()):
             expect = ((g.value_at(s - 1) * nf.values[j] - f.value_at(s - 1) * ng.values[j])
                       / (g.value_at(s) * g.value_at(s - 1)))
-            _ensure_zero(nq.values[j] - expect, ctx.tol, f"nabla quotient rule k={k}")
+            _ensure_zero(nq.values[j] - expect, f"nabla quotient rule k={k}")
 
 
 def _check_fundamental_theorem(ctx: _Ctx):
@@ -221,7 +217,7 @@ def _check_fundamental_theorem(ctx: _Ctx):
         for base_off in (0, 3):
             cumulative = cumulative_nabla_sum(lat, k, g, window.start + base_off)
             back = nabla_k(lat, k, cumulative)
-            _ensure((back - g.restrict(back.window)).is_zero(ctx.tol),
+            _ensure((back - g.restrict(back.window)).is_zero(),
                     f"nabla of the cumulative sum is not g (k={k})")
 
 
@@ -233,8 +229,8 @@ def _check_telescoping(ctx: _Ctx):
         nf = nabla_k(lat, k, f)
         N = window.start + 2
         s = window.start + 6
-        total = nabla_sum(lat, k, nf, N, s)
-        _ensure_zero(total - (f.value_at(s) - f.value_at(N - 1)), ctx.tol,
+        total = cumulative_nabla_sum(lat, k, nf, N).value_at(s)
+        _ensure_zero(total - (f.value_at(s) - f.value_at(N - 1)),
                      f"telescoped sum is not f(s) - f(N-1) (k={k})")
 
 
@@ -255,7 +251,7 @@ def _check_degree_lowering(ctx: _Ctx):
 
             f = GridFunction.sample(window, poly)
             killed = iterated_delta(lat, k, deg + 1, f)
-            _ensure(killed.is_zero(ctx.tol), f"degree {deg} not killed at level {k}")
+            _ensure(killed.is_zero(), f"degree {deg} not killed at level {k}")
             lowered = iterated_delta(lat, k, deg, f)
             _ensure(len(set(lowered.values)) == 1 and lowered.values[0] != 0,
                     f"degree-{deg} image is not a nonzero constant")
@@ -270,31 +266,31 @@ def _check_adjoint_product(ctx: _Ctx):
     window = Window(ctx.window.start, 7)
     y = ctx.random_grid(window)
     w = weight.rho.restrict(window) * y
-    lhs = eqn.apply_L_star(eq, w, ctx.tol)
+    lhs = eqn.apply_L_star(eq, w)
     rhs = weight.rho.restrict(lhs.window) * eqn.apply_L(eq, y)
-    _ensure((lhs - rhs).is_zero(ctx.tol), "L*[rho y] != rho L[y]")
+    _ensure((lhs - rhs).is_zero(), "L*[rho y] != rho L[y]")
 
 
 def _check_tau_star_closed_form(ctx: _Ctx):
     eq = ctx.eq
     for s in list(ctx.window.points())[:6]:
-        _ensure_zero(eqn.tau_star(eq, s) + eqn.tau_k(eq, -2, s + 1), ctx.tol,
+        _ensure_zero(eqn.tau_star(eq, s) + eqn.tau_k(eq, -2, s + 1),
                      f"tau*(s) != -tau_-2(s+1) at s={s}")
 
 
 def _check_lambda_star_closed_form(ctx: _Ctx):
-    coeffs = eqn.adjoint_coeffs(ctx.eq, Window(ctx.window.start, 6), ctx.tol)
-    _ensure_zero(coeffs.lambda_star - (ctx.eq.lam - ctx.eq.kappa(-1)), ctx.tol,
+    coeffs = eqn.adjoint_coeffs(ctx.eq, Window(ctx.window.start, 6))
+    _ensure_zero(coeffs.lambda_star - (ctx.eq.lam - ctx.eq.kappa(-1)),
                  "lambda* != lambda - kappa_-1")
 
 
 def _check_dual_reconstruction(ctx: _Ctx):
     eq = ctx.eq
     for s in list(ctx.window.points())[:5]:
-        sig, tau, lam = eqn.dual_coefficients(eq, s, ctx.tol)
-        _ensure_zero(sig - eqn.sigma_of_s(eq, s), ctx.tol, f"sigma not recovered at s={s}")
-        _ensure_zero(tau - eqn.tau_of_s(eq, s), ctx.tol, f"tau not recovered at s={s}")
-        _ensure_zero(lam - eq.lam, ctx.tol, f"lambda not recovered at s={s}")
+        sig, tau, lam = eqn.dual_coefficients(eq, s)
+        _ensure_zero(sig - eqn.sigma_of_s(eq, s), f"sigma not recovered at s={s}")
+        _ensure_zero(tau - eqn.tau_of_s(eq, s), f"tau not recovered at s={s}")
+        _ensure_zero(lam - eq.lam, f"lambda not recovered at s={s}")
 
 
 def _check_sigma_star_degree(ctx: _Ctx):
@@ -306,7 +302,7 @@ def _check_sigma_star_degree(ctx: _Ctx):
                 + eqn.tau_k(eq, -2, s + 1) * lat.delta_x(-1, s) / 2)
 
     grid = GridFunction.sample(window, sigma_tilde_star)
-    _ensure(iterated_delta(lat, 0, 3, grid).is_zero(ctx.tol),
+    _ensure(iterated_delta(lat, 0, 3, grid).is_zero(),
             "sigma~* is not a polynomial of degree <= 2 in x(s)")
 
 
@@ -314,7 +310,7 @@ def _check_hat_mu_equals_lambda_star(ctx: _Ctx):
     for n in range(1, 6):
         eq_n = ctx.eq.with_lambda(eqn.lambda_n(ctx.eq, n))
         lam_star = eq_n.lam - eq_n.kappa(-1)
-        _ensure_zero(eqn.hat_mu_n(eq_n, n, ctx.tol) - lam_star, ctx.tol,
+        _ensure_zero(eqn.hat_mu_n(eq_n, n) - lam_star,
                      f"hat_mu_{n} != lambda* at lambda_{n}")
 
 
@@ -327,8 +323,7 @@ def _check_hat_tau_constancy(ctx: _Ctx):
         values = {eqn.hat_tau_k(eq, n, k, s) + kap * lat.x_k(k - n, s) for s in pts}
         _ensure(len(values) == 1, f"hat_tau_{k} drift is not constant (n={n})")
     for s in pts:
-        _ensure_zero(eqn.hat_tau_k(eq, n, n, s) - eqn.tau_star(eq, s), ctx.tol,
-                     "hat_tau_n != tau*")
+        _ensure_zero(eqn.hat_tau_k(eq, n, n, s) - eqn.tau_star(eq, s), "hat_tau_n != tau*")
 
 
 # --- solution families -----------------------------------------------------
@@ -337,25 +332,25 @@ def _check_hat_tau_constancy(ctx: _Ctx):
 def _check_y1_matches_tau(ctx: _Ctx):
     report = sol.rodrigues_polynomial(ctx.eq, ctx.weight(1), 1, ctx.window)
     expected = GridFunction.sample(ctx.window, lambda s: eqn.tau_of_s(ctx.eq, s))
-    _ensure((report.solution - expected).is_zero(ctx.tol), "y_1 != tau~(x(s))")
+    _ensure((report.solution - expected).is_zero(), "y_1 != tau~(x(s))")
 
 
 def _check_rodrigues_residual(ctx: _Ctx):
     report = sol.rodrigues_polynomial(ctx.eq, ctx.weight(), ctx.n, ctx.window)
-    _ensure(report.is_exact_solution(ctx.tol),
+    _ensure(report.is_exact_solution(),
             f"polynomial residual max {report.residual_max_abs()}")
     lowered = iterated_delta(ctx.lat, 0, ctx.n + 1,
                              report.solution)
-    _ensure(lowered.is_zero(ctx.tol), "polynomial fails the degree test")
+    _ensure(lowered.is_zero(), "polynomial fails the degree test")
 
 
 def _check_second_kind_residual(ctx: _Ctx):
     report = sol.second_solution(ctx.eq, ctx.weight(), ctx.n, ctx.window,
                                  N=ctx.spec.sum_base)
-    _ensure(report.is_exact_solution(ctx.tol),
+    _ensure(report.is_exact_solution(),
             f"second-kind residual max {report.residual_max_abs()}")
     lowered = iterated_delta(ctx.lat, 0, ctx.n + 1, report.solution)
-    _ensure(not lowered.is_zero(ctx.tol),
+    _ensure(not lowered.is_zero(),
             "second solution passes the degree test (not independent)")
 
 
@@ -366,7 +361,7 @@ def _check_solution_linearity(ctx: _Ctx):
     mix = 3 * poly.solution + Fraction(-5, 2) * second.solution
     eq_n = ctx.eq.with_lambda(poly.lam_n)
     # one interior point is lost per side when re-applying L to the mix
-    _ensure(eqn.apply_L(eq_n, mix).is_zero(ctx.tol),
+    _ensure(eqn.apply_L(eq_n, mix).is_zero(),
             "a linear combination of the two solutions is not a solution")
 
 
@@ -379,7 +374,7 @@ def _check_rodrigues_paths(ctx: _Ctx):
     rho_n = GridFunction.sample(
         window.expand(n, 0), lambda s: eqn.rho_k(eq, weight, n, s))
     back = iterated_nabla(lat, n, n, rho_n) / weight.rho.restrict(window)
-    _ensure((back - report.solution).is_zero(ctx.tol),
+    _ensure((back - report.solution).is_zero(),
             "nabla-path Rodrigues differs from the delta path")
 
 
@@ -389,7 +384,7 @@ def _check_scale_invariance(ctx: _Ctx):
     scaled = eqn.PearsonWeight(Fraction(7, 3) * weight.rho, weight.anchor)
     a = sol.rodrigues_polynomial(eq, weight, n, ctx.window)
     b = sol.rodrigues_polynomial(eq, scaled, n, ctx.window)
-    _ensure((a.solution - b.solution).is_zero(ctx.tol),
+    _ensure((a.solution - b.solution).is_zero(),
             "rescaling rho changed the polynomial solution")
 
 
@@ -413,7 +408,7 @@ def _check_generalized_residual(ctx: _Ctx):
     if P is None or len(P) != n + 1:
         P = tuple(Fraction(j + 1, 2) for j in range(n + 1))
     report = sol.generalized_solution(ctx.eq, ctx.weight(n), n, ctx.window, P)
-    _ensure(report.is_exact_solution(ctx.tol),
+    _ensure(report.is_exact_solution(),
             f"generalized residual max {report.residual_max_abs()}")
 
 
@@ -426,7 +421,7 @@ def _check_oracle_agreement(ctx: _Ctx):
     scale = next((a / b for a, b in zip(mine, oracle) if b != 0), None)
     _ensure(scale is not None and scale != 0, "no usable scale between routes")
     for a, b in zip(mine, oracle):
-        _ensure_zero(a - scale * b, ctx.tol, "oracle coefficients disagree")
+        _ensure_zero(a - scale * b, "oracle coefficients disagree")
 
 
 def _check_yn_first_order(ctx: _Ctx):
@@ -437,10 +432,10 @@ def _check_yn_first_order(ctx: _Ctx):
     grad = nabla_k(lat, -n, product)
     for s in grad.points():
         nxn = lat.nabla_x(-n, s)
-        p0 = ((eqn.sigma_of_s(eq, s - 1) - eqn.sigma_of_s(eq, s - n)) / nxn
-              + eqn.tau_of_s(eq, s - 1) * lat.nabla_x(-1, s) / nxn)
+        p0 = (divide_by_step(eqn.sigma_of_s(eq, s - 1) - eqn.sigma_of_s(eq, s - n), nxn, -n, s)
+              + divide_by_step(eqn.tau_of_s(eq, s - 1) * lat.nabla_x(-1, s), nxn, -n, s))
         lhs = eqn.sigma_of_s(eq, s - n) * grad.value_at(s)
-        _ensure_zero(lhs - p0 * product.value_at(s - 1), ctx.tol,
+        _ensure_zero(lhs - p0 * product.value_at(s - 1),
                      f"Y_{n} first-order equation fails at s={s}")
 
 
@@ -449,17 +444,17 @@ def _check_ell_gamma(ctx: _Ctx):
     for s in list(ctx.window.points())[:5]:
         gamma, _ell, _eta = sol.gamma_ell_eta(eq, n, s)
         _, ell_next, _ = sol.gamma_ell_eta(eq, n, s + 1)
-        dsig = (eqn.sigma_star(eq, s + 1) - eqn.sigma_star(eq, s)) / lat.delta_x(-(n + 1), s)
-        lhs = ell_next * lat.delta_x(-n, s) / lat.delta_x(-(n + 1), s) + dsig
-        _ensure_zero(lhs - gamma, ctx.tol, f"ell/gamma consistency fails at s={s}")
+        dx = lat.delta_x(-(n + 1), s)
+        dsig = divide_by_step(eqn.sigma_star(eq, s + 1) - eqn.sigma_star(eq, s), dx, -(n + 1), s)
+        lhs = divide_by_step(ell_next * lat.delta_x(-n, s), dx, -(n + 1), s) + dsig
+        _ensure_zero(lhs - gamma, f"ell/gamma consistency fails at s={s}")
 
 
 def _check_eta_constant(ctx: _Ctx):
     eq, n = ctx.eq, max(ctx.n, 1)
     etas = {sol.gamma_ell_eta(eq, n, s)[2] for s in list(ctx.window.points())[:5]}
     _ensure(len(etas) == 1, "eta varies with s")
-    _ensure_zero(etas.pop() + eq.kappa(2 * n - 1), ctx.tol,
-                 "eta != -kappa_{2n-1}")
+    _ensure_zero(etas.pop() + eq.kappa(2 * n - 1), "eta != -kappa_{2n-1}")
 
 
 def _check_homogeneous_solution(ctx: _Ctx):
@@ -471,7 +466,7 @@ def _check_homogeneous_solution(ctx: _Ctx):
     for s in grad.points():
         _gamma, ell, _eta = sol.gamma_ell_eta(eq, n, s)
         _ensure_zero(eqn.sigma_star(eq, s) * grad.value_at(s) + ell * v.value_at(s),
-                     ctx.tol, f"homogeneous first-order equation fails at s={s}")
+                     f"homogeneous first-order equation fails at s={s}")
 
 
 def _check_ladder_kills_weight_product(ctx: _Ctx):
@@ -481,7 +476,7 @@ def _check_ladder_kills_weight_product(ctx: _Ctx):
     weight = ctx.weight()
     window = Window(ctx.window.start, 6 + n)
     w = iterated_delta(lat, -n, n, sol.Y_n(eq_n, weight, n, window))
-    _ensure(eqn.apply_L_star(eq_n, w, ctx.tol).is_zero(ctx.tol),
+    _ensure(eqn.apply_L_star(eq_n, w).is_zero(),
             "delta^(n) Y_n does not solve the adjoint equation")
 
 
@@ -527,15 +522,15 @@ def identity_names() -> list[str]:
     return [name for name, _ in _CHECKS]
 
 
-def run_identity_suite(spec: ProblemSpec, tol: Scalar = 0) -> list[IdentityResult]:
-    ctx = _Ctx(spec=spec, eq=spec.equation(), tol=tol, rng=random.Random(20201104))
+def run_identity_suite(spec: ProblemSpec) -> list[IdentityResult]:
+    ctx = _Ctx(spec=spec, eq=spec.equation(), rng=random.Random(20201104))
     results = []
     for name, check in _CHECKS:
         try:
             check(ctx)
         except _CheckFailed as exc:
             results.append(IdentityResult(name, False, str(exc)))
-        except (HyperlatError, ZeroDivisionError, OverflowError) as exc:
+        except (HyperlatError, ZeroDivisionError) as exc:
             results.append(IdentityResult(name, False, f"{type(exc).__name__}: {exc}"))
         else:
             results.append(IdentityResult(name, True))

@@ -23,11 +23,10 @@ polynomial coefficients (see ``equation``).
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DegenerateLattice, LatticeError, RationalParseError
+from .errors import DegenerateLattice, DegenerateStep, LatticeError, RationalParseError
 from .numerics import Rational, Scalar, format_rational
 
 
@@ -200,36 +199,12 @@ def kappa(lat: Lattice, sigma2: Scalar, tau1: Scalar, mu: int) -> Scalar:
     return lat.alpha(mu - 1) * tau1 + lat.nu(mu - 1) * sigma2 / 2
 
 
-@dataclass
-class KappaTable:
-    """Memoized nu/alpha/kappa values for one lattice and one coefficient pair.
+def divide_by_step(num: Scalar, step: Scalar, k: int, s: HalfInt) -> Scalar:
+    """num / step, where ``step`` is an increment of x_k taken at s.
 
-    Reads are cheap dictionary hits; population is guarded by a lock so the
-    table may be shared between threads.
+    This is the one place that divides by a lattice step: a zero step raises
+    DegenerateStep naming s instead of a bare ZeroDivisionError.
     """
-
-    lattice: Lattice
-    sigma2: Scalar
-    tau1: Scalar
-    _nu: dict = field(default_factory=dict, repr=False)
-    _alpha: dict = field(default_factory=dict, repr=False)
-    _kappa: dict = field(default_factory=dict, repr=False)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
-
-    def nu(self, mu: int) -> Scalar:
-        with self._lock:
-            if mu not in self._nu:
-                self._nu[mu] = self.lattice.nu(mu)
-            return self._nu[mu]
-
-    def alpha(self, mu: int) -> Scalar:
-        with self._lock:
-            if mu not in self._alpha:
-                self._alpha[mu] = self.lattice.alpha(mu)
-            return self._alpha[mu]
-
-    def kappa(self, mu: int) -> Scalar:
-        with self._lock:
-            if mu not in self._kappa:
-                self._kappa[mu] = kappa(self.lattice, self.sigma2, self.tau1, mu)
-            return self._kappa[mu]
+    if step == 0:
+        raise DegenerateStep(f"zero step of x_{k} at s={s}", point=s)
+    return num / step

@@ -1,64 +1,28 @@
-"""Exact rational scalars and the optional floating backend.
+"""Exact rational scalars: parsing and canonical text.
 
-The exact backend is the default and the only one the verification story
-relies on: every identity in this library is an algebraic one, so "zero"
-means literally zero.  ``Rational`` is ``fractions.Fraction``, which already
-keeps values in canonical form (reduced, positive denominator) after every
-operation.  The float backend exists purely for speed exploration and is
-applied by converting all problem data once, at the input boundary; exact
-and floating values are never mixed within a run.
+Every value in this library is an exact rational, and every identity is an
+algebraic one, so "zero" means literally ``== 0``.  ``Rational`` (and its
+alias ``Scalar``) is ``fractions.Fraction``, which already keeps values in
+canonical form (reduced, positive denominator) after every operation.
 """
 
 from __future__ import annotations
 
-import enum
 from fractions import Fraction
-from typing import Union
 
 from .errors import DivisionByZero, RationalParseError
 
 Rational = Fraction
-
-#: A scalar is either an exact rational or (on the inexact backend) a float.
-Scalar = Union[Fraction, float]
-
-
-class Backend(enum.Enum):
-    EXACT = "exact"
-    APPROX = "approx"
-
-
-def rat_add(a: Rational, b: Rational) -> Rational:
-    return a + b
-
-
-def rat_sub(a: Rational, b: Rational) -> Rational:
-    return a - b
-
-
-def rat_mul(a: Rational, b: Rational) -> Rational:
-    return a * b
-
-
-def rat_div(a: Rational, b: Rational) -> Rational:
-    if b == 0:
-        raise DivisionByZero("rational division by zero")
-    return a / b
-
-
-def rat_pow(a: Rational, e: int) -> Rational:
-    """a**e for a signed integer exponent (exact, repeated squaring)."""
-    if a == 0 and e < 0:
-        raise DivisionByZero("zero cannot be raised to a negative power")
-    return a ** e
+Scalar = Fraction
 
 
 def parse_rational(text: str) -> Rational:
     """Parse ``num`` or ``num/den`` (ASCII digits, optional leading ``-``).
 
     No whitespace is accepted inside the literal.  Raises
-    ``RationalParseError`` with the byte offset of the first bad character,
-    or ``DivisionByZero`` for a zero denominator.
+    ``RationalParseError`` with the byte offset of the first bad character
+    (or of a digit run longer than the interpreter converts to ``int``), or
+    ``DivisionByZero`` for a zero denominator.
     """
     if not text:
         raise RationalParseError("empty rational literal", 0)
@@ -73,8 +37,14 @@ def parse_rational(text: str) -> Rational:
             raise RationalParseError("expected digits", start)
         return pos
 
+    def to_int(start: int, end: int) -> int:
+        try:
+            return int(text[start:end])
+        except ValueError:  # beyond sys.get_int_max_str_digits()
+            raise RationalParseError("too many digits", start) from None
+
     pos = scan_int(0)
-    num = int(text[:pos])
+    num = to_int(0, pos)
     if pos == len(text):
         return Fraction(num)
     if text[pos] != "/":
@@ -85,7 +55,7 @@ def parse_rational(text: str) -> Rational:
         raise RationalParseError("trailing characters after rational literal", pos)
     if text[den_start] == "-":
         raise RationalParseError("denominator must be unsigned", den_start)
-    den = int(text[den_start:])
+    den = to_int(den_start, pos)
     if den == 0:
         raise DivisionByZero("zero denominator in rational literal")
     return Fraction(num, den)
@@ -98,20 +68,5 @@ def format_rational(value: Rational) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def format_scalar(value: Scalar) -> str:
-    if isinstance(value, Fraction):
-        return format_rational(value)
-    return repr(value)
-
-
-def to_backend(value: Rational, backend: Backend) -> Scalar:
-    if backend is Backend.APPROX:
-        return float(value)
-    return value
-
-
-def is_zero(value: Scalar, tol: Scalar = 0) -> bool:
-    """Exact zero test, or |value| <= tol when a tolerance is in force."""
-    if tol == 0:
-        return value == 0
-    return abs(value) <= tol
+#: The name the CLI and callers outside the library format values through.
+format_scalar = format_rational

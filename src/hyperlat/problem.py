@@ -12,9 +12,9 @@ A problem is a flat list of ``key = value`` lines (``#`` starts a comment):
     window = 4..15           # inclusive, half-integers allowed (7/2..12)
 
 Optional keys: ``lambda`` (defaults to lambda_n), ``sum_base``, ``P`` (the
-n+1 coefficients of the generalized construction), ``backend``
-(``exact``/``approx``), ``allow_degenerate``.  All numbers are exact
-rationals; no floating literals exist in the format.
+n+1 coefficients of the generalized construction), ``allow_degenerate``.
+All numbers are exact rationals; no floating literals exist in the format,
+and any other key is an ``unknown key`` error.
 
 The parser is total: any byte string produces either a ProblemSpec or a list
 of diagnostics with 1-based line/column positions, never an exception from
@@ -35,7 +35,7 @@ from .errors import (
 )
 from .grid import Window
 from .lattice import HalfInt, Lattice, QQuadraticLattice, QuadraticLattice
-from .numerics import Backend, Rational, format_rational, parse_rational
+from .numerics import Rational, format_rational, parse_rational
 
 MAX_N_DEFAULT = 16
 MIN_WINDOW_MARGIN = 5  # window length must be at least n + this
@@ -43,7 +43,7 @@ MIN_WINDOW_MARGIN = 5  # window length must be at least n + this
 _BASE_KEYS = ("lattice", "sigma", "tau", "n", "window")
 _Q_KEYS = ("p", "c1", "c2", "c3")
 _QUAD_KEYS = ("ct1", "ct2", "ct3")
-_OPTIONAL_KEYS = ("lambda", "sum_base", "P", "backend", "allow_degenerate")
+_OPTIONAL_KEYS = ("lambda", "sum_base", "P", "allow_degenerate")
 _ALL_KEYS = set(_BASE_KEYS) | set(_Q_KEYS) | set(_QUAD_KEYS) | set(_OPTIONAL_KEYS)
 
 
@@ -68,36 +68,13 @@ class ProblemSpec:
     lam: Rational | None = None
     sum_base: HalfInt | None = None
     poly_p: tuple | None = None
-    backend: Backend = Backend.EXACT
     allow_degenerate: bool = False
 
     def equation(self) -> HyperEquation:
-        """Build the equation on the requested backend, with lambda defaulted
-        to lambda_n when the problem does not pin it."""
-        lat, sigma_t, tau_t, lam = self.lattice, self.sigma_t, self.tau_t, self.lam
-        if self.backend is Backend.APPROX:
-            lat = _lattice_to_float(lat)
-            sigma_t = tuple(float(c) for c in sigma_t)
-            tau_t = tuple(float(c) for c in tau_t)
-            lam = None if lam is None else float(lam)
-        eq = HyperEquation(lat, sigma_t, tau_t)
-        return eq.with_lambda(lambda_n(eq, self.n) if lam is None else lam)
-
-    def poly_for_backend(self) -> tuple | None:
-        if self.poly_p is None:
-            return None
-        if self.backend is Backend.APPROX:
-            return tuple(float(c) for c in self.poly_p)
-        return self.poly_p
-
-
-def _lattice_to_float(lat: Lattice) -> Lattice:
-    if isinstance(lat, QQuadraticLattice):
-        return QQuadraticLattice(float(lat.p), float(lat.c1), float(lat.c2),
-                                 float(lat.c3), lat.allow_degenerate)
-    assert isinstance(lat, QuadraticLattice)
-    return QuadraticLattice(float(lat.ct1), float(lat.ct2), float(lat.ct3),
-                            lat.allow_degenerate)
+        """Build the equation, with lambda defaulted to lambda_n when the
+        problem does not pin it."""
+        eq = HyperEquation(self.lattice, self.sigma_t, self.tau_t)
+        return eq.with_lambda(lambda_n(eq, self.n) if self.lam is None else self.lam)
 
 
 # ---------------------------------------------------------------------------
@@ -162,15 +139,24 @@ def _tokenize_line(line: str, lineno: int, diagnostics: list) -> list[_Token] | 
 # value parsers (each consumes the full token tail of one line)
 
 
+_SHOWN_CHARS = 24  # longer literals are cut short in diagnostics
+
+
+def _shown(text: str) -> str:
+    if len(text) <= _SHOWN_CHARS:
+        return repr(text)
+    return f"'{text[:_SHOWN_CHARS]}...' ({len(text)} characters)"
+
+
 def _parse_rational_token(tok: _Token, lineno: int, diagnostics: list) -> Fraction | None:
     try:
         return parse_rational(tok.text)
     except RationalParseError as exc:
         diagnostics.append(ParseDiagnostic(
-            lineno, tok.column + exc.offset, f"bad rational {tok.text!r}"))
+            lineno, tok.column + exc.offset, f"bad rational {_shown(tok.text)}"))
     except DivisionByZero:
         diagnostics.append(ParseDiagnostic(
-            lineno, tok.column, f"zero denominator in {tok.text!r}"))
+            lineno, tok.column, f"zero denominator in {_shown(tok.text)}"))
     return None
 
 
@@ -283,7 +269,6 @@ _VALUE_PARSERS = {
     "window": _value_window,
     "sum_base": _value_half_int,
     "P": _value_rational_list,
-    "backend": _value_ident,
     "allow_degenerate": _value_ident,
 }
 
@@ -365,13 +350,6 @@ def parse_problem_with_diagnostics(text: str, max_n: int = MAX_N_DEFAULT):
             diag_at("allow_degenerate", "allow_degenerate must be 'true' or 'false'")
         else:
             allow_degenerate = flag == "true"
-    backend = Backend.EXACT
-    if "backend" in values:
-        name = values["backend"].text
-        if name not in ("exact", "approx"):
-            diag_at("backend", "backend must be 'exact' or 'approx'")
-        else:
-            backend = Backend(name)
     n = None
     if "n" in values:
         raw_n = values["n"]
@@ -425,7 +403,6 @@ def parse_problem_with_diagnostics(text: str, max_n: int = MAX_N_DEFAULT):
         lam=values.get("lambda"),
         sum_base=values.get("sum_base"),
         poly_p=values.get("P"),
-        backend=backend,
         allow_degenerate=allow_degenerate,
     )
     return spec, []
@@ -473,8 +450,6 @@ def render_problem(spec: ProblemSpec) -> str:
         out.append(f"sum_base = {spec.sum_base}")
     if spec.poly_p is not None:
         out.append("P = " + ", ".join(format_rational(c) for c in spec.poly_p))
-    if spec.backend is not Backend.EXACT:
-        out.append(f"backend = {spec.backend.value}")
     if spec.allow_degenerate:
         out.append("allow_degenerate = true")
     return "\n".join(out) + "\n"

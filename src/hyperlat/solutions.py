@@ -42,7 +42,7 @@ from .errors import (
     WindowTooSmall,
 )
 from .grid import GridFunction, Window, cumulative_nabla_sum, iterated_delta
-from .lattice import HalfInt, Lattice
+from .lattice import HalfInt, Lattice, divide_by_step
 from .numerics import Scalar, format_scalar
 
 
@@ -63,8 +63,8 @@ class SolutionReport:
     def residual_max_abs(self) -> Scalar:
         return self.residual.max_abs()
 
-    def is_exact_solution(self, tol: Scalar = 0) -> bool:
-        return self.residual.is_zero(tol)
+    def is_exact_solution(self) -> bool:
+        return self.residual.is_zero()
 
     def to_json_dict(self) -> dict:
         window = self.solution.window
@@ -251,19 +251,15 @@ def gamma_ell_eta(eq: HyperEquation, n: int, s: HalfInt) -> tuple[Scalar, Scalar
     lat = eq.lattice
 
     def ell_at(t: HalfInt) -> Scalar:
-        den = lat.nabla_x(-n, t)
-        if den == 0:
-            raise DegenerateStep(f"zero step of x_{-n} at s={t}", point=t)
-        return (sigma_of_s(eq, t - n) - sigma_of_s(eq, t - 1)
-                - tau_of_s(eq, t - 1) * lat.nabla_x(-1, t)) / den
+        return divide_by_step(sigma_of_s(eq, t - n) - sigma_of_s(eq, t - 1)
+                              - tau_of_s(eq, t - 1) * lat.nabla_x(-1, t),
+                              lat.nabla_x(-n, t), -n, t)
 
     dx = lat.delta_x(-(n + 1), s)
-    if dx == 0:
-        raise DegenerateStep(f"zero step of x_{-(n + 1)} at s={s}", point=s)
-    gamma = (sigma_of_s(eq, s - n + 1) - sigma_of_s(eq, s - 1)
-             - tau_of_s(eq, s - 1) * lat.nabla_x(-1, s)) / dx
+    gamma = divide_by_step(sigma_of_s(eq, s - n + 1) - sigma_of_s(eq, s - 1)
+                           - tau_of_s(eq, s - 1) * lat.nabla_x(-1, s), dx, -(n + 1), s)
     ell = ell_at(s)
-    eta = (ell_at(s + 1) - ell) / dx
+    eta = divide_by_step(ell_at(s + 1) - ell, dx, -(n + 1), s)
     return gamma, ell, eta
 
 

@@ -1,6 +1,6 @@
 """Acceptance gate: one test per criterion, each printing a pass/fail line.
 
-Everything runs on the exact backend, where "zero" means literally zero.
+All arithmetic is exact, so "zero" means literally zero.
 Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
 lines.  Criteria with a runtime budget assert it.
 """
@@ -14,7 +14,6 @@ from fractions import Fraction as F
 from pathlib import Path
 
 from hyperlat import (
-    Backend,
     GridFunction,
     HalfInt,
     ProblemFormatError,
@@ -257,7 +256,6 @@ def _random_spec(rng: random.Random) -> ProblemSpec:
         lam=rational() if rng.random() < 0.5 else None,
         sum_base=(start + rng.randint(-2, 4)) if rng.random() < 0.4 else None,
         poly_p=tuple(rational() for _ in range(n + 1)) if rng.random() < 0.4 else None,
-        backend=rng.choice([Backend.EXACT, Backend.APPROX]),
         allow_degenerate=False,
     )
 

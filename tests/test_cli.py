@@ -1,6 +1,7 @@
 """End-to-end CLI tests: golden outputs, exit-code contract, determinism."""
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -20,6 +21,19 @@ sigma = -2, 1, 0     # sigma(s) = (s+2)(s-1) vanishes at s = 1
 tau = 0, 0
 n = 2
 window = -1..10
+"""
+
+
+# quad-a on a window through the zero steps of x_0 (s = 0) and x_-2 (s = 1)
+DEGENERATE_QUAD_SPEC = """\
+lattice = quadratic
+ct1 = 1
+ct2 = 1
+ct3 = 0
+sigma = 0, 1, 0
+tau = 1, -2
+n = 2
+window = -2..10
 """
 
 
@@ -73,6 +87,46 @@ def test_wrong_lambda_exits_one(tmp_path):
     lines = result.stdout.strip().split("\n")
     assert lines[0] == "s,value,residual"
     assert any(line.rsplit(",", 1)[1] != "0" for line in lines[1:])
+
+
+def test_tol_cannot_excuse_wrong_lambda(tmp_path):
+    # exactness is the only contract: a wrong lambda fails, and no flag
+    # can excuse it
+    path = tmp_path / "wrong.spec"
+    path.write_text((DEMOS / "quadratic.spec").read_text() + "lambda = 1\n")
+    assert run_cli("solve", "--spec", str(path)).returncode == 1
+    result = run_cli("solve", "--spec", str(path), "--tol", "1000000")
+    assert result.returncode == 2
+    assert "unrecognized arguments: --tol" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("command", ["solve", "verify", "adjoint", "table"])
+def test_tol_flag_and_backend_key_are_usage_errors(tmp_path, command):
+    result = run_cli(command, "--spec", "demos/quadratic.spec", "--tol", "0")
+    assert result.returncode == 2 and "Traceback" not in result.stderr
+    path = tmp_path / "approx.spec"
+    path.write_text((DEMOS / "quadratic.spec").read_text() + "backend = approx\n")
+    result = run_cli(command, "--spec", str(path))
+    assert result.returncode == 2 and "Traceback" not in result.stderr
+    assert "unknown key 'backend'" in result.stderr
+    assert result.stdout == ""
+
+
+def test_verify_names_degenerate_points(tmp_path):
+    # every step division is guarded: a zero lattice step is a DegenerateStep
+    # naming its point, never a bare ZeroDivisionError
+    path = tmp_path / "degenerate-quad.spec"
+    path.write_text(DEGENERATE_QUAD_SPEC)
+    result = run_cli("verify", "--spec", str(path), "--format", "json")
+    assert result.returncode == 1
+    failed = {entry["name"]: entry["detail"]
+              for entry in json.loads(result.stdout) if not entry["passed"]}
+    assert len(failed) == 26
+    for detail in failed.values():
+        assert re.fullmatch(r"DegenerateStep: zero step of x_-?\d+ at s=-?\d+", detail)
+    assert failed["mu-closed-form"] == "DegenerateStep: zero step of x_0 at s=-1"
+    assert failed["dual-reconstruction"] == "DegenerateStep: zero step of x_0 at s=0"
 
 
 def test_parse_error_exits_two(tmp_path):

@@ -18,7 +18,6 @@ from hyperlat import (
     iterated_delta,
     iterated_nabla,
     nabla_k,
-    nabla_sum,
 )
 
 S0 = HalfInt.from_int(0)
@@ -133,13 +132,13 @@ def test_nabla_sum_examples():
     w = Window(HalfInt.from_int(1), 6)
     g = GridFunction(w.start, (F(3),) * 6)
     N = HalfInt.from_int(1)
-    assert nabla_sum(lat, 0, g, N, N) == 3 * lat.nabla_x(0, N)
+    assert cumulative_nabla_sum(lat, 0, g, N).value_at(N) == 3 * lat.nabla_x(0, N)
     zero = GridFunction(w.start, (F(0),) * 6)
-    assert nabla_sum(lat, 2, zero, N, w.end) == 0
+    assert cumulative_nabla_sum(lat, 2, zero, N).value_at(w.end) == 0
     with pytest.raises(OutOfWindow):
-        nabla_sum(lat, 0, g, N, w.end + 1)
+        cumulative_nabla_sum(lat, 0, g, N).value_at(w.end + 1)
     with pytest.raises(OutOfWindow):
-        nabla_sum(lat, 0, g, N + 2, N)      # upper endpoint precedes base
+        cumulative_nabla_sum(lat, 0, g, w.end + 1)      # base outside the window
 
 
 def test_telescoping_convention():
@@ -151,7 +150,8 @@ def test_telescoping_convention():
     nf = nabla_k(lat, 0, f)
     N = HalfInt.from_int(3)
     for s in (HalfInt.from_int(4), HalfInt.from_int(7)):
-        assert nabla_sum(lat, 0, nf, N, s) == f.value_at(s) - f.value_at(N - 1)
+        total = cumulative_nabla_sum(lat, 0, nf, N).value_at(s)
+        assert total == f.value_at(s) - f.value_at(N - 1)
 
 
 def test_fundamental_theorem():

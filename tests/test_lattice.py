@@ -5,13 +5,11 @@ import pytest
 from hyperlat import (
     DegenerateLattice,
     HalfInt,
-    KappaTable,
     LatticeError,
     QQuadraticLattice,
     QuadraticLattice,
     kappa,
 )
-from tests.conftest import qq_a, quad_a
 
 
 def test_half_int_basics():
@@ -113,32 +111,3 @@ def test_degenerate_needs_flag():
     # explicit override constructs, and reports itself as not nonuniform
     lat = QuadraticLattice(F(1), F(0), F(0), allow_degenerate=True)
     assert not lat.is_nonuniform
-
-
-def test_kappa_table_matches_direct():
-    eq = qq_a()
-    table = KappaTable(eq.lattice, eq.sigma2, eq.tau1)
-    for mu in range(-8, 9):
-        assert table.nu(mu) == eq.lattice.nu(mu)
-        assert table.alpha(mu) == eq.lattice.alpha(mu)
-        assert table.kappa(mu) == kappa(eq.lattice, eq.sigma2, eq.tau1, mu)
-    # memoized reads are stable
-    assert table.kappa(3) == table.kappa(3)
-
-
-def test_kappa_table_concurrent_reads():
-    import threading
-
-    eq = quad_a()
-    table = KappaTable(eq.lattice, eq.sigma2, eq.tau1)
-    seen = []
-
-    def reader():
-        seen.append([table.kappa(mu) for mu in range(-20, 21)])
-
-    threads = [threading.Thread(target=reader) for _ in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert all(row == seen[0] for row in seen)

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperlat import (
-    Backend,
     HalfInt,
     ProblemFormatError,
     ProblemSpec,
@@ -39,7 +38,7 @@ def test_minimal_quadratic_spec():
     assert spec.n == 2
     assert spec.window == Window(HalfInt.from_int(-4), 13)
     assert spec.lam is None and spec.sum_base is None and spec.poly_p is None
-    assert spec.backend is Backend.EXACT and spec.allow_degenerate is False
+    assert spec.allow_degenerate is False
 
 
 def test_qquadratic_spec_with_options():
@@ -56,7 +55,6 @@ n = 3
 window = 1/2..25/2
 sum_base = 5/2
 P = 1, 0, -1, 1/4
-backend = approx
 """
     spec = parse_problem(text)
     assert spec.lattice == QQuadraticLattice(F(3, 2), F(1), F(-2), F(1, 3))
@@ -64,9 +62,8 @@ backend = approx
     assert spec.window == Window(HalfInt(1), 13)
     assert spec.sum_base == HalfInt(5)
     assert spec.poly_p == (F(1), F(0), F(-1), F(1, 4))
-    assert spec.backend is Backend.APPROX
     eq = spec.equation()
-    assert isinstance(eq.lattice.p, float) and eq.lam == -3.5
+    assert eq.lattice.p == F(3, 2) and eq.lam == F(-7, 2)
 
 
 def test_window_end_truncates_to_grid():
@@ -82,7 +79,7 @@ def _diagnostics(text):
     return diagnostics
 
 
-# a ten-case corpus with exact positions
+# a corpus with exact positions
 DIAGNOSTIC_CORPUS = [
     ("lattice = quad\nn = 1\n",
      1, 1, "lattice must be 'qquadratic' or 'quadratic', not 'quad'"),
@@ -104,10 +101,22 @@ DIAGNOSTIC_CORPUS = [
     (MINIMAL_QUADRATIC.replace("tau = 1, 2          # trailing comment",
                                "tau = 1; 2"),
      7, 8, "unexpected character ';'"),
+    # there is no arithmetic mode to select: all arithmetic is exact
+    (MINIMAL_QUADRATIC + "backend = approx\n", 10, 1, "unknown key 'backend'"),
+    # a literal longer than the interpreter's int/str digit limit
+    (MINIMAL_QUADRATIC.replace("ct3 = 0", "ct3 = " + "1" * 5001),
+     5, 7, "bad rational '111111111111111111111111...' (5001 characters)"),
 ]
 
 
-@pytest.mark.parametrize("text, line, column, message", DIAGNOSTIC_CORPUS)
+def _corpus_id(value):
+    # keep the test id of the long-literal case readable
+    if isinstance(value, str) and len(value) > 1000:
+        return f"{len(value)}-character-input"
+    return None
+
+
+@pytest.mark.parametrize("text, line, column, message", DIAGNOSTIC_CORPUS, ids=_corpus_id)
 def test_diagnostic_positions(text, line, column, message):
     diagnostics = _diagnostics(text)
     assert any(d.line == line and d.column == column and d.message == message
@@ -205,7 +214,6 @@ def problem_specs(draw):
         lam=draw(st.one_of(st.none(), small_rationals)),
         sum_base=sum_base,
         poly_p=poly,
-        backend=draw(st.sampled_from(list(Backend))),
         allow_degenerate=False,
     )
 
@@ -219,7 +227,7 @@ def test_render_parse_round_trip(spec):
 def test_render_omits_absent_optionals():
     spec = parse_problem(MINIMAL_QUADRATIC)
     text = render_problem(spec)
-    for absent in ("lambda", "sum_base", "P", "backend", "allow_degenerate"):
+    for absent in ("lambda", "sum_base", "P", "allow_degenerate"):
         assert absent + " =" not in text
 
 
