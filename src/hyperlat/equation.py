@@ -30,7 +30,7 @@ and is normalized here to rho(anchor) = 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .errors import (
@@ -42,18 +42,29 @@ from .errors import (
 )
 from .grid import GridFunction, Window, delta_k, nabla_k
 from .lattice import HalfInt, Lattice, divide_by_step, kappa
-from .numerics import Scalar
+from .numerics import Scalar, format_rational
 
 
 @dataclass(frozen=True)
 class HyperEquation:
     """Coefficients sigma_t = (sigma~(0), sigma~'(0), sigma~''/2) and
-    tau_t = (tau~(0), tau~'), with the spectral parameter ``lam``."""
+    tau_t = (tau~(0), tau~'), with the spectral parameter ``lam``.
+
+    sigma(s) and tau(s) are kept in tables indexed by 2s, like the lattice
+    values they are made of: each is computed once per point, on first use.
+    The tables live as long as the equation (and the copies ``with_lambda``
+    makes, which share them) and take no part in equality, hashing or
+    ``repr``.
+    """
 
     lattice: Lattice
     sigma_t: tuple
     tau_t: tuple
     lam: Scalar = Fraction(0)
+    _sigma: dict = field(default_factory=dict, init=False,
+                         repr=False, compare=False, hash=False)
+    _tau: dict = field(default_factory=dict, init=False,
+                       repr=False, compare=False, hash=False)
 
     def __post_init__(self):
         if len(self.sigma_t) != 3:
@@ -79,8 +90,30 @@ class HyperEquation:
     def tau_tilde(self, x: Scalar) -> Scalar:
         return self.tau_t[0] + self.tau_t[1] * x
 
+    def sigma_at(self, twice: int) -> Scalar:
+        """sigma(twice/2), from the table."""
+        value = self._sigma.get(twice)
+        if value is None:
+            x_at = self.lattice.x_at
+            value = self._sigma[twice] = (
+                self.sigma_tilde(x_at(twice))
+                - self.tau_at(twice) * (x_at(twice + 1) - x_at(twice - 1)) / 2)
+        return value
+
+    def tau_at(self, twice: int) -> Scalar:
+        """tau(twice/2), from the table."""
+        value = self._tau.get(twice)
+        if value is None:
+            value = self._tau[twice] = self.tau_tilde(self.lattice.x_at(twice))
+        return value
+
     def with_lambda(self, lam: Scalar) -> "HyperEquation":
-        return replace(self, lam=lam)
+        """The same equation at another lambda; sigma and tau do not depend
+        on lambda, so the copy shares their tables."""
+        other = replace(self, lam=lam)
+        object.__setattr__(other, "_sigma", self._sigma)
+        object.__setattr__(other, "_tau", self._tau)
+        return other
 
     def kappa(self, mu: int) -> Scalar:
         return kappa(self.lattice, self.sigma2, self.tau1, mu)
@@ -109,13 +142,11 @@ class AdjointCoefficients:
 
 
 def sigma_of_s(eq: HyperEquation, s: HalfInt) -> Scalar:
-    lat = eq.lattice
-    x = lat.x(s)
-    return eq.sigma_tilde(x) - eq.tau_tilde(x) * lat.nabla_x(1, s) / 2
+    return eq.sigma_at(s.twice)
 
 
 def tau_of_s(eq: HyperEquation, s: HalfInt) -> Scalar:
-    return eq.tau_tilde(eq.lattice.x(s))
+    return eq.tau_at(s.twice)
 
 
 def tau_k(eq: HyperEquation, k: int, s: HalfInt) -> Scalar:
@@ -252,7 +283,8 @@ def lambda_star(eq: HyperEquation) -> Scalar:
     direct = lambda_star_at(eq, s)
     if direct != closed:
         raise NonConstantLambdaStar(
-            f"lambda* mismatch: direct {direct} vs closed form {closed} at s={s}")
+            f"lambda* mismatch: direct {format_rational(direct)} vs closed form "
+            f"{format_rational(closed)} at s={s}")
     return closed
 
 
@@ -280,7 +312,8 @@ def adjoint_coeffs(eq: HyperEquation, window: Window) -> AdjointCoefficients:
         value = lambda_star_at(eq, s)
         if value != closed:
             raise NonConstantLambdaStar(
-                f"lambda* varies: {value} at s={s}, expected {closed}")
+                f"lambda* varies: {format_rational(value)} at s={s}, "
+                f"expected {format_rational(closed)}")
     return AdjointCoefficients(sig, tau, closed)
 
 
@@ -358,5 +391,6 @@ def hat_mu_n(eq: HyperEquation, n: int) -> Scalar:
     other = -eq.kappa(-1) - eq.kappa(n) * lat.nu(n)
     if primary != other:
         raise NonConstantLambdaStar(
-            f"hat_mu_n closed forms disagree: {primary} vs {other}")
+            f"hat_mu_n closed forms disagree: {format_rational(primary)} "
+            f"vs {format_rational(other)}")
     return primary

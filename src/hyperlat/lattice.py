@@ -23,7 +23,7 @@ polynomial coefficients (see ``equation``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DegenerateLattice, DegenerateStep, LatticeError, RationalParseError
@@ -83,16 +83,32 @@ def unit_steps(start: HalfInt, end: HalfInt) -> int:
     return gap // 2
 
 
+@dataclass(frozen=True)
 class Lattice:
-    """Common interface of the two families.  Instances are immutable."""
+    """Common interface of the two families.  Instances are immutable.
 
-    allow_degenerate: bool
+    x_k(s) depends on k and s only through the integer 2s + k, so every
+    value, step and mean below reads one table indexed by it (``x_at``),
+    which the family formula ``x_k`` fills once per point, on first use.
+    The table lives as long as the lattice, grows with the points asked for,
+    and takes no part in equality, hashing or ``repr``.
+    """
+
+    _table: dict = field(default_factory=dict, init=False,
+                         repr=False, compare=False, hash=False)
+
+    def x_at(self, twice: int) -> Scalar:
+        """x(twice/2), from the table; x_k(s) is ``x_at(2s + k)``."""
+        value = self._table.get(twice)
+        if value is None:
+            value = self._table[twice] = self.x_k(0, HalfInt(twice))
+        return value
 
     def x(self, s: HalfInt) -> Scalar:
-        return self.x_k(0, s)
+        return self.x_at(s.twice)
 
     def x_k(self, k: int, s: HalfInt) -> Scalar:
-        """x(s + k/2)."""
+        """x(s + k/2), straight from the family formula (no table)."""
         raise NotImplementedError
 
     def nu(self, mu: int) -> Scalar:
@@ -108,11 +124,13 @@ class Lattice:
     # step sizes; a unit step of s on level k
     def delta_x(self, k: int, s: HalfInt) -> Scalar:
         """x_k(s+1) - x_k(s)."""
-        return self.x_k(k, s + 1) - self.x_k(k, s)
+        t = s.twice + k
+        return self.x_at(t + 2) - self.x_at(t)
 
     def nabla_x(self, k: int, s: HalfInt) -> Scalar:
         """x_k(s) - x_k(s-1)."""
-        return self.x_k(k, s) - self.x_k(k, s - 1)
+        t = s.twice + k
+        return self.x_at(t) - self.x_at(t - 2)
 
     def mean_shift_beta(self) -> Scalar:
         """The constant beta with (x(s+1)+x(s))/2 = alpha(1)*x_1(s) + beta.
@@ -121,8 +139,7 @@ class Lattice:
         q-lattice algebra (1 on the quadratic family).  beta is a consequence
         of the lattice, not a free parameter; computed from s = 0.
         """
-        zero = HalfInt(0)
-        return (self.x(zero + 1) + self.x(zero)) / 2 - self.alpha(1) * self.x_k(1, zero)
+        return (self.x_at(2) + self.x_at(0)) / 2 - self.alpha(1) * self.x_at(1)
 
 
 @dataclass(frozen=True)

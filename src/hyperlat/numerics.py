@@ -8,6 +8,7 @@ canonical form (reduced, positive denominator) after every operation.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 from .errors import DivisionByZero, RationalParseError
@@ -61,11 +62,29 @@ def parse_rational(text: str) -> Rational:
     return Fraction(num, den)
 
 
+def _int_text(value: int) -> str:
+    """Decimal text of ``value``, also beyond the interpreter's int->str
+    digit limit, without changing that limit."""
+    # Python 3.10 releases before 3.10.7 have no digit limit (and no getter)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    # a digit carries log2(10) > 3 bits: under 3*limit bits is under limit digits
+    if limit == 0 or value.bit_length() < 3 * limit:
+        return str(value)
+    rest, chunks = abs(value), []
+    base = 10 ** limit
+    while rest:
+        rest, chunk = divmod(rest, base)
+        chunks.append(chunk)
+    head = str(chunks.pop())
+    body = "".join(str(chunk).zfill(limit) for chunk in reversed(chunks))
+    return ("-" if value < 0 else "") + head + body
+
+
 def format_rational(value: Rational) -> str:
-    """Canonical text form: ``num`` or ``num/den``."""
+    """Canonical text form: ``num`` or ``num/den``, at any size."""
     if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+        return _int_text(value.numerator)
+    return f"{_int_text(value.numerator)}/{_int_text(value.denominator)}"
 
 
 #: The name the CLI and callers outside the library format values through.

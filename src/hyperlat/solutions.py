@@ -86,8 +86,8 @@ class SolutionReport:
 def weight_window_for(n: int, window: Window) -> Window:
     """The rho window needed to deliver a solution and residual on ``window``:
     n extra points on the right for the n-fold difference, two on each side
-    for the residual stencil.  Over-allocation costs nothing in exact
-    arithmetic."""
+    for the residual stencil.  Every extra point would cost a Pearson step
+    and a larger weight value, so it allocates no more than that."""
     return window.expand(2, n + 2)
 
 
@@ -204,7 +204,7 @@ def generalized_solution(eq: HyperEquation, weight: PearsonWeight, n: int, windo
     lat = eq.lattice
 
     def numerator(t: HalfInt) -> Scalar:
-        x = lat.x_k(-(n + 1), t)
+        x = lat.x_at(t.twice - (n + 1))
         acc = Fraction(0)
         for c in reversed(coeffs):
             acc = acc * x + c

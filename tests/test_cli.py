@@ -37,6 +37,22 @@ window = -2..10
 """
 
 
+# qq-b with values of up to about 9,500 digits, beyond CPython's default
+# int->str limit of 4,300 digits
+QQ_B_BIG_SPEC = """\
+lattice = qquadratic
+p = 3/2
+c1 = 1
+c2 = 1
+c3 = 0
+sigma = 1, 0, 1
+tau = 2, -3
+n = 2
+window = 12..51
+P = 1, -1/2, 3
+"""
+
+
 def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "hyperlat", *args],
@@ -127,6 +143,22 @@ def test_verify_names_degenerate_points(tmp_path):
         assert re.fullmatch(r"DegenerateStep: zero step of x_-?\d+ at s=-?\d+", detail)
     assert failed["mu-closed-form"] == "DegenerateStep: zero step of x_0 at s=-1"
     assert failed["dual-reconstruction"] == "DegenerateStep: zero step of x_0 at s=0"
+
+
+@pytest.mark.parametrize("kind", ["second", "generalized"])
+def test_solve_prints_values_beyond_the_int_str_digit_limit(tmp_path, kind):
+    path = tmp_path / "qq-b-big.spec"
+    path.write_text(QQ_B_BIG_SPEC)
+    result = run_cli("solve", "--spec", str(path), "--kind", kind)
+    assert result.returncode == 0 and "Traceback" not in result.stderr
+    rows = [line.split(",") for line in result.stdout.splitlines()[1:]]
+    assert len(rows) == 40
+    assert all(residual == "0" for _s, _value, residual in rows)
+    assert max(len(value) for _s, value, _r in rows) > sys.get_int_max_str_digits()
+    payload = json.loads(run_cli("solve", "--spec", str(path), "--kind", kind,
+                                 "--format", "json").stdout)
+    assert payload["values"] == [value for _s, value, _r in rows]
+    assert payload["residual_max_abs"] == "0"
 
 
 def test_parse_error_exits_two(tmp_path):

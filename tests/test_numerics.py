@@ -43,6 +43,19 @@ def test_format_parse_round_trip(a):
     assert parse_rational(format_rational(a)) == a
 
 
+def test_format_beyond_the_int_str_digit_limit():
+    # expected strings are built without converting a long int to str
+    assert format_rational(F(10**5000 + 7, 3)) == "1" + "0" * 4999 + "7" + "/3"
+    assert format_rational(F(-(10**8600), 7)) == "-1" + "0" * 8600 + "/7"
+    digits = "9" + "1234567890" * 1000
+    value = 0
+    for i in range(0, len(digits), 1000):
+        chunk = digits[i:i + 1000]
+        value = value * 10**len(chunk) + int(chunk)
+    # value ends in a single 0, so the fraction reduces by 10
+    assert format_rational(F(-value, 10**4400)) == "-" + digits[:-1] + "/1" + "0" * 4399
+
+
 @given(rationals, rationals)
 def test_canonical_form(a, b):
     for value in (a + b, a - b, a * b):
