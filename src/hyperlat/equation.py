@@ -21,7 +21,12 @@ drive the polynomial eigenfunctions, and the adjoint coefficients
     lambda*   = lambda - kappa_{-1}
 
 define the adjoint operator L*, which satisfies L*[rho y] = rho L[y] for the
-Pearson weight rho.  The weight itself is fixed only up to scale by
+Pearson weight rho.  L and L* are the same three-term operator with
+different coefficients.  The adjoint map (sigma, tau, lambda) ->
+(sigma*, tau*, lambda*) is written once, for any pair of coefficient
+functions, and it is an involution: ``dual_coefficients`` applies it a
+second time, to the starred coefficients, and must get back sigma, tau and
+lambda.  The weight itself is fixed only up to scale by
 
     delta_{-1}[sigma rho] = tau rho
 
@@ -228,51 +233,71 @@ def rho_k(eq: HyperEquation, weight: PearsonWeight, k: int, s: HalfInt) -> Scala
     return value
 
 
+def _three_term(lat: Lattice, y: GridFunction, sig, tau, lam: Scalar) -> GridFunction:
+    """sig delta_{-1} nabla_0 y + tau delta_0 y + lam y on the interior window
+    (one point lost per side); sig and tau are callables of s."""
+    second = delta_k(lat, -1, nabla_k(lat, 0, y))   # on [start+1, end-1]
+    first = delta_k(lat, 0, y)                       # on [start,   end-1]
+    return GridFunction(second.start, tuple(
+        sig(s) * second.value_at(s) + tau(s) * first.value_at(s) + lam * y.value_at(s)
+        for s in second.points()))
+
+
+def _coefficients(eq: HyperEquation):
+    """(sigma, tau) as callables of s."""
+    return lambda s: sigma_of_s(eq, s), lambda s: tau_of_s(eq, s)
+
+
 def apply_L(eq: HyperEquation, y: GridFunction) -> GridFunction:
     """Residual of L[y] on the interior window (one point lost per side)."""
     if len(y) < 3:
         raise WindowTooSmall("apply_L needs at least three points")
-    lat = eq.lattice
-    inner = nabla_k(lat, 0, y)           # on [start+1, end]
-    second = delta_k(lat, -1, inner)     # on [start+1, end-1]
-    first = delta_k(lat, 0, y)           # on [start,   end-1]
-    out = []
-    for s in second.points():
-        out.append(sigma_of_s(eq, s) * second.value_at(s)
-                   + tau_of_s(eq, s) * first.value_at(s)
-                   + eq.lam * y.value_at(s))
-    return GridFunction(second.start, tuple(out))
+    return _three_term(eq.lattice, y, *_coefficients(eq), eq.lam)
 
 
 # ---------------------------------------------------------------------------
 # adjoint machinery
 
 
-def sigma_star(eq: HyperEquation, s: HalfInt) -> Scalar:
-    lat = eq.lattice
-    return sigma_of_s(eq, s - 1) + tau_of_s(eq, s - 1) * lat.nabla_x(-1, s)
+def _adjoint_sigma(lat: Lattice, sig, tau, s: HalfInt) -> Scalar:
+    """sigma*(s) = sigma(s-1) + tau(s-1) nabla x_{-1}(s), for callables sig, tau."""
+    return sig(s - 1) + tau(s - 1) * lat.nabla_x(-1, s)
 
 
-def tau_star(eq: HyperEquation, s: HalfInt) -> Scalar:
-    lat = eq.lattice
-    return divide_by_step(sigma_of_s(eq, s + 1) - sigma_of_s(eq, s - 1)
-                          - tau_of_s(eq, s - 1) * lat.nabla_x(-1, s),
+def _adjoint_tau(lat: Lattice, sig, tau, s: HalfInt) -> Scalar:
+    """tau*(s) = [sigma(s+1) - sigma(s-1) - tau(s-1) nabla x_{-1}(s)] / delta x_{-1}(s)."""
+    return divide_by_step(sig(s + 1) - sig(s - 1) - tau(s - 1) * lat.nabla_x(-1, s),
                           lat.delta_x(-1, s), -1, s)
 
 
-def lambda_star_at(eq: HyperEquation, s: HalfInt) -> Scalar:
-    """lambda* from its defining difference expression, evaluated at s:
+def _adjoint_lambda_shift(lat: Lattice, sig, tau, s: HalfInt) -> Scalar:
+    """lambda - lambda*, from its defining difference expression at s:
 
-        lambda - delta_{-1}( [tau(s-1) nabla x_{-1}(s) - nabla sigma(s)] / nabla x(s) )
+        delta_{-1}( [tau(s-1) nabla x_{-1}(s) - nabla sigma(s)] / nabla x(s) )
     """
-    lat = eq.lattice
-
     def h(t: HalfInt) -> Scalar:
-        return divide_by_step(tau_of_s(eq, t - 1) * lat.nabla_x(-1, t)
-                              - (sigma_of_s(eq, t) - sigma_of_s(eq, t - 1)),
+        return divide_by_step(tau(t - 1) * lat.nabla_x(-1, t) - (sig(t) - sig(t - 1)),
                               lat.nabla_x(0, t), 0, t)
 
-    return eq.lam - divide_by_step(h(s + 1) - h(s), lat.delta_x(-1, s), -1, s)
+    return divide_by_step(h(s + 1) - h(s), lat.delta_x(-1, s), -1, s)
+
+
+def _star_coefficients(eq: HyperEquation):
+    """(sigma*, tau*) as callables of s."""
+    return lambda s: sigma_star(eq, s), lambda s: tau_star(eq, s)
+
+
+def sigma_star(eq: HyperEquation, s: HalfInt) -> Scalar:
+    return _adjoint_sigma(eq.lattice, *_coefficients(eq), s)
+
+
+def tau_star(eq: HyperEquation, s: HalfInt) -> Scalar:
+    return _adjoint_tau(eq.lattice, *_coefficients(eq), s)
+
+
+def lambda_star_at(eq: HyperEquation, s: HalfInt) -> Scalar:
+    """lambda* from its defining difference expression, evaluated at s."""
+    return eq.lam - _adjoint_lambda_shift(eq.lattice, *_coefficients(eq), s)
 
 
 def lambda_star(eq: HyperEquation) -> Scalar:
@@ -321,41 +346,17 @@ def apply_L_star(eq: HyperEquation, w: GridFunction) -> GridFunction:
     """Residual of L*[w] = sigma* delta_{-1} nabla_0 w + tau* delta_0 w + lambda* w."""
     if len(w) < 3:
         raise WindowTooSmall("apply_L_star needs at least three points")
-    lat = eq.lattice
     lam_star = lambda_star(eq)
-    inner = nabla_k(lat, 0, w)
-    second = delta_k(lat, -1, inner)
-    first = delta_k(lat, 0, w)
-    out = []
-    for s in second.points():
-        out.append(sigma_star(eq, s) * second.value_at(s)
-                   + tau_star(eq, s) * first.value_at(s)
-                   + lam_star * w.value_at(s))
-    return GridFunction(second.start, tuple(out))
+    return _three_term(eq.lattice, w, *_star_coefficients(eq), lam_star)
 
 
 def dual_coefficients(eq: HyperEquation, s: HalfInt):
-    """Reconstruct (sigma(s), tau(s), lambda) from the starred coefficients.
-
-    The adjoint relations are involutive in exactly this sense:
-
-        sigma(s)  = sigma*(s-1) + tau*(s-1) nabla x_{-1}(s)
-        tau(s)    = [sigma*(s+1) - sigma*(s-1) - tau*(s-1) nabla x_{-1}(s)] / delta x_{-1}(s)
-        lambda    = lambda* - delta_{-1}( [tau*(s-1) nabla x_{-1}(s) - nabla sigma*(s)] / nabla x(s) )
-    """
-    lat = eq.lattice
-    sig = sigma_star(eq, s - 1) + tau_star(eq, s - 1) * lat.nabla_x(-1, s)
-    tau = divide_by_step(sigma_star(eq, s + 1) - sigma_star(eq, s - 1)
-                         - tau_star(eq, s - 1) * lat.nabla_x(-1, s),
-                         lat.delta_x(-1, s), -1, s)
-
-    def h(t: HalfInt) -> Scalar:
-        return divide_by_step(tau_star(eq, t - 1) * lat.nabla_x(-1, t)
-                              - (sigma_star(eq, t) - sigma_star(eq, t - 1)),
-                              lat.nabla_x(0, t), 0, t)
-
-    lam = lambda_star(eq) - divide_by_step(h(s + 1) - h(s), lat.delta_x(-1, s), -1, s)
-    return sig, tau, lam
+    """Reconstruct (sigma(s), tau(s), lambda) by applying the adjoint map to
+    the starred coefficients (sigma*, tau*, lambda*).  The map is an
+    involution, so this second application must give back the originals."""
+    lat, star = eq.lattice, _star_coefficients(eq)
+    return (_adjoint_sigma(lat, *star, s), _adjoint_tau(lat, *star, s),
+            lambda_star(eq) - _adjoint_lambda_shift(lat, *star, s))
 
 
 # ---------------------------------------------------------------------------

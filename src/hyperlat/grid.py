@@ -114,10 +114,6 @@ class GridFunction:
         lo = self.window.index_of(window.start)
         return GridFunction(window.start, self.values[lo:lo + window.length])
 
-    def translate(self, steps: int) -> "GridFunction":
-        """The function s -> f(s - steps) (window moves right by ``steps``)."""
-        return GridFunction(self.start + steps, self.values)
-
     def map(self, fn: Callable[[Scalar], Scalar]) -> "GridFunction":
         return GridFunction(self.start, tuple(fn(v) for v in self.values))
 

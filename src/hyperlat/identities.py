@@ -369,7 +369,7 @@ def _check_solution_linearity(ctx: _Ctx):
 
 def _check_rodrigues_paths(ctx: _Ctx):
     eq, lat, n = ctx.eq, ctx.lat, max(ctx.n, 1)
-    weight = ctx.weight()
+    weight = ctx.weight(n)
     window = Window(ctx.window.start, 6)
     report = sol.rodrigues_polynomial(eq, weight, n, window)
     # backward route: rho_n(s) differenced n times at level n, then /rho

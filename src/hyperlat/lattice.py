@@ -34,8 +34,8 @@ from .numerics import Rational, Scalar, format_rational
 class HalfInt:
     """An exact half-integer s, stored as ``twice`` = 2s.
 
-    Closed under unit steps (s + j for integer j) and half steps
-    (s + k/2 for integer k), which is all the lattice calculus needs.
+    Closed under unit steps (s + j for integer j); a half step s + k/2 is
+    ``HalfInt(s.twice + k)``.  That is all the lattice calculus needs.
     """
 
     twice: int
@@ -54,16 +54,8 @@ class HalfInt:
             raise RationalParseError("not a half-integer", 0)
         return cls(int(value * 2))
 
-    @property
-    def is_integer(self) -> bool:
-        return self.twice % 2 == 0
-
     def as_fraction(self) -> Fraction:
         return Fraction(self.twice, 2)
-
-    def plus_half(self, k: int) -> "HalfInt":
-        """s + k/2."""
-        return HalfInt(self.twice + k)
 
     def __add__(self, steps: int) -> "HalfInt":
         return HalfInt(self.twice + 2 * steps)

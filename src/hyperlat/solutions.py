@@ -1,14 +1,15 @@
 """Solution generators for the lattice hypergeometric equation at lambda_n.
 
-Three constructions, all verified by attaching the exact residual of the
-operator L to the delivered grid values:
+All three kinds come from one Rodrigues route,
 
-* the polynomial eigenfunction, from the difference Rodrigues formula
+    y = (1/rho) delta_{-n}^{(n)} [ Y_n C ],     Y_n(s) = rho(s) prod_{j<n} sigma(s-j),
 
-      y_n = (1/rho) delta_{-n}^{(n)} [ Y_n ],     Y_n(s) = rho(s) prod_{j<n} sigma(s-j)
+verified by attaching the exact residual of the operator L:
 
-* the second-kind companion, obtained by feeding the discrete integral of
-  1/(rho prod_{j<=n} sigma(s-j)) through the same n-fold difference
+* the polynomial eigenfunction (the difference Rodrigues formula): C = 1;
+
+* the second-kind companion: C is the discrete integral of
+  1/(Y_n(t) sigma(t-n)) against nabla x_{-n}(t);
 
 * the generalized construction, where an arbitrary degree-n polynomial P in
   x_{-(n+1)}(t) replaces the constant numerator of that integral.
@@ -106,10 +107,44 @@ def Y_n(eq: HyperEquation, weight: PearsonWeight, n: int, window: Window) -> Gri
     return GridFunction.sample(window, value)
 
 
-def _require_weight(weight: PearsonWeight, needed: Window, what: str) -> None:
-    if not weight.window.covers(needed):
-        raise WindowTooSmall(
-            f"{what} needs the weight on {needed}, got {weight.window}")
+def _rodrigues(eq: HyperEquation, weight: PearsonWeight, n: int, window: Window,
+               kind: str, residual_lam: Scalar | None, numerator=None,
+               N: HalfInt | None = None, poly: tuple | None = None) -> SolutionReport:
+    """y = (1/rho) delta_{-n}^{(n)} [ Y_n C ], with its residual attached.
+
+    Without a ``numerator`` C is 1 (the polynomial kind).  With one, C is the
+    discrete integral from N of numerator(t) / (Y_n(t) sigma(t-n)), taken
+    against nabla x_{-n}; its denominator reuses the Y_n samples.
+    """
+    lam = lambda_n(eq, n)
+    enlarged = window.expand(1, 1)
+    y_window = enlarged.expand(0, n)
+    if not weight.window.covers(y_window):
+        what = "rodrigues_polynomial" if kind == "polynomial" else kind
+        raise WindowTooSmall(f"{what}(n={n}) needs the weight on {y_window}, got {weight.window}")
+    product = Y_n(eq, weight, n, y_window)
+    if numerator is not None:
+        if N is None:
+            N = y_window.start
+        if N not in y_window:
+            raise OutOfWindow(f"sum base {N} must lie in {y_window}")
+
+        def integrand(t: HalfInt, y_n: Scalar) -> Scalar:
+            den = y_n * sigma_of_s(eq, t - n)
+            if den == 0:
+                raise SingularSummand(f"sigma product vanishes at t={t}", point=t)
+            return numerator(t) / den
+
+        g = GridFunction(y_window.start, tuple(integrand(t, v) for t, v in product.items()))
+        product = product * cumulative_nabla_sum(eq.lattice, -n, g, N)
+    y = iterated_delta(eq.lattice, -n, n, product) / weight.rho.restrict(enlarged)
+    res_lam = lam if residual_lam is None else residual_lam
+    residual = apply_L(eq.with_lambda(res_lam), y)
+    return SolutionReport(
+        kind=kind, n=n, lam_n=lam,
+        solution=y.restrict(window), residual=residual,
+        residual_lam=res_lam, inadmissible_m=admissibility_violation(eq, n),
+        sum_base=N, poly=poly)
 
 
 def rodrigues_polynomial(eq: HyperEquation, weight: PearsonWeight, n: int,
@@ -121,60 +156,7 @@ def rodrigues_polynomial(eq: HyperEquation, weight: PearsonWeight, n: int,
     caller verify the construction against a different spectral parameter
     (the residual is then nonzero unless the two agree).
     """
-    lam = lambda_n(eq, n)
-    enlarged = window.expand(1, 1)
-    y_window = enlarged.expand(0, n)
-    _require_weight(weight, y_window, f"rodrigues_polynomial(n={n})")
-    product = Y_n(eq, weight, n, y_window)
-    numerator = iterated_delta(eq.lattice, -n, n, product)
-    y = numerator / weight.rho.restrict(enlarged)
-    res_lam = lam if residual_lam is None else residual_lam
-    residual = apply_L(eq.with_lambda(res_lam), y)
-    return SolutionReport(
-        kind="polynomial", n=n, lam_n=lam,
-        solution=y.restrict(window), residual=residual,
-        residual_lam=res_lam, inadmissible_m=admissibility_violation(eq, n))
-
-
-def _integral_factor(eq: HyperEquation, weight: PearsonWeight, n: int,
-                     y_window: Window, N: HalfInt | None,
-                     numerator) -> tuple[GridFunction, HalfInt]:
-    """C(s) = int_N^s numerator(t) / (rho(t) prod_{j=0..n} sigma(t-j)) d_nabla x_{-n}(t)."""
-    if N is None:
-        N = y_window.start
-    if N not in y_window:
-        raise OutOfWindow(f"sum base {N} must lie in {y_window}")
-
-    def summand(t: HalfInt) -> Scalar:
-        den = weight.value_at(t)
-        for j in range(n + 1):
-            den *= sigma_of_s(eq, t - j)
-        if den == 0:
-            raise SingularSummand(f"sigma product vanishes at t={t}", point=t)
-        return numerator(t) / den
-
-    g = GridFunction.sample(y_window, summand)
-    return cumulative_nabla_sum(eq.lattice, -n, g, N), N
-
-
-def _integral_solution(eq: HyperEquation, weight: PearsonWeight, n: int,
-                       window: Window, N: HalfInt | None, numerator,
-                       kind: str, poly: tuple | None,
-                       residual_lam: Scalar | None) -> SolutionReport:
-    lam = lambda_n(eq, n)
-    enlarged = window.expand(1, 1)
-    y_window = enlarged.expand(0, n)
-    _require_weight(weight, y_window, f"{kind}(n={n})")
-    factor, N = _integral_factor(eq, weight, n, y_window, N, numerator)
-    product = Y_n(eq, weight, n, y_window) * factor
-    y = iterated_delta(eq.lattice, -n, n, product) / weight.rho.restrict(enlarged)
-    res_lam = lam if residual_lam is None else residual_lam
-    residual = apply_L(eq.with_lambda(res_lam), y)
-    return SolutionReport(
-        kind=kind, n=n, lam_n=lam,
-        solution=y.restrict(window), residual=residual,
-        residual_lam=res_lam, inadmissible_m=admissibility_violation(eq, n),
-        sum_base=N, poly=poly)
+    return _rodrigues(eq, weight, n, window, "polynomial", residual_lam)
 
 
 def second_solution(eq: HyperEquation, weight: PearsonWeight, n: int, window: Window,
@@ -182,14 +164,14 @@ def second_solution(eq: HyperEquation, weight: PearsonWeight, n: int, window: Wi
                     residual_lam: Scalar | None = None) -> SolutionReport:
     """The linearly independent companion of the degree-n eigenfunction:
 
-        (1/rho) delta_{-n}^{(n)} [ Y_n(s) int_N^s (rho(t) prod_{j=0..n} sigma(t-j))^{-1} d_nabla x_{-n}(t) ]
+        (1/rho) delta_{-n}^{(n)} [ Y_n(s) int_N^s (Y_n(t) sigma(t-n))^{-1} d_nabla x_{-n}(t) ]
 
     Changing N perturbs the result by a multiple of the polynomial solution
     only.  The result fails the degree-n test, which is its independence
     certificate.
     """
-    return _integral_solution(eq, weight, n, window, N, lambda t: Fraction(1),
-                              "second_kind", None, residual_lam)
+    return _rodrigues(eq, weight, n, window, "second_kind", residual_lam,
+                      lambda t: Fraction(1), N)
 
 
 def generalized_solution(eq: HyperEquation, weight: PearsonWeight, n: int, window: Window,
@@ -210,8 +192,8 @@ def generalized_solution(eq: HyperEquation, weight: PearsonWeight, n: int, windo
             acc = acc * x + c
         return acc
 
-    return _integral_solution(eq, weight, n, window, N, numerator,
-                              "generalized", coeffs, residual_lam)
+    return _rodrigues(eq, weight, n, window, "generalized", residual_lam,
+                      numerator, N, coeffs)
 
 
 def solve(eq: HyperEquation, n: int, window: Window, kind: str = "polynomial",

@@ -36,6 +36,50 @@ n = 2
 window = -2..10
 """
 
+# (check, level k, point s) of the first zero step each failing check meets
+DEGENERATE_QUAD_FAILURES = [
+    ("mu-closed-form", 0, -1),
+    ("tau-k-slope", 0, 0),
+    ("level-k-pearson", 0, -1),
+    ("product-rules", 0, -1),
+    ("fundamental-theorem", -2, 1),
+    ("telescoping-sum", 0, 0),
+    ("degree-lowering", 0, -1),
+    ("adjoint-product", 0, 0),
+    ("lambda-star-closed-form", 0, 0),
+    ("dual-reconstruction", 0, 0),
+    ("sigma-star-degree", 0, -1),
+    ("hat-tau-constancy", 0, 0),
+    ("weight-product-ladder", -2, 0),
+    ("y1-is-tau", 0, 0),
+    ("rodrigues-residual", -2, 0),
+    ("second-kind-residual", -2, 0),
+    ("solution-linearity", -2, 0),
+    ("rodrigues-two-paths", -2, 0),
+    ("weight-scale-invariance", -2, 0),
+    ("sum-base-shift", -2, 0),
+    ("generalized-residual", -2, 0),
+    ("oracle-agreement", -2, 0),
+    ("weight-first-order", -2, 1),
+    ("ell-gamma-consistency", -2, 1),
+    ("eta-constancy", -2, 1),
+    ("homogeneous-solution", -2, 1),
+]
+
+
+# quad-a at n = 0 on the shortest window the parser allows: the checks that
+# run at n = 1 must build their weight for n = 1
+QUAD_A_N0_SPEC = """\
+lattice = quadratic
+ct1 = 1
+ct2 = 1
+ct3 = 0
+sigma = 0, 1, 0
+tau = 1, -2
+n = 0
+window = 4..8
+"""
+
 
 # qq-b with values of up to about 9,500 digits, beyond CPython's default
 # int->str limit of 4,300 digits
@@ -143,6 +187,18 @@ def test_verify_names_degenerate_points(tmp_path):
         assert re.fullmatch(r"DegenerateStep: zero step of x_-?\d+ at s=-?\d+", detail)
     assert failed["mu-closed-form"] == "DegenerateStep: zero step of x_0 at s=-1"
     assert failed["dual-reconstruction"] == "DegenerateStep: zero step of x_0 at s=0"
+    # the first point each check meets, in the order the formulas evaluate
+    assert failed == {
+        name: f"DegenerateStep: zero step of x_{k} at s={s}"
+        for name, k, s in DEGENERATE_QUAD_FAILURES}
+
+
+def test_verify_at_n_zero_on_the_shortest_window(tmp_path):
+    path = tmp_path / "quad-a-n0.spec"
+    path.write_text(QUAD_A_N0_SPEC)
+    result = run_cli("verify", "--spec", str(path))
+    assert result.returncode == 0, result.stdout
+    assert result.stdout.splitlines()[-1] == "ok: 34 identities"
 
 
 @pytest.mark.parametrize("kind", ["second", "generalized"])

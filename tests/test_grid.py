@@ -60,7 +60,6 @@ def test_delta_of_lattice_itself_is_one():
     lat = QuadraticLattice(F(1), F(1), F(0))
     f = x_grid(lat, 0, Window(S0, 5))
     assert delta_k(lat, 0, f).values == (F(1),) * 4
-    assert nabla_k(lat, 0, f.translate(0)).values == (F(1),) * 4
     qlat = QQuadraticLattice(F(2), F(1), F(1), F(0))
     g = x_grid(qlat, -1, Window(HalfInt.from_int(1), 5))
     assert nabla_k(qlat, -1, g).values == (F(1),) * 4
@@ -202,8 +201,6 @@ def test_grid_function_ops_and_access():
         f.value_at(HalfInt.from_int(1))     # wrong parity
     with pytest.raises(OutOfWindow):
         f.value_at(HalfInt.parse("9/2"))
-    g = f.translate(2)
-    assert g.start == HalfInt.parse("5/2") and g.values == f.values
     total = f + 2 * f
     assert total.values == (F(3), F(6), F(9))
     clipped = f.restrict(Window(HalfInt.parse("3/2"), 2))
