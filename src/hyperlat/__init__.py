@@ -15,7 +15,6 @@ from .equation import (
     dual_coefficients,
     hat_mu_n,
     hat_tau_k,
-    is_admissible,
     lambda_n,
     lambda_star,
     mu_k,
@@ -23,7 +22,6 @@ from .equation import (
     rho_k,
     sigma_of_s,
     sigma_star,
-    sigma_tilde_nu,
     tau_k,
     tau_of_s,
     tau_star,
@@ -49,7 +47,6 @@ from .grid import (
     Window,
     cumulative_nabla_sum,
     delta_k,
-    grid_to_csv,
     iterated_delta,
     iterated_nabla,
     nabla_k,

@@ -199,7 +199,7 @@ def main(argv=None) -> int:
         if not exc.diagnostics:
             print("error: invalid input", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except _SINGULAR as exc:

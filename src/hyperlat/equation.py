@@ -28,9 +28,11 @@ functions, and it is an involution: ``dual_coefficients`` applies it a
 second time, to the starred coefficients, and must get back sigma, tau and
 lambda.  The weight itself is fixed only up to scale by
 
-    delta_{-1}[sigma rho] = tau rho
+    delta_{-1}[sigma rho] = tau rho,  i.e.  rho(s+1) / rho(s) = sigma*(s+1) / sigma(s+1),
 
-and is normalized here to rho(anchor) = 1.
+and is normalized here to rho(anchor) = 1.  sigma* is written out once
+(``_adjoint_sigma``); tau*, lambda*, tau_k = [sigma*(s+k+1) - sigma(s)] /
+nabla x_{k+1}(s) and the Pearson step all read it.
 """
 
 from __future__ import annotations
@@ -157,11 +159,8 @@ def tau_of_s(eq: HyperEquation, s: HalfInt) -> Scalar:
 def tau_k(eq: HyperEquation, k: int, s: HalfInt) -> Scalar:
     """Level-k linear coefficient; defined for every integer k (also
     negative), where it has slope kappa_{2k+1} against x_k(s)."""
-    lat = eq.lattice
-    shifted = s + k
-    num = (sigma_of_s(eq, shifted) - sigma_of_s(eq, s)
-           + tau_of_s(eq, shifted) * lat.nabla_x(1, shifted))
-    return divide_by_step(num, lat.nabla_x(k + 1, s), k + 1, s)
+    return divide_by_step(sigma_star(eq, s + k + 1) - sigma_of_s(eq, s),
+                          eq.lattice.nabla_x(k + 1, s), k + 1, s)
 
 
 def mu_k(eq: HyperEquation, k: int) -> Scalar:
@@ -184,36 +183,31 @@ def admissibility_violation(eq: HyperEquation, n: int) -> int | None:
     return None
 
 
-def is_admissible(eq: HyperEquation, n: int) -> bool:
-    return admissibility_violation(eq, n) is None
-
-
 def pearson_weight(eq: HyperEquation, window: Window, anchor: HalfInt) -> PearsonWeight:
     """Solve delta_{-1}[sigma rho] = tau rho on the window, rho(anchor) = 1.
 
-    Forward:  rho(s+1) = rho(s) [sigma(s) + tau(s) nabla x_1(s)] / sigma(s+1)
+    Forward:  rho(s+1) = rho(s) sigma*(s+1) / sigma(s+1)
     Backward: the same relation inverted.  Any zero of a divisor, or a zero
     weight value, is reported as a PearsonSingularity at the offending point.
     """
     if anchor not in window:
         raise OutOfWindow(f"anchor {anchor} not in window {window}")
-    lat = eq.lattice
     values: list = [None] * window.length
     base = window.index_of(anchor)
     values[base] = Fraction(1)
     s = anchor
     for j in range(base + 1, window.length):
-        den = sigma_of_s(eq, s + 1)
-        if den == 0:
-            raise PearsonSingularity(f"sigma vanishes at s={s + 1}", point=s + 1)
-        values[j] = values[j - 1] * (sigma_of_s(eq, s) + tau_of_s(eq, s) * lat.nabla_x(1, s)) / den
-        if values[j] == 0:
-            raise PearsonSingularity(f"weight vanishes at s={s + 1}", point=s + 1)
         s = s + 1
+        den = sigma_of_s(eq, s)
+        if den == 0:
+            raise PearsonSingularity(f"sigma vanishes at s={s}", point=s)
+        values[j] = values[j - 1] * sigma_star(eq, s) / den
+        if values[j] == 0:
+            raise PearsonSingularity(f"weight vanishes at s={s}", point=s)
     s = anchor
     for j in range(base - 1, -1, -1):
         prev = s - 1
-        den = sigma_of_s(eq, prev) + tau_of_s(eq, prev) * lat.nabla_x(1, prev)
+        den = sigma_star(eq, s)
         if den == 0:
             raise PearsonSingularity(f"backward Pearson step vanishes at s={prev}", point=prev)
         values[j] = values[j + 1] * sigma_of_s(eq, s) / den
@@ -261,22 +255,23 @@ def apply_L(eq: HyperEquation, y: GridFunction) -> GridFunction:
 
 def _adjoint_sigma(lat: Lattice, sig, tau, s: HalfInt) -> Scalar:
     """sigma*(s) = sigma(s-1) + tau(s-1) nabla x_{-1}(s), for callables sig, tau."""
-    return sig(s - 1) + tau(s - 1) * lat.nabla_x(-1, s)
+    prev = s - 1
+    return sig(prev) + tau(prev) * lat.nabla_x(-1, s)
 
 
 def _adjoint_tau(lat: Lattice, sig, tau, s: HalfInt) -> Scalar:
-    """tau*(s) = [sigma(s+1) - sigma(s-1) - tau(s-1) nabla x_{-1}(s)] / delta x_{-1}(s)."""
-    return divide_by_step(sig(s + 1) - sig(s - 1) - tau(s - 1) * lat.nabla_x(-1, s),
+    """tau*(s) = [sigma(s+1) - sigma*(s)] / delta x_{-1}(s)."""
+    return divide_by_step(sig(s + 1) - _adjoint_sigma(lat, sig, tau, s),
                           lat.delta_x(-1, s), -1, s)
 
 
 def _adjoint_lambda_shift(lat: Lattice, sig, tau, s: HalfInt) -> Scalar:
     """lambda - lambda*, from its defining difference expression at s:
 
-        delta_{-1}( [tau(s-1) nabla x_{-1}(s) - nabla sigma(s)] / nabla x(s) )
+        delta_{-1}( [sigma*(s) - sigma(s)] / nabla x(s) )
     """
     def h(t: HalfInt) -> Scalar:
-        return divide_by_step(tau(t - 1) * lat.nabla_x(-1, t) - (sig(t) - sig(t - 1)),
+        return divide_by_step(_adjoint_sigma(lat, sig, tau, t) - sig(t),
                               lat.nabla_x(0, t), 0, t)
 
     return divide_by_step(h(s + 1) - h(s), lat.delta_x(-1, s), -1, s)
@@ -361,13 +356,6 @@ def dual_coefficients(eq: HyperEquation, s: HalfInt):
 
 # ---------------------------------------------------------------------------
 # level-nu coefficient functions and the hat ladder
-
-
-def sigma_tilde_nu(eq: HyperEquation, nu: int, s: HalfInt) -> Scalar:
-    """sigma~_nu(s) = sigma(s) + (1/2) tau_nu(s) nabla x_{nu+1}(s), a
-    polynomial of degree at most two in x_nu(s); tau_nu is tau_k at k = nu."""
-    lat = eq.lattice
-    return sigma_of_s(eq, s) + tau_k(eq, nu, s) * lat.nabla_x(nu + 1, s) / 2
 
 
 def hat_tau_k(eq: HyperEquation, n: int, k: int, s: HalfInt) -> Scalar:

@@ -23,7 +23,7 @@ from typing import Callable, Iterator
 
 from .errors import OutOfWindow, WindowTooSmall
 from .lattice import HalfInt, Lattice, divide_by_step, unit_steps
-from .numerics import Scalar, format_scalar
+from .numerics import Scalar
 
 
 @dataclass(frozen=True)
@@ -216,11 +216,3 @@ def cumulative_nabla_sum(lat: Lattice, k: int, g: GridFunction, N: HalfInt) -> G
         s = window.start + j
         acc -= g.values[j] * lat.nabla_x(k, s)
     return GridFunction(window.start, tuple(values))
-
-
-def grid_to_csv(f: GridFunction) -> str:
-    """CSV with header ``s,value``; exact half-integer and rational text."""
-    lines = ["s,value"]
-    for s, v in f.items():
-        lines.append(f"{s},{format_scalar(v)}")
-    return "\n".join(lines) + "\n"

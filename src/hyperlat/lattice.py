@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import DegenerateLattice, DegenerateStep, LatticeError, RationalParseError
+from .errors import DegenerateLattice, DegenerateStep, LatticeError
 from .numerics import Rational, Scalar, format_rational
 
 
@@ -43,16 +43,6 @@ class HalfInt:
     @classmethod
     def from_int(cls, value: int) -> "HalfInt":
         return cls(2 * value)
-
-    @classmethod
-    def parse(cls, text: str) -> "HalfInt":
-        """Accepts ``3``, ``-2`` or an exact half such as ``7/2``."""
-        from .numerics import parse_rational
-
-        value = parse_rational(text)
-        if value.denominator not in (1, 2):
-            raise RationalParseError("not a half-integer", 0)
-        return cls(int(value * 2))
 
     def as_fraction(self) -> Fraction:
         return Fraction(self.twice, 2)

@@ -11,10 +11,12 @@ A problem is a flat list of ``key = value`` lines (``#`` starts a comment):
     n = 2
     window = 4..15           # inclusive, half-integers allowed (7/2..12)
 
-Optional keys: ``lambda`` (defaults to lambda_n), ``sum_base``, ``P`` (the
-n+1 coefficients of the generalized construction), ``allow_degenerate``.
-All numbers are exact rationals; no floating literals exist in the format,
-and any other key is an ``unknown key`` error.
+A ``qquadratic`` lattice takes ``p, c1, c2, c3`` in place of ``ct1, ct2, ct3``;
+``_FAMILIES`` lists each family's keys.  Optional keys: ``lambda`` (defaults
+to lambda_n), ``sum_base``, ``P`` (the n+1 coefficients of the generalized
+construction), ``allow_degenerate``.  ``n`` is at most ``MAX_N`` = 16, a
+constant of the format.  All numbers are exact rationals; no floating
+literals exist in the format, and any other key is an ``unknown key`` error.
 
 The parser is total: any byte string produces either a ProblemSpec or a list
 of diagnostics with 1-based line/column positions, never an exception from
@@ -37,14 +39,15 @@ from .grid import Window
 from .lattice import HalfInt, Lattice, QQuadraticLattice, QuadraticLattice
 from .numerics import Rational, format_rational, parse_rational
 
-MAX_N_DEFAULT = 16
+MAX_N = 16
 MIN_WINDOW_MARGIN = 5  # window length must be at least n + this
 
 _BASE_KEYS = ("lattice", "sigma", "tau", "n", "window")
-_Q_KEYS = ("p", "c1", "c2", "c3")
-_QUAD_KEYS = ("ct1", "ct2", "ct3")
-_OPTIONAL_KEYS = ("lambda", "sum_base", "P", "allow_degenerate")
-_ALL_KEYS = set(_BASE_KEYS) | set(_Q_KEYS) | set(_QUAD_KEYS) | set(_OPTIONAL_KEYS)
+# family name -> (lattice class, its keys in constructor order)
+_FAMILIES = {
+    "qquadratic": (QQuadraticLattice, ("p", "c1", "c2", "c3")),
+    "quadratic": (QuadraticLattice, ("ct1", "ct2", "ct3")),
+}
 
 
 @dataclass(frozen=True)
@@ -183,23 +186,26 @@ def _value_rational(tail, lineno, key, diagnostics):
     return _parse_rational_token(tok, lineno, diagnostics)
 
 
-def _value_half_int(tail, lineno, key, diagnostics):
-    tok = _want_single("num", tail, lineno, key, diagnostics)
-    if tok is None:
-        return None
+def _half_int_token(tok: _Token, lineno: int, message: str,
+                    diagnostics: list) -> HalfInt | None:
     value = _parse_rational_token(tok, lineno, diagnostics)
     if value is None:
         return None
     if value.denominator not in (1, 2):
-        diagnostics.append(ParseDiagnostic(
-            lineno, tok.column, f"'{key}' must be a half-integer"))
+        diagnostics.append(ParseDiagnostic(lineno, tok.column, message))
         return None
     return HalfInt(int(value * 2))
 
 
+def _value_half_int(tail, lineno, key, diagnostics):
+    tok = _want_single("num", tail, lineno, key, diagnostics)
+    if tok is None:
+        return None
+    return _half_int_token(tok, lineno, f"'{key}' must be a half-integer", diagnostics)
+
+
 def _value_ident(tail, lineno, key, diagnostics):
-    tok = _want_single("ident", tail, lineno, key, diagnostics)
-    return None if tok is None else tok
+    return _want_single("ident", tail, lineno, key, diagnostics)
 
 
 def _value_rational_list(tail, lineno, key, diagnostics):
@@ -241,14 +247,11 @@ def _value_window(tail, lineno, key, diagnostics):
         return None
     ends = []
     for tok in (tail[0], tail[2]):
-        value = _parse_rational_token(tok, lineno, diagnostics)
-        if value is None:
+        end = _half_int_token(tok, lineno, "window endpoints must be half-integers",
+                              diagnostics)
+        if end is None:
             return None
-        if value.denominator not in (1, 2):
-            diagnostics.append(ParseDiagnostic(
-                lineno, tok.column, "window endpoints must be half-integers"))
-            return None
-        ends.append(HalfInt(int(value * 2)))
+        ends.append(end)
     start, end = ends
     if end.twice < start.twice:
         diagnostics.append(ParseDiagnostic(
@@ -277,7 +280,7 @@ _VALUE_PARSERS = {
 # driver
 
 
-def parse_problem_with_diagnostics(text: str, max_n: int = MAX_N_DEFAULT):
+def parse_problem_with_diagnostics(text: str):
     """Parse problem text.  Returns (spec_or_None, diagnostics)."""
     diagnostics: list[ParseDiagnostic] = []
     seen: dict[str, tuple[int, int]] = {}   # key -> (line, column)
@@ -298,7 +301,7 @@ def parse_problem_with_diagnostics(text: str, max_n: int = MAX_N_DEFAULT):
                 lineno, tokens[0].column, "expected 'key = value'"))
             continue
         key = tokens[0].text
-        if key not in _ALL_KEYS:
+        if key not in _VALUE_PARSERS:
             diagnostics.append(ParseDiagnostic(
                 lineno, tokens[0].column, f"unknown key '{key}'"))
             continue
@@ -316,28 +319,17 @@ def parse_problem_with_diagnostics(text: str, max_n: int = MAX_N_DEFAULT):
         diagnostics.append(ParseDiagnostic(line, column, message))
 
     # which keys the declared family requires / forbids
-    family = None
+    cls, keys = None, ()
     if "lattice" in values:
         name = values["lattice"].text
-        if name == "qquadratic":
-            family = "qquadratic"
-        elif name == "quadratic":
-            family = "quadratic"
-        else:
+        cls, keys = _FAMILIES.get(name, (None, ()))
+        if cls is None:
             diag_at("lattice", f"lattice must be 'qquadratic' or 'quadratic', not '{name}'")
-    required = list(_BASE_KEYS)
-    if family == "qquadratic":
-        required += list(_Q_KEYS)
-        for key in _QUAD_KEYS:
-            if key in seen:
-                diag_at(key, f"key '{key}' is not valid for a qquadratic lattice")
-    elif family == "quadratic":
-        required += list(_QUAD_KEYS)
-        for key in _Q_KEYS:
-            if key in seen:
-                diag_at(key, f"key '{key}' is not valid for a quadratic lattice")
-
-    missing = [k for k in required if k not in seen]
+        else:
+            for key in (k for _, other in _FAMILIES.values() for k in other):
+                if key in seen and key not in keys:
+                    diag_at(key, f"key '{key}' is not valid for a {name} lattice")
+    missing = [k for k in _BASE_KEYS + keys if k not in seen]
     if missing:
         diagnostics.append(ParseDiagnostic(
             1, 1, "missing required keys: " + ", ".join(missing)))
@@ -355,8 +347,8 @@ def parse_problem_with_diagnostics(text: str, max_n: int = MAX_N_DEFAULT):
         raw_n = values["n"]
         if raw_n.denominator != 1 or raw_n < 0:
             diag_at("n", "n must be a nonnegative integer")
-        elif raw_n > max_n:
-            diag_at("n", f"n must not exceed {max_n}")
+        elif raw_n > MAX_N:
+            diag_at("n", f"n must not exceed {MAX_N}")
         else:
             n = int(raw_n)
     if "p" in values and values["p"] in (0, 1, -1):
@@ -378,16 +370,9 @@ def parse_problem_with_diagnostics(text: str, max_n: int = MAX_N_DEFAULT):
             diag_at("sum_base", "sum_base must step together with the window")
 
     lattice = None
-    if family == "qquadratic" and all(k in values for k in _Q_KEYS):
+    if cls is not None and all(k in values for k in keys):
         try:
-            lattice = QQuadraticLattice(values["p"], values["c1"], values["c2"],
-                                        values["c3"], allow_degenerate)
-        except LatticeError as exc:
-            diag_at("lattice", str(exc))
-    elif family == "quadratic" and all(k in values for k in _QUAD_KEYS):
-        try:
-            lattice = QuadraticLattice(values["ct1"], values["ct2"],
-                                       values["ct3"], allow_degenerate)
+            lattice = cls(*(values[k] for k in keys), allow_degenerate)
         except LatticeError as exc:
             diag_at("lattice", str(exc))
 
@@ -408,20 +393,20 @@ def parse_problem_with_diagnostics(text: str, max_n: int = MAX_N_DEFAULT):
     return spec, []
 
 
-def parse_problem(text: str, max_n: int = MAX_N_DEFAULT) -> ProblemSpec:
-    spec, diagnostics = parse_problem_with_diagnostics(text, max_n)
+def parse_problem(text: str) -> ProblemSpec:
+    spec, diagnostics = parse_problem_with_diagnostics(text)
     if spec is None:
         raise ProblemFormatError(diagnostics)
     return spec
 
 
-def parse_problem_bytes(data: bytes, max_n: int = MAX_N_DEFAULT) -> ProblemSpec:
+def parse_problem_bytes(data: bytes) -> ProblemSpec:
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ProblemFormatError([ParseDiagnostic(
             1, 1, f"input is not valid UTF-8 ({exc.reason} at byte {exc.start})")])
-    return parse_problem(text, max_n)
+    return parse_problem(text)
 
 
 # ---------------------------------------------------------------------------
@@ -430,16 +415,11 @@ def parse_problem_bytes(data: bytes, max_n: int = MAX_N_DEFAULT) -> ProblemSpec:
 
 def render_problem(spec: ProblemSpec) -> str:
     """Canonical text form; parse_problem(render_problem(s)) == s."""
-    out = []
     lat = spec.lattice
-    if isinstance(lat, QQuadraticLattice):
-        out.append("lattice = qquadratic")
-        for key in _Q_KEYS:
-            out.append(f"{key} = {format_rational(getattr(lat, key))}")
-    else:
-        out.append("lattice = quadratic")
-        for key in _QUAD_KEYS:
-            out.append(f"{key} = {format_rational(getattr(lat, key))}")
+    name, keys = next((name, keys) for name, (cls, keys) in _FAMILIES.items()
+                      if isinstance(lat, cls))
+    out = [f"lattice = {name}"]
+    out += [f"{key} = {format_rational(getattr(lat, key))}" for key in keys]
     out.append("sigma = " + ", ".join(format_rational(c) for c in spec.sigma_t))
     out.append("tau = " + ", ".join(format_rational(c) for c in spec.tau_t))
     if spec.lam is not None:

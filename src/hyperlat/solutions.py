@@ -31,8 +31,9 @@ from .equation import (
     apply_L,
     lambda_n,
     pearson_weight,
+    rho_k,
     sigma_of_s,
-    tau_of_s,
+    sigma_star,
 )
 from .errors import (
     DegenerateAbscissae,
@@ -85,9 +86,14 @@ class SolutionReport:
 
 
 def weight_window_for(n: int, window: Window) -> Window:
-    """The rho window needed to deliver a solution and residual on ``window``:
-    n extra points on the right for the n-fold difference, two on each side
-    for the residual stencil.  Every extra point would cost a Pearson step
+    """The rho window built for a solution on ``window``.
+
+    ``solve()`` itself reads one extra point on the left and n + 1 on the
+    right: one per side for the residual stencil, n more for the n-fold
+    difference.  The second point on each side is for ``verify``: on the
+    shortest window (n + 5 points) its ``adjoint-product`` check reads 7
+    points of the n = 0 weight from ``window.start`` on, one more than
+    ``expand(1, n + 1)`` would hold.  Every extra point costs a Pearson step
     and a larger weight value, so it allocates no more than that."""
     return window.expand(2, n + 2)
 
@@ -97,14 +103,7 @@ def Y_n(eq: HyperEquation, weight: PearsonWeight, n: int, window: Window) -> Gri
     rho_n(s-n)."""
     if not weight.window.covers(window):
         raise OutOfWindow(f"weight window {weight.window} does not cover {window}")
-
-    def value(s: HalfInt) -> Scalar:
-        v = weight.value_at(s)
-        for j in range(n):
-            v *= sigma_of_s(eq, s - j)
-        return v
-
-    return GridFunction.sample(window, value)
+    return GridFunction.sample(window, lambda s: rho_k(eq, weight, n, s - n))
 
 
 def _rodrigues(eq: HyperEquation, weight: PearsonWeight, n: int, window: Window,
@@ -197,15 +196,15 @@ def generalized_solution(eq: HyperEquation, weight: PearsonWeight, n: int, windo
 
 
 def solve(eq: HyperEquation, n: int, window: Window, kind: str = "polynomial",
-          N: HalfInt | None = None, P=None, anchor: HalfInt | None = None,
+          N: HalfInt | None = None, P=None,
           residual_lam: Scalar | None = None) -> SolutionReport:
     """Convenience wrapper: build the Pearson weight on the derived window
-    and dispatch on ``kind``."""
-    weight = pearson_weight(eq, weight_window_for(n, window),
-                            anchor if anchor is not None else window.start)
+    (``weight_window_for``), normalized to 1 at ``window.start``, and
+    dispatch on ``kind`` (polynomial, second or generalized)."""
+    weight = pearson_weight(eq, weight_window_for(n, window), window.start)
     if kind == "polynomial":
         return rodrigues_polynomial(eq, weight, n, window, residual_lam)
-    if kind in ("second", "second_kind"):
+    if kind == "second":
         return second_solution(eq, weight, n, window, N, residual_lam)
     if kind == "generalized":
         if P is None:
@@ -221,8 +220,8 @@ def solve(eq: HyperEquation, n: int, window: Window, kind: str = "polynomial",
 def gamma_ell_eta(eq: HyperEquation, n: int, s: HalfInt) -> tuple[Scalar, Scalar, Scalar]:
     """The exactness auxiliaries of the generalized construction:
 
-        gamma(s,n) = [sigma(s-n+1) - sigma(s-1) - tau(s-1) nabla x_{-1}(s)] / delta x_{-(n+1)}(s)
-        ell(s,n)   = [sigma(s-n)   - sigma(s-1) - tau(s-1) nabla x_{-1}(s)] / nabla x_{-n}(s)
+        gamma(s,n) = [sigma(s-n+1) - sigma*(s)] / delta x_{-(n+1)}(s)
+        ell(s,n)   = [sigma(s-n)   - sigma*(s)] / nabla x_{-n}(s)
         eta(n)     = delta_{-(n+1)} ell(s,n)    (independent of s)
 
     gamma satisfies
@@ -233,13 +232,12 @@ def gamma_ell_eta(eq: HyperEquation, n: int, s: HalfInt) -> tuple[Scalar, Scalar
     lat = eq.lattice
 
     def ell_at(t: HalfInt) -> Scalar:
-        return divide_by_step(sigma_of_s(eq, t - n) - sigma_of_s(eq, t - 1)
-                              - tau_of_s(eq, t - 1) * lat.nabla_x(-1, t),
+        return divide_by_step(sigma_of_s(eq, t - n) - sigma_star(eq, t),
                               lat.nabla_x(-n, t), -n, t)
 
     dx = lat.delta_x(-(n + 1), s)
-    gamma = divide_by_step(sigma_of_s(eq, s - n + 1) - sigma_of_s(eq, s - 1)
-                           - tau_of_s(eq, s - 1) * lat.nabla_x(-1, s), dx, -(n + 1), s)
+    gamma = divide_by_step(sigma_of_s(eq, s - n + 1) - sigma_star(eq, s),
+                           dx, -(n + 1), s)
     ell = ell_at(s)
     eta = divide_by_step(ell_at(s + 1) - ell, dx, -(n + 1), s)
     return gamma, ell, eta
@@ -290,8 +288,7 @@ def nullspace(rows: list[list]) -> list[list]:
     return basis
 
 
-def brute_force_polynomial_oracle(eq: HyperEquation, n: int,
-                                  base: HalfInt | None = None) -> list:
+def brute_force_polynomial_oracle(eq: HyperEquation, n: int) -> list:
     """Coefficients (monomial basis of x(s), low order first) of the nonzero
     polynomial solution at lambda_n, found without the Rodrigues machinery.
 
@@ -302,8 +299,7 @@ def brute_force_polynomial_oracle(eq: HyperEquation, n: int,
     """
     lat = eq.lattice
     eq_n = eq.with_lambda(lambda_n(eq, n))
-    candidates = ([base] if base is not None
-                  else [HalfInt.from_int(v) for v in (1, 2, 3, 4)] + [HalfInt(3), HalfInt(5)])
+    candidates = [HalfInt.from_int(v) for v in (1, 2, 3, 4)] + [HalfInt(3), HalfInt(5)]
     last_error: Exception | None = None
     for start in candidates:
         grid = Window(start - 1, n + 4)   # residual points: start .. start+n+1

@@ -23,7 +23,6 @@ from hyperlat import (
     pearson_weight,
     sigma_of_s,
     sigma_star,
-    sigma_tilde_nu,
     tau_k,
     tau_of_s,
     tau_star,
@@ -101,13 +100,6 @@ def test_dual_reconstruction(equation):
         assert sig == sigma_of_s(eq, s)
         assert tau == tau_of_s(eq, s)
         assert lam == eq.lam
-
-
-def test_sigma_tilde_nu_inverts_sigma_of_s(equation):
-    for twice in range(6, 14, 2):
-        s = HalfInt(twice)
-        assert sigma_tilde_nu(equation, 0, s) == equation.sigma_tilde(
-            equation.lattice.x(s))
 
 
 def test_adjoint_sigma_tilde_star_is_quadratic(equation):

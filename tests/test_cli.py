@@ -231,6 +231,18 @@ def test_missing_file_exits_two(tmp_path):
     assert result.returncode == 2
 
 
+@pytest.mark.parametrize("args", [
+    ("verify", "--spec", "demos"),
+    ("table", "--spec", "demos/qlattice.spec", "--out", "{tmp}"),
+], ids=["spec-is-a-directory", "out-is-a-directory"])
+def test_directory_path_exits_two_without_traceback(tmp_path, args):
+    result = run_cli(*(arg.format(tmp=tmp_path) for arg in args))
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: ")
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""
+
+
 def test_singularity_exits_three(tmp_path):
     path = tmp_path / "singular.spec"
     path.write_text(SINGULAR_SPEC)

@@ -14,7 +14,6 @@ from hyperlat import (
     admissibility_violation,
     apply_L,
     delta_k,
-    is_admissible,
     lambda_n,
     mu_k,
     pearson_weight,
@@ -131,10 +130,9 @@ def test_admissibility_predicate():
     lat = QuadraticLattice(F(1), F(1), F(0))
     eq = HyperEquation(lat, (F(0), F(0), F(1)), (F(0), F(-1)))
     assert admissibility_violation(eq, 2) == 0
-    assert not is_admissible(eq, 2)
-    assert is_admissible(eq, 1)
+    assert admissibility_violation(eq, 1) is None
     good = quad_a()
-    assert all(is_admissible(good, n) for n in range(8))
+    assert all(admissibility_violation(good, n) is None for n in range(8))
 
 
 def test_pearson_constant_coefficients():

@@ -14,7 +14,6 @@ from hyperlat import (
     WindowTooSmall,
     cumulative_nabla_sum,
     delta_k,
-    grid_to_csv,
     iterated_delta,
     iterated_nabla,
     nabla_k,
@@ -36,7 +35,7 @@ def random_grid(rng, window, nonzero=False):
 
 
 def test_window_span_truncates_to_grid():
-    w = Window.span(HalfInt.parse("-7/2"), HalfInt.parse("5"))
+    w = Window.span(HalfInt(-7), HalfInt(10))
     assert w.start == HalfInt(-7)
     assert w.end == HalfInt(9)          # 9/2 is the last on-grid point <= 5
     assert w.length == 9
@@ -195,18 +194,13 @@ def test_product_and_quotient_rules():
 
 
 def test_grid_function_ops_and_access():
-    f = GridFunction(HalfInt.parse("1/2"), (F(1), F(2), F(3)))
-    assert f.value_at(HalfInt.parse("3/2")) == 2
+    f = GridFunction(HalfInt(1), (F(1), F(2), F(3)))
+    assert f.value_at(HalfInt(3)) == 2
     with pytest.raises(OutOfWindow):
         f.value_at(HalfInt.from_int(1))     # wrong parity
     with pytest.raises(OutOfWindow):
-        f.value_at(HalfInt.parse("9/2"))
+        f.value_at(HalfInt(9))
     total = f + 2 * f
     assert total.values == (F(3), F(6), F(9))
-    clipped = f.restrict(Window(HalfInt.parse("3/2"), 2))
+    clipped = f.restrict(Window(HalfInt(3), 2))
     assert clipped.values == (F(2), F(3))
-
-
-def test_csv_serialization():
-    f = GridFunction(HalfInt.parse("5/2"), (F(1, 3), F(-2)))
-    assert grid_to_csv(f) == "s,value\n5/2,1/3\n7/2,-2\n"

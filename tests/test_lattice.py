@@ -13,9 +13,9 @@ from hyperlat import (
 
 
 def test_half_int_basics():
-    s = HalfInt.parse("7/2")
+    s = HalfInt(7)
     assert s.twice == 7 and str(s) == "7/2"
-    assert str(HalfInt.parse("-3")) == "-3"
+    assert str(HalfInt(-6)) == "-3"
     assert (s + 1).twice == 9 and (s - 2).twice == 3
     assert s.as_fraction() == F(7, 2)
 

@@ -15,7 +15,7 @@ example instead):
 
 from fractions import Fraction as F
 
-from hypothesis import assume, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from hyperlat import (
@@ -35,6 +35,10 @@ from hyperlat import (
     tau_of_s,
     weight_window_for,
 )
+
+# A failing example is reported as drawn: shrinking one took minutes, since
+# every step reruns exact arithmetic on large rationals.
+NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate, Phase.target)
 
 small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 nonzero = st.builds(F, st.integers(-4, 4).filter(bool), st.integers(1, 3))
@@ -61,7 +65,7 @@ def problems(draw):
     return draw(equations), n, draw(windows(n))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, phases=NO_SHRINK)
 @given(equations, windows(0))
 def test_dual_coefficients_invert_the_adjoint_map(eq, window):
     for s in window.points():
@@ -72,7 +76,7 @@ def test_dual_coefficients_invert_the_adjoint_map(eq, window):
         assert dual == (sigma_of_s(eq, s), tau_of_s(eq, s), eq.lam)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, phases=NO_SHRINK)
 @given(equations, windows(0), st.data())
 def test_adjoint_intertwines_with_the_weight(eq, window, data):
     y = GridFunction(window.start, tuple(
@@ -110,7 +114,7 @@ def reference_solution(eq, n, window, numerator):
     return tuple(v / rho.value_at(t) for t, v in zip(points[1:-1], values[1:-1]))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, phases=NO_SHRINK)
 @given(problems(), st.data())
 def test_integral_kinds_match_the_definition(problem, data):
     eq, n, window = problem
