@@ -57,7 +57,6 @@ from .lattice import (
     Lattice,
     QQuadraticLattice,
     QuadraticLattice,
-    kappa,
     unit_steps,
 )
 from .numerics import (

@@ -88,7 +88,7 @@ def _cmd_solve(args) -> int:
     report = solve(
         eq, spec.n, spec.window, kind=args.kind,
         N=spec.sum_base, P=spec.poly_p,
-        residual_lam=eq.lam if spec.lam is not None else None)
+        residual_lam=eq.lam)
     if args.format == "json":
         _emit(args, json.dumps(report.to_json_dict(), indent=2) + "\n")
     else:
@@ -123,10 +123,9 @@ def _cmd_adjoint(args) -> int:
     spec = _load_spec(args.spec)
     eq = spec.equation()
     coeffs = eqn.adjoint_coeffs(eq, spec.window)
-    kappa_m1 = eq.kappa(-1)
     scalars = (("lambda_star", coeffs.lambda_star),
-               ("kappa_minus_one", kappa_m1),
-               ("lambda_minus_kappa_minus_one", eq.lam - kappa_m1))
+               ("kappa_minus_one", eq.kappa(-1)),
+               ("lambda_minus_kappa_minus_one", eqn.lambda_star(eq)))
     if args.format == "json":
         payload = {
             "window": {"start": str(spec.window.start), "length": spec.window.length},

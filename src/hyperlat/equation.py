@@ -10,6 +10,7 @@ derived from them:
 
 The level-k ladder coefficients
 
+    kappa_mu = alpha(mu-1) tau~' + nu(mu-1) sigma~''/2   (``HyperEquation.kappa``)
     tau_k(s) = [sigma(s+k) - sigma(s) + tau(s+k) nabla x_1(s+k)] / nabla x_{k+1}(s)
     mu_k     = lambda + kappa_k nu(k)
     lambda_n = -kappa_n nu(n)
@@ -26,7 +27,11 @@ different coefficients.  The adjoint map (sigma, tau, lambda) ->
 (sigma*, tau*, lambda*) is written once, for any pair of coefficient
 functions, and it is an involution: ``dual_coefficients`` applies it a
 second time, to the starred coefficients, and must get back sigma, tau and
-lambda.  The weight itself is fixed only up to scale by
+lambda.  ``lambda_star`` is the closed form above, checked against its
+defining expression (``lambda_star_at``) wherever it is used: on the window
+of ``adjoint_coeffs``, the output of ``apply_L_star`` and the point of
+``dual_coefficients``.  hat_mu_n is lambda* at lambda = lambda_n.  The
+weight itself is fixed only up to scale by
 
     delta_{-1}[sigma rho] = tau rho,  i.e.  rho(s+1) / rho(s) = sigma*(s+1) / sigma(s+1),
 
@@ -41,14 +46,13 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .errors import (
-    DegenerateStep,
     NonConstantLambdaStar,
     OutOfWindow,
     PearsonSingularity,
     WindowTooSmall,
 )
 from .grid import GridFunction, Window, delta_k, nabla_k
-from .lattice import HalfInt, Lattice, divide_by_step, kappa
+from .lattice import HalfInt, Lattice, divide_by_step
 from .numerics import Scalar, format_rational
 
 
@@ -80,16 +84,6 @@ class HyperEquation:
             raise ValueError("tau_t must have exactly two coefficients")
         object.__setattr__(self, "sigma_t", tuple(self.sigma_t))
         object.__setattr__(self, "tau_t", tuple(self.tau_t))
-
-    @property
-    def sigma2(self) -> Scalar:
-        """sigma~'' (twice the stored leading coefficient)."""
-        return 2 * self.sigma_t[2]
-
-    @property
-    def tau1(self) -> Scalar:
-        """tau~'."""
-        return self.tau_t[1]
 
     def sigma_tilde(self, x: Scalar) -> Scalar:
         return self.sigma_t[0] + self.sigma_t[1] * x + self.sigma_t[2] * x * x
@@ -123,7 +117,8 @@ class HyperEquation:
         return other
 
     def kappa(self, mu: int) -> Scalar:
-        return kappa(self.lattice, self.sigma2, self.tau1, mu)
+        lat = self.lattice
+        return lat.alpha(mu - 1) * self.tau_t[1] + lat.nu(mu - 1) * self.sigma_t[2]
 
 
 @dataclass(frozen=True)
@@ -296,62 +291,48 @@ def lambda_star_at(eq: HyperEquation, s: HalfInt) -> Scalar:
 
 
 def lambda_star(eq: HyperEquation) -> Scalar:
-    """lambda* = lambda - kappa_{-1}, cross-checked against the defining
-    expression at a regular grid point.  Disagreement is a hard error."""
-    closed = eq.lam - eq.kappa(-1)
-    s = _regular_point(eq.lattice)
-    direct = lambda_star_at(eq, s)
-    if direct != closed:
-        raise NonConstantLambdaStar(
-            f"lambda* mismatch: direct {format_rational(direct)} vs closed form "
-            f"{format_rational(closed)} at s={s}")
+    """lambda* = lambda - kappa_{-1}, the closed form."""
+    return eq.lam - eq.kappa(-1)
+
+
+def _checked_lambda_star(eq: HyperEquation, points) -> Scalar:
+    """lambda_star(eq), once its defining expression has given the same value
+    at each of the points; disagreement is a hard error naming the point."""
+    closed = lambda_star(eq)
+    for s in points:
+        direct = lambda_star_at(eq, s)
+        if direct != closed:
+            raise NonConstantLambdaStar(
+                f"lambda* mismatch: direct {format_rational(direct)} vs closed form "
+                f"{format_rational(closed)} at s={s}")
     return closed
 
 
-def _regular_point(lat: Lattice) -> HalfInt:
-    # A point where every step used by lambda_star_at is nonzero.  The zero
-    # set of the steps is finite, so a short scan suffices.
-    for twice in list(range(4, 40)) + list(range(-4, -40, -1)):
-        s = HalfInt(twice)
-        if all(lat.nabla_x(0, s + d) != 0 for d in (0, 1)) and lat.delta_x(-1, s) != 0:
-            return s
-    raise DegenerateStep("no regular grid point found for this lattice")
-
-
 def adjoint_coeffs(eq: HyperEquation, window: Window) -> AdjointCoefficients:
-    """sigma*, tau* sampled on the window, with the constant lambda*.
-
-    lambda* is evaluated from its defining expression at every window point
-    and must be constant (and equal to lambda - kappa_{-1}); anything else
-    signals an implementation or lattice-degeneracy fault.
-    """
+    """sigma*, tau* sampled on the window, with the constant lambda*, which
+    is checked against its defining expression at every window point."""
     sig = GridFunction.sample(window, lambda s: sigma_star(eq, s))
     tau = GridFunction.sample(window, lambda s: tau_star(eq, s))
-    closed = eq.lam - eq.kappa(-1)
-    for s in window.points():
-        value = lambda_star_at(eq, s)
-        if value != closed:
-            raise NonConstantLambdaStar(
-                f"lambda* varies: {format_rational(value)} at s={s}, "
-                f"expected {format_rational(closed)}")
-    return AdjointCoefficients(sig, tau, closed)
+    return AdjointCoefficients(sig, tau, _checked_lambda_star(eq, window.points()))
 
 
 def apply_L_star(eq: HyperEquation, w: GridFunction) -> GridFunction:
-    """Residual of L*[w] = sigma* delta_{-1} nabla_0 w + tau* delta_0 w + lambda* w."""
+    """Residual of L*[w] = sigma* delta_{-1} nabla_0 w + tau* delta_0 w + lambda* w,
+    with lambda* checked at each output point (the residual needs its steps)."""
     if len(w) < 3:
         raise WindowTooSmall("apply_L_star needs at least three points")
-    lam_star = lambda_star(eq)
-    return _three_term(eq.lattice, w, *_star_coefficients(eq), lam_star)
+    out = _three_term(eq.lattice, w, *_star_coefficients(eq), lambda_star(eq))
+    _checked_lambda_star(eq, out.points())
+    return out
 
 
 def dual_coefficients(eq: HyperEquation, s: HalfInt):
     """Reconstruct (sigma(s), tau(s), lambda) by applying the adjoint map to
-    the starred coefficients (sigma*, tau*, lambda*).  The map is an
-    involution, so this second application must give back the originals."""
+    (sigma*, tau*, lambda*); the map is an involution, so this must give back
+    the originals.  lambda* is checked at s after the starred shift."""
     lat, star = eq.lattice, _star_coefficients(eq)
     return (_adjoint_sigma(lat, *star, s), _adjoint_tau(lat, *star, s),
-            lambda_star(eq) - _adjoint_lambda_shift(lat, *star, s))
+            -_adjoint_lambda_shift(lat, *star, s) + _checked_lambda_star(eq, (s,)))
 
 
 # ---------------------------------------------------------------------------
@@ -373,11 +354,10 @@ def hat_tau_k(eq: HyperEquation, n: int, k: int, s: HalfInt) -> Scalar:
 
 
 def hat_mu_n(eq: HyperEquation, n: int) -> Scalar:
-    """hat_mu_n = -kappa_{n-1} nu(n+1), cross-checked against the equivalent
-    form -kappa_{-1} - kappa_n nu(n)."""
-    lat = eq.lattice
-    primary = -eq.kappa(n - 1) * lat.nu(n + 1)
-    other = -eq.kappa(-1) - eq.kappa(n) * lat.nu(n)
+    """hat_mu_n = -kappa_{n-1} nu(n+1), cross-checked against lambda* at
+    lambda = lambda_n."""
+    primary = -eq.kappa(n - 1) * eq.lattice.nu(n + 1)
+    other = lambda_star(eq.with_lambda(lambda_n(eq, n)))
     if primary != other:
         raise NonConstantLambdaStar(
             f"hat_mu_n closed forms disagree: {format_rational(primary)} "

@@ -10,15 +10,14 @@ are half-integers, and q is supplied through its square root p, so that
 q^(s + k/2) = p^(2s + k) stays an exact rational.  Arguments are carried by
 ``HalfInt``, which stores twice the value as an integer.
 
-The scalars nu(mu), alpha(mu) and the ladder coefficient kappa_mu govern the
-eigenvalue structure of the difference equations built on the lattice:
+The module holds geometry only.  Its scalars nu(mu) and alpha(mu),
 
     nu(mu)    = (q^(mu/2) - q^(-mu/2)) / (q^(1/2) - q^(-1/2))   or  mu
     alpha(mu) = (q^(mu/2) + q^(-mu/2)) / 2                      or  1
-    kappa_mu  = alpha(mu-1)*tau1 + nu(mu-1)*sigma2/2
 
-where sigma2 and tau1 are the second and first derivative of the equation's
-polynomial coefficients (see ``equation``).
+enter the eigenvalue structure through the ladder coefficient kappa_mu,
+which also needs the equation's coefficients and so lives on the equation
+(``equation.HyperEquation.kappa``).
 """
 
 from __future__ import annotations
@@ -186,16 +185,6 @@ class QuadraticLattice(Lattice):
 
     def alpha(self, mu: int) -> Scalar:
         return Fraction(1)
-
-
-def kappa(lat: Lattice, sigma2: Scalar, tau1: Scalar, mu: int) -> Scalar:
-    """kappa_mu = alpha(mu-1)*tau1 + nu(mu-1)*sigma2/2.
-
-    ``sigma2`` is the full second derivative of the degree-2 coefficient
-    polynomial (twice its leading coefficient), ``tau1`` the slope of the
-    degree-1 one.
-    """
-    return lat.alpha(mu - 1) * tau1 + lat.nu(mu - 1) * sigma2 / 2
 
 
 def divide_by_step(num: Scalar, step: Scalar, k: int, s: HalfInt) -> Scalar:

@@ -351,7 +351,8 @@ def parse_problem_with_diagnostics(text: str):
             diag_at("n", f"n must not exceed {MAX_N}")
         else:
             n = int(raw_n)
-    if "p" in values and values["p"] in (0, 1, -1):
+    bad_p = values.get("p") in (0, 1, -1)
+    if bad_p:
         diag_at("p", "p must not be 0, 1, or -1")
     if "sigma" in values and len(values["sigma"]) != 3:
         diag_at("sigma", "sigma needs exactly 3 coefficients")
@@ -370,7 +371,8 @@ def parse_problem_with_diagnostics(text: str):
             diag_at("sum_base", "sum_base must step together with the window")
 
     lattice = None
-    if cls is not None and all(k in values for k in keys):
+    # a bad p is reported at its own line, not a second time by the constructor
+    if cls is not None and all(k in values for k in keys) and not ("p" in keys and bad_p):
         try:
             lattice = cls(*(values[k] for k in keys), allow_degenerate)
         except LatticeError as exc:

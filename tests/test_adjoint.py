@@ -1,5 +1,7 @@
 import random
+import re
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +9,7 @@ from hyperlat import (
     GridFunction,
     HalfInt,
     HyperEquation,
+    NonConstantLambdaStar,
     QuadraticLattice,
     Window,
     adjoint_coeffs,
@@ -20,15 +23,20 @@ from hyperlat import (
     lambda_n,
     lambda_star,
     nabla_k,
+    parse_problem,
     pearson_weight,
+    run_identity_suite,
     sigma_of_s,
     sigma_star,
     tau_k,
     tau_of_s,
     tau_star,
 )
+from hyperlat import cli
 
 S = HalfInt.from_int
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 
 @pytest.fixture
@@ -171,3 +179,41 @@ def test_sigma_star_pointwise_definition(equation):
         s = HalfInt(twice)
         assert sigma_star(equation, s) == (sigma_of_s(equation, s - 1)
                                            + tau_of_s(equation, s - 1) * lat.nabla_x(-1, s))
+
+
+@pytest.fixture
+def wrong_kappa_minus_one(monkeypatch):
+    """Put kappa_{-1} off by 1/7, so lambda - kappa_{-1} is no longer lambda*."""
+    kappa = HyperEquation.kappa
+    monkeypatch.setattr(HyperEquation, "kappa",
+                        lambda eq, mu: kappa(eq, mu) + (F(1, 7) if mu == -1 else 0))
+
+
+def _named_point(exc) -> str:
+    return re.search(r"at s=(\S+)$", str(exc)).group(1)
+
+
+def test_lambda_star_is_checked_where_it_is_used(equation, wrong_kappa_minus_one):
+    window = Window(S(4), 6)
+    points = {str(s) for s in window.points()}
+    with pytest.raises(NonConstantLambdaStar) as exc:
+        adjoint_coeffs(equation, window)
+    assert _named_point(exc.value) in points
+    w = pearson_weight(equation, window, window.start).rho
+    with pytest.raises(NonConstantLambdaStar) as exc:
+        apply_L_star(equation, w)
+    assert _named_point(exc.value) in points - {str(window.start), str(window.end)}
+    with pytest.raises(NonConstantLambdaStar) as exc:
+        dual_coefficients(equation, S(5))
+    assert _named_point(exc.value) == "5"
+
+
+def test_wrong_lambda_star_fails_adjoint_and_verify(wrong_kappa_minus_one, capsys):
+    spec = DEMOS / "quadratic.spec"
+    assert cli.main(["adjoint", "--spec", str(spec)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("identity failure: ") and "Traceback" not in err
+    results = {r.name: r for r in run_identity_suite(parse_problem(spec.read_text()))}
+    for name in ("lambda-star-closed-form", "hat-mu-is-lambda-star"):
+        assert not results[name].passed
+        assert results[name].detail.startswith("NonConstantLambdaStar: ")

@@ -5,10 +5,10 @@ import pytest
 from hyperlat import (
     DegenerateLattice,
     HalfInt,
+    HyperEquation,
     LatticeError,
     QQuadraticLattice,
     QuadraticLattice,
-    kappa,
 )
 
 
@@ -48,10 +48,11 @@ def test_alpha_examples():
 def test_kappa_examples():
     quad = QuadraticLattice(F(1), F(1), F(0))
     q = QQuadraticLattice(F(2), F(1), F(1), F(0))
-    assert kappa(quad, F(0), F(1), 1) == 1
-    assert kappa(q, F(0), F(1), 1) == 1
-    assert kappa(quad, F(2), F(0), 4) == 3
-    assert kappa(q, F(0), F(1), 3) == F(17, 8)
+    tau_slope_one = ((F(0), F(0), F(0)), (F(0), F(1)))
+    assert HyperEquation(quad, *tau_slope_one).kappa(1) == 1
+    assert HyperEquation(q, *tau_slope_one).kappa(1) == 1
+    assert HyperEquation(quad, (F(0), F(0), F(1)), (F(0), F(0))).kappa(4) == 3
+    assert HyperEquation(q, *tau_slope_one).kappa(3) == F(17, 8)
 
 
 @pytest.mark.parametrize("lat", [

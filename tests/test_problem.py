@@ -123,6 +123,13 @@ def test_diagnostic_positions(text, line, column, message):
                for d in diagnostics), [str(d) for d in diagnostics]
 
 
+@pytest.mark.parametrize("p", ["0", "1", "-1"])
+def test_bad_p_is_reported_once(p):
+    text = (f"lattice = qquadratic\np = {p}\nc1 = 1\nc2 = 1\nc3 = 0\n"
+            "sigma = 0, 0, 1\ntau = 1, 2\nn = 1\nwindow = 0..8\n")
+    assert [str(d) for d in _diagnostics(text)] == ["2:1: error: p must not be 0, 1, or -1"]
+
+
 def test_missing_keys_reported_at_once():
     diagnostics = _diagnostics("lattice = quadratic\n")
     joined = "; ".join(d.message for d in diagnostics)

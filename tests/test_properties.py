@@ -11,8 +11,16 @@ example instead):
 * the second-kind and generalized solutions of ``solve()`` equal a
   reference built here from the definition, with the integrand denominator
   rho(t) prod_{j=0..n} sigma(t-j) multiplied out by its own loop.
+
+Over whole problem specs, drawn like ``_random_spec`` in
+``test_acceptance``, every CLI command ends in an exit code 0-3 with no
+exception escaping ``cli.main``.
 """
 
+import contextlib
+import io
+import os
+import tempfile
 from fractions import Fraction as F
 
 from hypothesis import Phase, assume, given, settings
@@ -23,6 +31,7 @@ from hyperlat import (
     HalfInt,
     HyperEquation,
     HyperlatError,
+    ProblemSpec,
     QQuadraticLattice,
     QuadraticLattice,
     Window,
@@ -30,11 +39,13 @@ from hyperlat import (
     apply_L_star,
     dual_coefficients,
     pearson_weight,
+    render_problem,
     sigma_of_s,
     solve,
     tau_of_s,
     weight_window_for,
 )
+from hyperlat import cli
 
 # A failing example is reported as drawn: shrinking one took minutes, since
 # every step reruns exact arithmetic on large rationals.
@@ -131,3 +142,49 @@ def test_integral_kinds_match_the_definition(problem, data):
         except HyperlatError:
             continue
         assert report.solution.values == reference_solution(eq, n, window, numerator)
+
+
+spec_rational = st.builds(F, st.integers(-12, 12), st.integers(1, 8))
+spec_lattices = st.one_of(
+    st.builds(QQuadraticLattice,
+              st.builds(F, st.sampled_from([2, 3, 5, -2, 7]), st.sampled_from([1, 2, 3]))
+              .filter(lambda p: p not in (0, 1, -1)),
+              st.sampled_from([F(1), F(2), F(-1)]), st.sampled_from([F(1), F(3), F(-2)]),
+              st.builds(F, st.integers(-3, 3))),
+    st.builds(QuadraticLattice,
+              st.sampled_from([F(1), F(2), F(-1)]), st.sampled_from([F(1), F(2), F(-3)]),
+              st.builds(F, st.integers(-3, 3))))
+
+
+@st.composite
+def specs(draw) -> ProblemSpec:
+    n = draw(st.integers(0, 6))
+    start = HalfInt(draw(st.integers(-12, 12)))
+    return ProblemSpec(
+        lattice=draw(spec_lattices),
+        sigma_t=draw(st.tuples(spec_rational, spec_rational, spec_rational)),
+        tau_t=draw(st.tuples(spec_rational, spec_rational)),
+        n=n,
+        window=Window(start, draw(st.integers(n + 5, n + 12))),
+        lam=draw(st.none() | spec_rational),
+        sum_base=draw(st.none() | st.builds(lambda j: start + j, st.integers(-2, 4))),
+        poly_p=draw(st.none() | st.tuples(*[spec_rational] * (n + 1))),
+    )
+
+
+COMMANDS = (["verify"], ["solve"], ["solve", "--kind", "second"],
+            ["solve", "--kind", "generalized"], ["adjoint"], ["table"])
+
+
+@settings(max_examples=30, deadline=None, phases=NO_SHRINK)
+@given(specs())
+def test_every_command_ends_in_an_exit_code(spec):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "problem.spec")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(render_problem(spec))
+        for command in COMMANDS:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main([command[0], "--spec", path, *command[1:]])
+            assert code in (0, 1, 2, 3), (command, render_problem(spec))
