@@ -79,11 +79,8 @@ from .solutions import (
     Y_n,
     brute_force_polynomial_oracle,
     gamma_ell_eta,
-    generalized_solution,
     nullspace,
     polynomial_coefficients,
-    rodrigues_polynomial,
-    second_solution,
     solve,
     weight_window_for,
 )

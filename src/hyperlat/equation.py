@@ -123,10 +123,9 @@ class HyperEquation:
 
 @dataclass(frozen=True)
 class PearsonWeight:
-    """rho on a window, normalized to rho(anchor) = 1."""
+    """rho on a window, normalized to 1 at the anchor it was built from."""
 
     rho: GridFunction
-    anchor: HalfInt
 
     @property
     def window(self) -> Window:
@@ -209,7 +208,7 @@ def pearson_weight(eq: HyperEquation, window: Window, anchor: HalfInt) -> Pearso
         if values[j] == 0:
             raise PearsonSingularity(f"weight vanishes at s={prev}", point=prev)
         s = prev
-    return PearsonWeight(GridFunction(window.start, tuple(values)), anchor)
+    return PearsonWeight(GridFunction(window.start, tuple(values)))
 
 
 def rho_k(eq: HyperEquation, weight: PearsonWeight, k: int, s: HalfInt) -> Scalar:

@@ -75,9 +75,11 @@ class _Ctx:
         return self.spec.window
 
     def weight(self, n: int | None = None) -> eqn.PearsonWeight:
+        # One point per side more than solve() reads: on the shortest window
+        # (n + 5 points) adjoint-product reads 7 points of the n = 0 weight
+        # from window.start on, and expand(1, n + 1) would hold only 6.
         n = self.n if n is None else n
-        return eqn.pearson_weight(
-            self.eq, sol.weight_window_for(n, self.window), self.window.start)
+        return eqn.pearson_weight(self.eq, self.window.expand(2, n + 2), self.window.start)
 
     def random_grid(self, window: Window, nonzero: bool = False) -> GridFunction:
         def draw():
@@ -329,13 +331,13 @@ def _check_hat_tau_constancy(ctx: _Ctx):
 
 
 def _check_y1_matches_tau(ctx: _Ctx):
-    report = sol.rodrigues_polynomial(ctx.eq, ctx.weight(1), 1, ctx.window)
+    report = sol.solve(ctx.eq, 1, ctx.window)
     expected = GridFunction.sample(ctx.window, lambda s: eqn.tau_of_s(ctx.eq, s))
     _ensure((report.solution - expected).is_zero(), "y_1 != tau~(x(s))")
 
 
 def _check_rodrigues_residual(ctx: _Ctx):
-    report = sol.rodrigues_polynomial(ctx.eq, ctx.weight(), ctx.n, ctx.window)
+    report = sol.solve(ctx.eq, ctx.n, ctx.window)
     _ensure(report.is_exact_solution(),
             f"polynomial residual max {report.residual_max_abs()}")
     lowered = iterated_delta(ctx.lat, 0, ctx.n + 1,
@@ -344,8 +346,7 @@ def _check_rodrigues_residual(ctx: _Ctx):
 
 
 def _check_second_kind_residual(ctx: _Ctx):
-    report = sol.second_solution(ctx.eq, ctx.weight(), ctx.n, ctx.window,
-                                 N=ctx.spec.sum_base)
+    report = sol.solve(ctx.eq, ctx.n, ctx.window, "second", N=ctx.spec.sum_base)
     _ensure(report.is_exact_solution(),
             f"second-kind residual max {report.residual_max_abs()}")
     lowered = iterated_delta(ctx.lat, 0, ctx.n + 1, report.solution)
@@ -354,9 +355,8 @@ def _check_second_kind_residual(ctx: _Ctx):
 
 
 def _check_solution_linearity(ctx: _Ctx):
-    weight = ctx.weight()
-    poly = sol.rodrigues_polynomial(ctx.eq, weight, ctx.n, ctx.window)
-    second = sol.second_solution(ctx.eq, weight, ctx.n, ctx.window)
+    poly = sol.solve(ctx.eq, ctx.n, ctx.window)
+    second = sol.solve(ctx.eq, ctx.n, ctx.window, "second")
     mix = 3 * poly.solution + Fraction(-5, 2) * second.solution
     eq_n = ctx.eq.with_lambda(poly.lam_n)
     # one interior point is lost per side when re-applying L to the mix
@@ -368,7 +368,7 @@ def _check_rodrigues_paths(ctx: _Ctx):
     eq, lat, n = ctx.eq, ctx.lat, max(ctx.n, 1)
     weight = ctx.weight(n)
     window = Window(ctx.window.start, 6)
-    report = sol.rodrigues_polynomial(eq, weight, n, window)
+    report = sol.solve(eq, n, window)
     # backward route: rho_n(s) differenced n times at level n, then /rho
     rho_n = GridFunction.sample(
         window.expand(n, 0), lambda s: eqn.rho_k(eq, weight, n, s))
@@ -378,22 +378,21 @@ def _check_rodrigues_paths(ctx: _Ctx):
 
 
 def _check_scale_invariance(ctx: _Ctx):
+    # the shorter window normalizes rho at start + 1: a rescaling by
+    # 1/rho(start + 1) of the weight the full window uses
     eq, n = ctx.eq, ctx.n
-    weight = ctx.weight()
-    scaled = eqn.PearsonWeight(Fraction(7, 3) * weight.rho, weight.anchor)
-    a = sol.rodrigues_polynomial(eq, weight, n, ctx.window)
-    b = sol.rodrigues_polynomial(eq, scaled, n, ctx.window)
-    _ensure((a.solution - b.solution).is_zero(),
+    shorter = Window(ctx.window.start + 1, ctx.window.length - 1)
+    a = sol.solve(eq, n, ctx.window)
+    b = sol.solve(eq, n, shorter)
+    _ensure((a.solution.restrict(shorter) - b.solution).is_zero(),
             "rescaling rho changed the polynomial solution")
 
 
 def _check_sum_base_shift(ctx: _Ctx):
     eq, n = ctx.eq, ctx.n
-    weight = ctx.weight()
-    poly = sol.rodrigues_polynomial(eq, weight, n, ctx.window)
-    a = sol.second_solution(eq, weight, n, ctx.window)
-    b = sol.second_solution(eq, weight, n, ctx.window,
-                            N=ctx.window.start + 1)
+    poly = sol.solve(eq, n, ctx.window)
+    a = sol.solve(eq, n, ctx.window, "second")
+    b = sol.solve(eq, n, ctx.window, "second", N=ctx.window.start + 1)
     diff = a.solution - b.solution
     ratios = {diff.value_at(s) / poly.solution.value_at(s)
               for s in diff.points() if poly.solution.value_at(s) != 0}
@@ -406,7 +405,7 @@ def _check_generalized_residual(ctx: _Ctx):
     P = ctx.spec.poly_p
     if P is None or len(P) != n + 1:
         P = tuple(Fraction(j + 1, 2) for j in range(n + 1))
-    report = sol.generalized_solution(ctx.eq, ctx.weight(n), n, ctx.window, P)
+    report = sol.solve(ctx.eq, n, ctx.window, "generalized", P=P)
     _ensure(report.is_exact_solution(),
             f"generalized residual max {report.residual_max_abs()}")
 
@@ -414,7 +413,7 @@ def _check_generalized_residual(ctx: _Ctx):
 def _check_oracle_agreement(ctx: _Ctx):
     n = min(ctx.n, 4)
     eq = ctx.eq
-    report = sol.rodrigues_polynomial(eq, ctx.weight(n), n, ctx.window)
+    report = sol.solve(eq, n, ctx.window)
     mine = sol.polynomial_coefficients(ctx.lat, report.solution, n)
     oracle = sol.brute_force_polynomial_oracle(eq, n)
     scale = next((a / b for a, b in zip(mine, oracle) if b != 0), None)

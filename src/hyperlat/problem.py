@@ -14,9 +14,10 @@ A problem is a flat list of ``key = value`` lines (``#`` starts a comment):
 A ``qquadratic`` lattice takes ``p, c1, c2, c3`` in place of ``ct1, ct2, ct3``;
 ``_FAMILIES`` lists each family's keys.  Optional keys: ``lambda`` (defaults
 to lambda_n), ``sum_base``, ``P`` (the n+1 coefficients of the generalized
-construction), ``allow_degenerate``.  ``n`` is at most ``MAX_N`` = 16, a
-constant of the format.  All numbers are exact rationals; no floating
-literals exist in the format, and any other key is an ``unknown key`` error.
+construction), ``allow_degenerate`` (kept on the lattice).  ``n`` is at most
+``MAX_N`` = 16, a constant of the format.  All numbers are exact rationals;
+no floating literals exist in the format, and any other key is an
+``unknown key`` error.
 
 The parser is total: any byte string produces either a ProblemSpec or a list
 of diagnostics with 1-based line/column positions, never an exception from
@@ -71,7 +72,6 @@ class ProblemSpec:
     lam: Rational | None = None
     sum_base: HalfInt | None = None
     poly_p: tuple | None = None
-    allow_degenerate: bool = False
 
     def equation(self) -> HyperEquation:
         """Build the equation, with lambda defaulted to lambda_n when the
@@ -390,7 +390,6 @@ def parse_problem_with_diagnostics(text: str):
         lam=values.get("lambda"),
         sum_base=values.get("sum_base"),
         poly_p=values.get("P"),
-        allow_degenerate=allow_degenerate,
     )
     return spec, []
 
@@ -432,6 +431,6 @@ def render_problem(spec: ProblemSpec) -> str:
         out.append(f"sum_base = {spec.sum_base}")
     if spec.poly_p is not None:
         out.append("P = " + ", ".join(format_rational(c) for c in spec.poly_p))
-    if spec.allow_degenerate:
+    if lat.allow_degenerate:
         out.append("allow_degenerate = true")
     return "\n".join(out) + "\n"

@@ -1,10 +1,13 @@
 """Solution generators for the lattice hypergeometric equation at lambda_n.
 
-All three kinds come from one Rodrigues route,
+``solve`` is the one entry point.  It builds the Pearson weight rho itself,
+on exactly the points it reads, and runs all three kinds through one
+Rodrigues route,
 
     y = (1/rho) delta_{-n}^{(n)} [ Y_n C ],     Y_n(s) = rho(s) prod_{j<n} sigma(s-j),
 
-verified by attaching the exact residual of the operator L:
+verified by attaching the exact residual of the operator L.  rho is fixed by
+the Pearson equation up to a constant, which cancels in y.  The kinds are:
 
 * the polynomial eigenfunction (the difference Rodrigues formula): C = 1;
 
@@ -86,16 +89,10 @@ class SolutionReport:
 
 
 def weight_window_for(n: int, window: Window) -> Window:
-    """The rho window built for a solution on ``window``.
-
-    ``solve()`` itself reads one extra point on the left and n + 1 on the
-    right: one per side for the residual stencil, n more for the n-fold
-    difference.  The second point on each side is for ``verify``: on the
-    shortest window (n + 5 points) its ``adjoint-product`` check reads 7
-    points of the n = 0 weight from ``window.start`` on, one more than
-    ``expand(1, n + 1)`` would hold.  Every extra point costs a Pearson step
-    and a larger weight value, so it allocates no more than that."""
-    return window.expand(2, n + 2)
+    """The rho window ``solve()`` builds for a solution on ``window``: exactly
+    the points it reads, one extra on the left and n + 1 on the right (one
+    per side for the residual stencil, n more for the n-fold difference)."""
+    return window.expand(1, n + 1)
 
 
 def Y_n(eq: HyperEquation, weight: PearsonWeight, n: int, window: Window) -> GridFunction:
@@ -106,21 +103,46 @@ def Y_n(eq: HyperEquation, weight: PearsonWeight, n: int, window: Window) -> Gri
     return GridFunction.sample(window, lambda s: rho_k(eq, weight, n, s - n))
 
 
-def _rodrigues(eq: HyperEquation, weight: PearsonWeight, n: int, window: Window,
-               kind: str, residual_lam: Scalar | None, numerator=None,
-               N: HalfInt | None = None, poly: tuple | None = None) -> SolutionReport:
-    """y = (1/rho) delta_{-n}^{(n)} [ Y_n C ], with its residual attached.
+def solve(eq: HyperEquation, n: int, window: Window, kind: str = "polynomial",
+          N: HalfInt | None = None, P=None,
+          residual_lam: Scalar | None = None) -> SolutionReport:
+    """y = (1/rho) delta_{-n}^{(n)} [ Y_n C ] on ``window``, with its residual.
 
-    Without a ``numerator`` C is 1 (the polynomial kind).  With one, C is the
-    discrete integral from N of numerator(t) / (Y_n(t) sigma(t-n)), taken
-    against nabla x_{-n}; its denominator reuses the Y_n samples.
+    ``kind`` is polynomial, second or generalized (see the module docstring);
+    it and ``P`` (n+1 coefficients, low order first) are checked before any
+    arithmetic.  The integral in C starts at N, by default the first point
+    read; moving N moves the second kind by a multiple of the polynomial
+    solution only.  rho is built on ``weight_window_for(n, window)``,
+    normalized to 1 at ``window.start``.  The eigenvalue is pinned to
+    lambda_n; ``residual_lam`` lets a caller verify the construction against
+    a different spectral parameter (the residual is then nonzero unless the
+    two agree).
     """
+    if kind == "polynomial":
+        label, numerator, N, P = kind, None, None, None
+    elif kind == "second":
+        label, P = "second_kind", None
+
+        def numerator(t: HalfInt) -> Scalar:
+            return Fraction(1)
+    elif kind == "generalized":
+        if P is None:
+            raise ValueError("generalized solutions need the coefficient list P")
+        label, P = kind, tuple(P)
+        if len(P) != n + 1:
+            raise ValueError(f"P needs exactly {n + 1} coefficients, got {len(P)}")
+
+        def numerator(t: HalfInt) -> Scalar:
+            x = eq.lattice.x_at(t.twice - (n + 1))
+            acc = Fraction(0)
+            for c in reversed(P):
+                acc = acc * x + c
+            return acc
+    else:
+        raise ValueError(f"unknown solution kind {kind!r}")
+    y_window = weight_window_for(n, window)
+    weight = pearson_weight(eq, y_window, window.start)
     lam = lambda_n(eq, n)
-    enlarged = window.expand(1, 1)
-    y_window = enlarged.expand(0, n)
-    if not weight.window.covers(y_window):
-        what = "rodrigues_polynomial" if kind == "polynomial" else kind
-        raise WindowTooSmall(f"{what}(n={n}) needs the weight on {y_window}, got {weight.window}")
     product = Y_n(eq, weight, n, y_window)
     if numerator is not None:
         if N is None:
@@ -136,81 +158,14 @@ def _rodrigues(eq: HyperEquation, weight: PearsonWeight, n: int, window: Window,
 
         g = GridFunction(y_window.start, tuple(integrand(t, v) for t, v in product.items()))
         product = product * cumulative_nabla_sum(eq.lattice, -n, g, N)
-    y = iterated_delta(eq.lattice, -n, n, product) / weight.rho.restrict(enlarged)
+    y = iterated_delta(eq.lattice, -n, n, product) / weight.rho.restrict(window.expand(1, 1))
     res_lam = lam if residual_lam is None else residual_lam
     residual = apply_L(eq.with_lambda(res_lam), y)
     return SolutionReport(
-        kind=kind, n=n, lam_n=lam,
+        kind=label, n=n, lam_n=lam,
         solution=y.restrict(window), residual=residual,
         residual_lam=res_lam, inadmissible_m=admissibility_violation(eq, n),
-        sum_base=N, poly=poly)
-
-
-def rodrigues_polynomial(eq: HyperEquation, weight: PearsonWeight, n: int,
-                         window: Window, residual_lam: Scalar | None = None) -> SolutionReport:
-    """The degree-n polynomial eigenfunction via the n-fold forward
-    difference of Y_n, divided by rho.
-
-    The eigenvalue is pinned to lambda_n internally; ``residual_lam`` lets a
-    caller verify the construction against a different spectral parameter
-    (the residual is then nonzero unless the two agree).
-    """
-    return _rodrigues(eq, weight, n, window, "polynomial", residual_lam)
-
-
-def second_solution(eq: HyperEquation, weight: PearsonWeight, n: int, window: Window,
-                    N: HalfInt | None = None,
-                    residual_lam: Scalar | None = None) -> SolutionReport:
-    """The linearly independent companion of the degree-n eigenfunction:
-
-        (1/rho) delta_{-n}^{(n)} [ Y_n(s) int_N^s (Y_n(t) sigma(t-n))^{-1} d_nabla x_{-n}(t) ]
-
-    Changing N perturbs the result by a multiple of the polynomial solution
-    only.  The result fails the degree-n test, which is its independence
-    certificate.
-    """
-    return _rodrigues(eq, weight, n, window, "second_kind", residual_lam,
-                      lambda t: Fraction(1), N)
-
-
-def generalized_solution(eq: HyperEquation, weight: PearsonWeight, n: int, window: Window,
-                         P, N: HalfInt | None = None,
-                         residual_lam: Scalar | None = None) -> SolutionReport:
-    """The P-dependent term of the extended Rodrigues family: the integrand
-    numerator is P evaluated at x_{-(n+1)}(t), where P has degree n
-    (n+1 coefficients, low order first)."""
-    coeffs = tuple(P)
-    if len(coeffs) != n + 1:
-        raise ValueError(f"P needs exactly {n + 1} coefficients, got {len(coeffs)}")
-    lat = eq.lattice
-
-    def numerator(t: HalfInt) -> Scalar:
-        x = lat.x_at(t.twice - (n + 1))
-        acc = Fraction(0)
-        for c in reversed(coeffs):
-            acc = acc * x + c
-        return acc
-
-    return _rodrigues(eq, weight, n, window, "generalized", residual_lam,
-                      numerator, N, coeffs)
-
-
-def solve(eq: HyperEquation, n: int, window: Window, kind: str = "polynomial",
-          N: HalfInt | None = None, P=None,
-          residual_lam: Scalar | None = None) -> SolutionReport:
-    """Convenience wrapper: build the Pearson weight on the derived window
-    (``weight_window_for``), normalized to 1 at ``window.start``, and
-    dispatch on ``kind`` (polynomial, second or generalized)."""
-    weight = pearson_weight(eq, weight_window_for(n, window), window.start)
-    if kind == "polynomial":
-        return rodrigues_polynomial(eq, weight, n, window, residual_lam)
-    if kind == "second":
-        return second_solution(eq, weight, n, window, N, residual_lam)
-    if kind == "generalized":
-        if P is None:
-            raise ValueError("generalized solutions need the coefficient list P")
-        return generalized_solution(eq, weight, n, window, P, N, residual_lam)
-    raise ValueError(f"unknown solution kind {kind!r}")
+        sum_base=N, poly=P)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ from hyperlat import (
     cumulative_nabla_sum,
     delta_k,
     dual_coefficients,
-    generalized_solution,
     hat_mu_n,
     iterated_delta,
     lambda_n,
@@ -40,12 +39,10 @@ from hyperlat import (
     pearson_weight,
     polynomial_coefficients,
     render_problem,
-    rodrigues_polynomial,
-    second_solution,
     sigma_of_s,
+    solve,
     tau_k,
     tau_star,
-    weight_window_for,
 )
 from tests.conftest import qq_a, qq_b, quad_a, quad_b
 from tests.test_problem import DIAGNOSTIC_CORPUS
@@ -65,18 +62,13 @@ def criterion(number: int, label: str):
     print(f"PASS criterion {number}: {label}")
 
 
-def weight_for(eq, n):
-    return pearson_weight(eq, weight_window_for(n, WINDOW), WINDOW.start)
-
-
 def test_criterion_1_rodrigues_residual():
     with criterion(1, "Rodrigues residual exactly zero, n = 0..5, both families"):
         start = time.monotonic()
         for _, config in CONFIGS:
             eq = config()
-            weight = weight_for(eq, 5)
             for n in range(6):
-                report = rodrigues_polynomial(eq, weight, n, WINDOW)
+                report = solve(eq, n, WINDOW)
                 assert report.residual.window.length == 12
                 assert report.is_exact_solution(), (n, report.residual_max_abs())
         elapsed = time.monotonic() - start
@@ -88,9 +80,8 @@ def test_criterion_2_second_kind_residual_and_independence():
         start = time.monotonic()
         for _, config in CONFIGS:
             eq = config()
-            weight = weight_for(eq, 3)
             for n in range(4):
-                report = second_solution(eq, weight, n, WINDOW)
+                report = solve(eq, n, WINDOW, "second")
                 assert report.is_exact_solution(), (n, report.residual_max_abs())
                 lowered = iterated_delta(eq.lattice, 0, n + 1, report.solution)
                 assert not lowered.is_zero(), f"n={n} not independent"
@@ -104,12 +95,11 @@ def test_criterion_3_generalized_rodrigues():
         rng = random.Random(314159)
         for _, config in CONFIGS:
             eq = config()
-            weight = weight_for(eq, 3)
             for n in (1, 2, 3):
                 for _ in range(3):
                     P = tuple(F(rng.randint(-9, 9), rng.randint(1, 6))
                               for _ in range(n + 1))
-                    report = generalized_solution(eq, weight, n, WINDOW, P=P)
+                    report = solve(eq, n, WINDOW, "generalized", P=P)
                     assert report.is_exact_solution(), (n, P)
         elapsed = time.monotonic() - start
         assert elapsed <= 5.0, f"took {elapsed:.2f}s"
@@ -119,9 +109,8 @@ def test_criterion_4_oracle_equivalence():
     with criterion(4, "oracle agrees with Rodrigues up to scale, n <= 4"):
         for _, config in CONFIGS:
             eq = config()
-            weight = weight_for(eq, 4)
             for n in range(5):
-                report = rodrigues_polynomial(eq, weight, n, WINDOW)
+                report = solve(eq, n, WINDOW)
                 mine = polynomial_coefficients(eq.lattice, report.solution, n)
                 oracle = brute_force_polynomial_oracle(eq, n)
                 scale = next(a / b for a, b in zip(mine, oracle) if b != 0)
@@ -156,8 +145,8 @@ def test_criterion_6_adjoint_suite():
         for _, config in CONFIGS:
             eq = config().with_lambda(F(rng.randint(-5, 5), rng.randint(1, 4)))
             lat = eq.lattice
-            weight = weight_for(eq, 0)
             window = Window(HalfInt.from_int(4), 8)
+            weight = pearson_weight(eq, window, window.start)
             for _ in range(20):
                 y = GridFunction(window.start, tuple(
                     F(rng.randint(-9, 9), rng.randint(1, 7))
@@ -256,7 +245,6 @@ def _random_spec(rng: random.Random) -> ProblemSpec:
         lam=rational() if rng.random() < 0.5 else None,
         sum_base=(start + rng.randint(-2, 4)) if rng.random() < 0.4 else None,
         poly_p=tuple(rational() for _ in range(n + 1)) if rng.random() < 0.4 else None,
-        allow_degenerate=False,
     )
 
 

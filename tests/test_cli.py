@@ -96,6 +96,18 @@ window = 12..51
 P = 1, -1/2, 3
 """
 
+# sigma vanishes at s = 19 only; solve reads rho up to end + n + 1 = 18
+SIGMA_ZERO_BEYOND_SOLVE_SPEC = """\
+lattice = quadratic
+ct1 = 1
+ct2 = 1
+ct3 = 0
+sigma = -501327/14, 1, 1/7
+tau = 1, -2
+n = 2
+window = 4..15
+"""
+
 
 def run_cli(*args):
     return subprocess.run(
@@ -215,6 +227,18 @@ def test_solve_prints_values_beyond_the_int_str_digit_limit(tmp_path, kind):
                                  "--format", "json").stdout)
     assert payload["values"] == [value for _s, value, _r in rows]
     assert payload["residual_max_abs"] == "0"
+
+
+@pytest.mark.parametrize("kind", ["polynomial", "second"])
+def test_solve_ignores_sigma_zeros_it_never_reads(tmp_path, kind):
+    path = tmp_path / "sigma-zero.spec"
+    path.write_text(SIGMA_ZERO_BEYOND_SOLVE_SPEC)
+    result = run_cli("solve", "--spec", str(path), "--kind", kind)
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == ""
+    rows = [line.split(",") for line in result.stdout.splitlines()[1:]]
+    assert len(rows) == 12
+    assert all(residual == "0" for _s, _value, residual in rows)
 
 
 def test_parse_error_exits_two(tmp_path):

@@ -205,11 +205,11 @@ def test_apply_L_matches_three_point_stencil(equation):
 
 def test_self_adjoint_form_residual(equation, window):
     # for a solution y, delta_{-1}[sigma rho nabla_0 y] + lambda rho y = 0
-    from hyperlat import nabla_k, rodrigues_polynomial, weight_window_for
+    from hyperlat import nabla_k, solve
 
     n = 2
-    weight = pearson_weight(equation, weight_window_for(n, window), window.start)
-    report = rodrigues_polynomial(equation, weight, n, window)
+    weight = pearson_weight(equation, window, window.start)
+    report = solve(equation, n, window)
     eq = equation.with_lambda(report.lam_n)
     y = report.solution
     inner = nabla_k(eq.lattice, 0, y)

@@ -38,7 +38,7 @@ def test_minimal_quadratic_spec():
     assert spec.n == 2
     assert spec.window == Window(HalfInt.from_int(-4), 13)
     assert spec.lam is None and spec.sum_base is None and spec.poly_p is None
-    assert spec.allow_degenerate is False
+    assert spec.lattice.allow_degenerate is False
 
 
 def test_qquadratic_spec_with_options():
@@ -161,7 +161,7 @@ def test_degenerate_lattice_needs_flag():
     diagnostics = _diagnostics(text)
     assert any("allow_degenerate" in d.message for d in diagnostics)
     spec = parse_problem(text + "allow_degenerate = true\n")
-    assert spec.allow_degenerate and not spec.lattice.is_nonuniform
+    assert spec.lattice.allow_degenerate and not spec.lattice.is_nonuniform
 
 
 def test_sum_base_parity_checked():
@@ -221,13 +221,22 @@ def problem_specs(draw):
         lam=draw(st.one_of(st.none(), small_rationals)),
         sum_base=sum_base,
         poly_p=poly,
-        allow_degenerate=False,
     )
 
 
 @settings(max_examples=120)
 @given(problem_specs())
 def test_render_parse_round_trip(spec):
+    assert parse_problem(render_problem(spec)) == spec
+
+
+def test_render_parse_round_trip_degenerate_lattice():
+    # the flag lives on the lattice alone, so a spec cannot disagree with it
+    spec = ProblemSpec(
+        lattice=QuadraticLattice(F(1), F(0), F(0), allow_degenerate=True),
+        sigma_t=(F(0), F(0), F(1)), tau_t=(F(1), F(2)), n=2,
+        window=Window(HalfInt.from_int(-4), 13))
+    assert "allow_degenerate = true" in render_problem(spec)
     assert parse_problem(render_problem(spec)) == spec
 
 

@@ -10,7 +10,10 @@ example instead):
 * L*[rho y] = rho L[y] for the Pearson weight rho;
 * the second-kind and generalized solutions of ``solve()`` equal a
   reference built here from the definition, with the integrand denominator
-  rho(t) prod_{j=0..n} sigma(t-j) multiplied out by its own loop.
+  rho(t) prod_{j=0..n} sigma(t-j) multiplied out by its own loop;
+* ``solve()`` on a window minus its first point equals ``solve()`` on the
+  whole window, restricted: exactly for the polynomial kind, and times
+  rho(start + 1) for the integral kinds, which are linear in 1/rho.
 
 Over whole problem specs, drawn like ``_random_spec`` in
 ``test_acceptance``, every CLI command ends in an exit code 0-3 with no
@@ -142,6 +145,25 @@ def test_integral_kinds_match_the_definition(problem, data):
         except HyperlatError:
             continue
         assert report.solution.values == reference_solution(eq, n, window, numerator)
+
+
+@settings(max_examples=40, deadline=None, phases=NO_SHRINK)
+@given(problems(), st.data())
+def test_solve_on_a_shorter_window_moves_only_the_weight_scale(problem, data):
+    # the shorter window normalizes rho at start + 1, not at start
+    eq, n, window = problem
+    P = tuple(data.draw(small) for _ in range(n + 1))
+    N = window.start + 1
+    shorter = Window(N, window.length - 1)
+    for kind in ("polynomial", "second", "generalized"):
+        try:
+            whole = solve(eq, n, window, kind, N=N, P=P).solution
+        except HyperlatError:
+            continue
+        scale = 1
+        if kind != "polynomial":
+            scale = pearson_weight(eq, Window(window.start, 2), window.start).value_at(N)
+        assert solve(eq, n, shorter, kind, N=N, P=P).solution == scale * whole.restrict(shorter)
 
 
 spec_rational = st.builds(F, st.integers(-12, 12), st.integers(1, 8))

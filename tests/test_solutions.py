@@ -10,20 +10,16 @@ from hyperlat import (
     PearsonWeight,
     SingularSummand,
     Window,
-    WindowTooSmall,
     Y_n,
     apply_L,
     apply_L_star,
     gamma_ell_eta,
-    generalized_solution,
     iterated_delta,
     iterated_nabla,
     lambda_n,
     nabla_k,
     pearson_weight,
     rho_k,
-    rodrigues_polynomial,
-    second_solution,
     sigma_of_s,
     sigma_star,
     solve,
@@ -60,22 +56,22 @@ def test_Y_n_satisfies_first_order_equation(equation, weight):
             assert sigma_of_s(equation, s - n) * grad.value_at(s) == rhs * product.value_at(s - 1)
 
 
-def test_rodrigues_order_zero_is_one(equation, weight, window):
-    report = rodrigues_polynomial(equation, weight, 0, window)
+def test_rodrigues_order_zero_is_one(equation, window):
+    report = solve(equation, 0, window)
     assert report.solution.values == (F(1),) * window.length
     assert report.residual.is_zero()
     assert report.lam_n == 0
 
 
-def test_rodrigues_order_one_is_tau(equation, weight, window):
-    report = rodrigues_polynomial(equation, weight, 1, window)
+def test_rodrigues_order_one_is_tau(equation, window):
+    report = solve(equation, 1, window)
     for s in window.points():
         assert report.solution.value_at(s) == tau_of_s(equation, s)
 
 
-def test_rodrigues_residual_and_degree(equation, weight, window):
+def test_rodrigues_residual_and_degree(equation, window):
     for n in range(6):
-        report = rodrigues_polynomial(equation, weight, n, window)
+        report = solve(equation, n, window)
         assert report.kind == "polynomial"
         assert report.residual.window == window
         assert report.is_exact_solution()
@@ -89,7 +85,7 @@ def test_rodrigues_two_paths_agree(equation, weight):
     lat = equation.lattice
     window = Window(S(5), 7)
     for n in (1, 2, 3):
-        via_delta = rodrigues_polynomial(equation, weight, n, window).solution
+        via_delta = solve(equation, n, window).solution
         rho_n = GridFunction.sample(window.expand(n, 0),
                                     lambda s, n=n: rho_k(equation, weight, n, s))
         via_nabla = iterated_nabla(lat, n, n, rho_n) / weight.rho.restrict(window)
@@ -97,32 +93,21 @@ def test_rodrigues_two_paths_agree(equation, weight):
 
 
 def test_rodrigues_scale_invariance(equation, weight, window):
-    scaled = PearsonWeight(F(-7, 2) * weight.rho, weight.anchor)
-    a = rodrigues_polynomial(equation, weight, 3, window)
-    b = rodrigues_polynomial(equation, scaled, 3, window)
-    assert a.solution == b.solution
-    # but Y_n itself rescales
+    # Y_n rescales with the weight (the scale cancels only in y)
+    scaled = PearsonWeight(F(-7, 2) * weight.rho)
     assert (Y_n(equation, scaled, 2, window)
             - F(-7, 2) * Y_n(equation, weight, 2, window)).is_zero()
 
 
-def test_rodrigues_window_too_small_names_requirement(equation, window):
-    small = pearson_weight(equation, window, window.start)
-    with pytest.raises(WindowTooSmall) as err:
-        rodrigues_polynomial(equation, small, 3, window)
-    assert "needs the weight on" in str(err.value)
-
-
-def test_wrong_lambda_residual_is_nonzero(equation, weight, window):
-    report = rodrigues_polynomial(equation, weight, 2, window,
-                                  residual_lam=F(999))
+def test_wrong_lambda_residual_is_nonzero(equation, window):
+    report = solve(equation, 2, window, residual_lam=F(999))
     assert not report.is_exact_solution()
     assert report.residual_lam == F(999)
 
 
-def test_second_solution_residual_and_independence(equation, weight, window):
+def test_second_solution_residual_and_independence(equation, window):
     for n in range(4):
-        report = second_solution(equation, weight, n, window)
+        report = solve(equation, n, window, "second")
         assert report.kind == "second_kind"
         assert report.is_exact_solution()
         assert not iterated_delta(equation.lattice, 0, n + 1, report.solution).is_zero()
@@ -137,7 +122,7 @@ def test_second_solution_first_order_constancy(equation, weight):
     win = Window(S(5), 8)
     u1 = Y_n(equation, weight, n, win)
     factor = GridFunction.sample(win, lambda s: F(0))
-    # rebuild the integral factor exactly as second_solution does
+    # rebuild the integral factor from its definition
     from hyperlat import cumulative_nabla_sum
 
     def summand(t):
@@ -160,28 +145,28 @@ def test_second_solution_first_order_constancy(equation, weight):
     assert len(constants) == 1
 
 
-def test_second_solution_base_shift_is_polynomial_multiple(equation, weight, window):
+def test_second_solution_base_shift_is_polynomial_multiple(equation, window):
     n = 2
-    poly = rodrigues_polynomial(equation, weight, n, window).solution
-    a = second_solution(equation, weight, n, window).solution
-    b = second_solution(equation, weight, n, window, N=window.start + 2).solution
+    poly = solve(equation, n, window).solution
+    a = solve(equation, n, window, "second").solution
+    b = solve(equation, n, window, "second", N=window.start + 2).solution
     ratios = {(a.value_at(s) - b.value_at(s)) / poly.value_at(s)
               for s in window.points() if poly.value_at(s) != 0}
     assert len(ratios) == 1
 
 
-def test_solution_combination_still_solves(equation, weight, window):
+def test_solution_combination_still_solves(equation, window):
     n = 3
-    poly = rodrigues_polynomial(equation, weight, n, window)
-    second = second_solution(equation, weight, n, window)
+    poly = solve(equation, n, window)
+    second = solve(equation, n, window, "second")
     eq_n = equation.with_lambda(poly.lam_n)
     mix = F(2) * poly.solution + F(-5, 3) * second.solution
     assert apply_L(eq_n, mix).is_zero()
 
 
-def test_second_sum_base_out_of_window(equation, weight, window):
+def test_second_sum_base_out_of_window(equation, window):
     with pytest.raises(OutOfWindow):
-        second_solution(equation, weight, 1, window, N=window.start - 10)
+        solve(equation, 1, window, "second", N=window.start - 10)
 
 
 def test_singular_summand_named():
@@ -194,38 +179,36 @@ def test_singular_summand_named():
     eq = HyperEquation(lat, (Fraction(-2), Fraction(1), Fraction(0)),
                        (Fraction(0), Fraction(0)))
     window = Window(S(4), 6)
-    weight = pearson_weight(eq, weight_window_for(2, window), window.start)
     with pytest.raises(SingularSummand) as err:
-        second_solution(eq, weight, 2, window)
+        solve(eq, 2, window, "second")
     assert err.value.point == S(3)
 
 
-def test_generalized_zero_polynomial(equation, weight, window):
-    report = generalized_solution(equation, weight, 2, window,
-                                  P=(F(0), F(0), F(0)))
+def test_generalized_zero_polynomial(equation, window):
+    report = solve(equation, 2, window, "generalized", P=(F(0), F(0), F(0)))
     assert report.solution.is_zero()
     assert report.residual.is_zero()
 
 
-def test_generalized_constant_matches_second_at_order_zero(equation, weight, window):
-    a = generalized_solution(equation, weight, 0, window, P=(F(1),))
-    b = second_solution(equation, weight, 0, window)
+def test_generalized_constant_matches_second_at_order_zero(equation, window):
+    a = solve(equation, 0, window, "generalized", P=(F(1),))
+    b = solve(equation, 0, window, "second")
     assert a.solution == b.solution
 
 
-def test_generalized_random_polynomials(equation, weight, window):
+def test_generalized_random_polynomials(equation, window):
     rng = random.Random(23)
     for n in (1, 2, 3):
         for _ in range(3):
             P = tuple(F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n + 1))
-            report = generalized_solution(equation, weight, n, window, P=P)
+            report = solve(equation, n, window, "generalized", P=P)
             assert report.is_exact_solution()
             assert report.poly == P
 
 
-def test_generalized_needs_right_coefficient_count(equation, weight, window):
+def test_generalized_needs_right_coefficient_count(equation, window):
     with pytest.raises(ValueError):
-        generalized_solution(equation, weight, 2, window, P=(F(1), F(2)))
+        solve(equation, 2, window, "generalized", P=(F(1), F(2)))
 
 
 def test_gamma_ell_eta_consistency(equation):
