@@ -15,7 +15,7 @@ the reason in the detail field.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import equation as eqn
@@ -61,6 +61,7 @@ class _Ctx:
     spec: ProblemSpec
     eq: eqn.HyperEquation
     rng: random.Random
+    _solved: dict = field(default_factory=dict, repr=False)
 
     @property
     def lat(self):
@@ -73,6 +74,17 @@ class _Ctx:
     @property
     def window(self) -> Window:
         return self.spec.window
+
+    def solve(self, n: int, window: Window, kind: str = "polynomial",
+              **options) -> sol.SolutionReport:
+        """``sol.solve`` on the spec's equation, run once per distinct set of
+        arguments: several checks read the same solution.  An option given
+        as None is the default, so it is left out."""
+        options = {name: v for name, v in options.items() if v is not None}
+        key = (n, window, kind, tuple(sorted(options.items())))
+        if key not in self._solved:
+            self._solved[key] = sol.solve(self.eq, n, window, kind, **options)
+        return self._solved[key]
 
     def weight(self, n: int | None = None) -> eqn.PearsonWeight:
         # One point per side more than solve() reads: on the shortest window
@@ -331,13 +343,13 @@ def _check_hat_tau_constancy(ctx: _Ctx):
 
 
 def _check_y1_matches_tau(ctx: _Ctx):
-    report = sol.solve(ctx.eq, 1, ctx.window)
+    report = ctx.solve(1, ctx.window)
     expected = GridFunction.sample(ctx.window, lambda s: eqn.tau_of_s(ctx.eq, s))
     _ensure((report.solution - expected).is_zero(), "y_1 != tau~(x(s))")
 
 
 def _check_rodrigues_residual(ctx: _Ctx):
-    report = sol.solve(ctx.eq, ctx.n, ctx.window)
+    report = ctx.solve(ctx.n, ctx.window)
     _ensure(report.is_exact_solution(),
             f"polynomial residual max {report.residual_max_abs()}")
     lowered = iterated_delta(ctx.lat, 0, ctx.n + 1,
@@ -346,7 +358,7 @@ def _check_rodrigues_residual(ctx: _Ctx):
 
 
 def _check_second_kind_residual(ctx: _Ctx):
-    report = sol.solve(ctx.eq, ctx.n, ctx.window, "second", N=ctx.spec.sum_base)
+    report = ctx.solve(ctx.n, ctx.window, "second", N=ctx.spec.sum_base)
     _ensure(report.is_exact_solution(),
             f"second-kind residual max {report.residual_max_abs()}")
     lowered = iterated_delta(ctx.lat, 0, ctx.n + 1, report.solution)
@@ -355,8 +367,8 @@ def _check_second_kind_residual(ctx: _Ctx):
 
 
 def _check_solution_linearity(ctx: _Ctx):
-    poly = sol.solve(ctx.eq, ctx.n, ctx.window)
-    second = sol.solve(ctx.eq, ctx.n, ctx.window, "second")
+    poly = ctx.solve(ctx.n, ctx.window)
+    second = ctx.solve(ctx.n, ctx.window, "second")
     mix = 3 * poly.solution + Fraction(-5, 2) * second.solution
     eq_n = ctx.eq.with_lambda(poly.lam_n)
     # one interior point is lost per side when re-applying L to the mix
@@ -368,7 +380,7 @@ def _check_rodrigues_paths(ctx: _Ctx):
     eq, lat, n = ctx.eq, ctx.lat, max(ctx.n, 1)
     weight = ctx.weight(n)
     window = Window(ctx.window.start, 6)
-    report = sol.solve(eq, n, window)
+    report = ctx.solve(n, window)
     # backward route: rho_n(s) differenced n times at level n, then /rho
     rho_n = GridFunction.sample(
         window.expand(n, 0), lambda s: eqn.rho_k(eq, weight, n, s))
@@ -380,19 +392,19 @@ def _check_rodrigues_paths(ctx: _Ctx):
 def _check_scale_invariance(ctx: _Ctx):
     # the shorter window normalizes rho at start + 1: a rescaling by
     # 1/rho(start + 1) of the weight the full window uses
-    eq, n = ctx.eq, ctx.n
+    n = ctx.n
     shorter = Window(ctx.window.start + 1, ctx.window.length - 1)
-    a = sol.solve(eq, n, ctx.window)
-    b = sol.solve(eq, n, shorter)
+    a = ctx.solve(n, ctx.window)
+    b = ctx.solve(n, shorter)
     _ensure((a.solution.restrict(shorter) - b.solution).is_zero(),
             "rescaling rho changed the polynomial solution")
 
 
 def _check_sum_base_shift(ctx: _Ctx):
-    eq, n = ctx.eq, ctx.n
-    poly = sol.solve(eq, n, ctx.window)
-    a = sol.solve(eq, n, ctx.window, "second")
-    b = sol.solve(eq, n, ctx.window, "second", N=ctx.window.start + 1)
+    n = ctx.n
+    poly = ctx.solve(n, ctx.window)
+    a = ctx.solve(n, ctx.window, "second")
+    b = ctx.solve(n, ctx.window, "second", N=ctx.window.start + 1)
     diff = a.solution - b.solution
     ratios = {diff.value_at(s) / poly.solution.value_at(s)
               for s in diff.points() if poly.solution.value_at(s) != 0}
@@ -405,7 +417,7 @@ def _check_generalized_residual(ctx: _Ctx):
     P = ctx.spec.poly_p
     if P is None or len(P) != n + 1:
         P = tuple(Fraction(j + 1, 2) for j in range(n + 1))
-    report = sol.solve(ctx.eq, n, ctx.window, "generalized", P=P)
+    report = ctx.solve(n, ctx.window, "generalized", P=P)
     _ensure(report.is_exact_solution(),
             f"generalized residual max {report.residual_max_abs()}")
 
@@ -413,7 +425,7 @@ def _check_generalized_residual(ctx: _Ctx):
 def _check_oracle_agreement(ctx: _Ctx):
     n = min(ctx.n, 4)
     eq = ctx.eq
-    report = sol.solve(eq, n, ctx.window)
+    report = ctx.solve(n, ctx.window)
     mine = sol.polynomial_coefficients(ctx.lat, report.solution, n)
     oracle = sol.brute_force_polynomial_oracle(eq, n)
     scale = next((a / b for a, b in zip(mine, oracle) if b != 0), None)

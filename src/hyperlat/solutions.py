@@ -1,15 +1,20 @@
 """Solution generators for the lattice hypergeometric equation at lambda_n.
 
 ``solve`` is the one entry point.  It builds the Pearson weight rho itself,
-on exactly the points it reads, and runs all three kinds through one
-Rodrigues route,
+on every point the integral kinds read, and runs all three kinds through one
+Rodrigues formula,
 
     y = (1/rho) delta_{-n}^{(n)} [ Y_n C ],     Y_n(s) = rho(s) prod_{j<n} sigma(s-j),
 
-verified by attaching the exact residual of the operator L.  rho is fixed by
-the Pearson equation up to a constant, which cancels in y.  The kinds are:
+verified by attaching the exact residual of the operator L on the whole
+window.  rho is fixed by the Pearson equation up to a constant, which
+cancels in y.  The kinds are:
 
-* the polynomial eigenfunction (the difference Rodrigues formula): C = 1;
+* the polynomial eigenfunction (the difference Rodrigues formula): C = 1.
+  y is a polynomial of degree at most n in x(s), so the formula runs on a
+  stencil of n + 1 points with distinct x(s) and exact Newton interpolation
+  in x(s) gives the other values.  rho still spans the whole window, so a
+  singular point is named as for the other kinds;
 
 * the second-kind companion: C is the discrete integral of
   1/(Y_n(t) sigma(t-n)) against nabla x_{-n}(t);
@@ -19,7 +24,9 @@ the Pearson equation up to a constant, which cancels in y.  The kinds are:
 
 A brute-force oracle recovers the polynomial solution independently, by exact
 null-space extraction from samples of L applied to the monomial basis; it
-shares no code path with the Rodrigues route.
+shares no code path with the Rodrigues route.  ``polynomial_coefficients``
+expands the Newton form of the polynomial kind into the monomial basis, for
+comparison with it.
 """
 
 from __future__ import annotations
@@ -89,9 +96,12 @@ class SolutionReport:
 
 
 def weight_window_for(n: int, window: Window) -> Window:
-    """The rho window ``solve()`` builds for a solution on ``window``: exactly
-    the points it reads, one extra on the left and n + 1 on the right (one
-    per side for the residual stencil, n more for the n-fold difference)."""
+    """The rho window ``solve()`` builds for a solution on ``window``: one
+    extra point on the left and n + 1 on the right (one per side for the
+    residual stencil, n more for the n-fold difference).  The integral kinds
+    read all of it; the polynomial kind reads only its (n + 1)-point stencil
+    and the n points after it, but builds it all, so that a singular point
+    anywhere on it is named for every kind."""
     return window.expand(1, n + 1)
 
 
@@ -113,10 +123,12 @@ def solve(eq: HyperEquation, n: int, window: Window, kind: str = "polynomial",
     arithmetic.  The integral in C starts at N, by default the first point
     read; moving N moves the second kind by a multiple of the polynomial
     solution only.  rho is built on ``weight_window_for(n, window)``,
-    normalized to 1 at ``window.start``.  The eigenvalue is pinned to
-    lambda_n; ``residual_lam`` lets a caller verify the construction against
-    a different spectral parameter (the residual is then nonzero unless the
-    two agree).
+    normalized to 1 at ``window.start``.  The polynomial kind runs the
+    formula on n + 1 points and interpolates in x(s); for every kind the
+    residual covers all of ``window.expand(1, 1)``.  The eigenvalue is
+    pinned to lambda_n; ``residual_lam`` lets a caller verify the
+    construction against a different spectral parameter (the residual is
+    then nonzero unless the two agree).
     """
     if kind == "polynomial":
         label, numerator, N, P = kind, None, None, None
@@ -140,11 +152,14 @@ def solve(eq: HyperEquation, n: int, window: Window, kind: str = "polynomial",
             return acc
     else:
         raise ValueError(f"unknown solution kind {kind!r}")
+    enlarged = window.expand(1, 1)
     y_window = weight_window_for(n, window)
     weight = pearson_weight(eq, y_window, window.start)
     lam = lambda_n(eq, n)
-    product = Y_n(eq, weight, n, y_window)
-    if numerator is not None:
+    if numerator is None:
+        y = _interpolated_rodrigues(eq, weight, n, enlarged)
+    else:
+        product = Y_n(eq, weight, n, y_window)
         if N is None:
             N = y_window.start
         if N not in y_window:
@@ -158,7 +173,7 @@ def solve(eq: HyperEquation, n: int, window: Window, kind: str = "polynomial",
 
         g = GridFunction(y_window.start, tuple(integrand(t, v) for t, v in product.items()))
         product = product * cumulative_nabla_sum(eq.lattice, -n, g, N)
-    y = iterated_delta(eq.lattice, -n, n, product) / weight.rho.restrict(window.expand(1, 1))
+        y = iterated_delta(eq.lattice, -n, n, product) / weight.rho.restrict(enlarged)
     res_lam = lam if residual_lam is None else residual_lam
     residual = apply_L(eq.with_lambda(res_lam), y)
     return SolutionReport(
@@ -166,6 +181,64 @@ def solve(eq: HyperEquation, n: int, window: Window, kind: str = "polynomial",
         solution=y.restrict(window), residual=residual,
         residual_lam=res_lam, inadmissible_m=admissibility_violation(eq, n),
         sum_base=N, poly=P)
+
+
+# ---------------------------------------------------------------------------
+# the polynomial kind: Rodrigues on a stencil, Newton interpolation in x(s)
+
+
+def _stencil(lat: Lattice, window: Window, size: int) -> Window:
+    """The first ``size`` points of the longest run of ``window`` with
+    pairwise distinct x(s), or the whole run if it is shorter.
+
+    On both families x repeats only in mirror pairs about one centre, so
+    that run holds every x value of the window.
+    """
+    best, best_len, lo, last = 0, 0, 0, {}
+    for j, s in enumerate(window.points()):
+        x = lat.x(s)
+        if last.get(x, -1) >= lo:
+            lo = last[x] + 1
+        last[x] = j
+        if j - lo + 1 > best_len:
+            best, best_len = lo, j - lo + 1
+    return Window(window.start + best, min(size, best_len))
+
+
+def _newton(xs: list, ys) -> list:
+    """Newton divided differences y[x_0], y[x_0, x_1], ..., y[x_0..x_m] of
+    samples at pairwise distinct abscissae."""
+    c = list(ys)
+    for j in range(1, len(xs)):
+        for i in range(len(xs) - 1, j - 1, -1):
+            c[i] = (c[i] - c[i - 1]) / (xs[i] - xs[i - j])
+    return c
+
+
+def _newton_value(xs: list, c: list, x: Scalar) -> Scalar:
+    """The Newton form with divided differences c on nodes xs, at x, by
+    nested multiplication."""
+    acc = c[-1]
+    for xi, ci in zip(reversed(xs[:-1]), reversed(c[:-1])):
+        acc = acc * (x - xi) + ci
+    return acc
+
+
+def _interpolated_rodrigues(eq: HyperEquation, weight: PearsonWeight, n: int,
+                            window: Window) -> GridFunction:
+    """(1/rho) delta_{-n}^{(n)} [Y_n] on ``window``: the formula on the
+    (n + 1)-point ``_stencil``, its Newton form in x(s) everywhere."""
+    lat = eq.lattice
+    stencil = _stencil(lat, window, n + 1)
+    ys = (iterated_delta(lat, -n, n, Y_n(eq, weight, n, stencil.expand(0, n)))
+          / weight.rho.restrict(stencil))
+    xs = [lat.x(s) for s in stencil.points()]
+    c = _newton(xs, ys.values)
+
+    def value(s: HalfInt) -> Scalar:
+        return ys.value_at(s) if s in stencil else _newton_value(xs, c, lat.x(s))
+
+    return GridFunction.sample(window, value)
 
 
 # ---------------------------------------------------------------------------
@@ -286,16 +359,20 @@ def brute_force_polynomial_oracle(eq: HyperEquation, n: int) -> list:
 
 
 def polynomial_coefficients(lat: Lattice, f: GridFunction, degree: int) -> list:
-    """Monomial coefficients in x(s) by exact interpolation through the first
-    degree+1 samples; repeated abscissae are an error."""
+    """Monomial coefficients in x(s) (low order first) of the interpolant
+    through the first degree+1 samples: the Newton form of the polynomial
+    kind, expanded by nested multiplication.  Repeated abscissae are an
+    error."""
     if len(f) < degree + 1:
         raise WindowTooSmall(f"need {degree + 1} samples for degree {degree}")
-    points = [(lat.x(s), f.value_at(s)) for s in list(f.points())[:degree + 1]]
-    xs = [x for x, _ in points]
+    samples = list(f.items())[:degree + 1]
+    xs = [lat.x(s) for s, _ in samples]
     if len(set(xs)) != len(xs):
         raise DegenerateAbscissae("repeated x-values in interpolation samples")
-    rows = [[x ** j for j in range(degree + 1)] + [y] for x, y in points]
-    matrix, pivots = _row_reduce(rows)
-    if pivots != list(range(degree + 1)):
-        raise DegenerateAbscissae("interpolation system is singular")
-    return [matrix[r][degree + 1] for r in range(degree + 1)]
+    c = _newton(xs, [v for _, v in samples])
+    coeffs = [c[-1]]
+    for xi, ci in zip(reversed(xs[:-1]), reversed(c[:-1])):
+        # coeffs * (x - xi) + ci
+        coeffs = [a - xi * b for a, b in zip([0] + coeffs, coeffs + [0])]
+        coeffs[0] += ci
+    return coeffs

@@ -108,6 +108,20 @@ n = 2
 window = 4..15
 """
 
+# quad-a left of its centre s = -1/2: the n-fold difference over the whole
+# window would divide by the zero step of x_-2 at s = 0, past the window's
+# end; the (n + 1)-point Rodrigues stencil starts at the left end
+LEFT_OF_CENTRE_SPEC = """\
+lattice = quadratic
+ct1 = 1
+ct2 = 1
+ct3 = 0
+sigma = 0, 1, 0
+tau = 1, -2
+n = 2
+window = -10..-2
+"""
+
 
 def run_cli(*args):
     return subprocess.run(
@@ -240,6 +254,17 @@ def test_solve_ignores_sigma_zeros_it_never_reads(tmp_path, kind):
     assert len(rows) == 12
     assert all(residual == "0" for _s, _value, residual in rows)
 
+
+def test_solve_steps_round_zero_steps_outside_the_stencil(tmp_path):
+    path = tmp_path / "left-of-centre.spec"
+    path.write_text(LEFT_OF_CENTRE_SPEC)
+    result = run_cli("solve", "--spec", str(path))
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == ""
+    rows = [line.split(",") for line in result.stdout.splitlines()[1:]]
+    assert len(rows) == 9
+    assert all(residual == "0" for _s, _value, residual in rows)
+    assert all(value != "0" for _s, value, _r in rows)
 
 def test_parse_error_exits_two(tmp_path):
     path = tmp_path / "broken.spec"

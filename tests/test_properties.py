@@ -11,6 +11,13 @@ example instead):
 * the second-kind and generalized solutions of ``solve()`` equal a
   reference built here from the definition, with the integrand denominator
   rho(t) prod_{j=0..n} sigma(t-j) multiplied out by its own loop;
+* the polynomial kind of ``solve()`` equals the Rodrigues formula with the
+  n-fold difference taken over the whole window, and fails where that
+  formula's residual fails; where the formula itself meets a zero step,
+  ``solve()`` certifies a solution or meets a zero step of its own.  Besides
+  ``problems``, lattices symmetric about a known centre are drawn with
+  windows on either side of it, across it, and shorter than n + 1 distinct
+  x values;
 * ``solve()`` on a window minus its first point equals ``solve()`` on the
   whole window, restricted: exactly for the polynomial kind, and times
   rho(start + 1) for the integral kinds, which are linear in 1/rho.
@@ -26,10 +33,11 @@ import os
 import tempfile
 from fractions import Fraction as F
 
-from hypothesis import Phase, assume, given, settings
+from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
 from hyperlat import (
+    DegenerateStep,
     GridFunction,
     HalfInt,
     HyperEquation,
@@ -38,9 +46,12 @@ from hyperlat import (
     QQuadraticLattice,
     QuadraticLattice,
     Window,
+    Y_n,
     apply_L,
     apply_L_star,
     dual_coefficients,
+    iterated_delta,
+    lambda_n,
     pearson_weight,
     render_problem,
     sigma_of_s,
@@ -49,6 +60,7 @@ from hyperlat import (
     weight_window_for,
 )
 from hyperlat import cli
+from tests.conftest import quad_a
 
 # A failing example is reported as drawn: shrinking one took minutes, since
 # every step reruns exact arithmetic on large rationals.
@@ -77,6 +89,28 @@ def windows(draw, n: int, extra: int = 6) -> Window:
 def problems(draw):
     n = draw(st.integers(0, 4))
     return draw(equations), n, draw(windows(n))
+
+
+@st.composite
+def centred_problems(draw):
+    """A lattice symmetric about a known centre c, x(c + t) = x(c - t), with
+    c on the half-integer grid, and a window from wholly left of c to wholly
+    right of it, at times shorter than n + 1 distinct x values."""
+    if draw(st.booleans()):
+        # c2 / c1 = q^(2c) = p^(4c)
+        p = draw(st.sampled_from([F(2), F(3, 2), F(-2), F(1, 3), F(5, 2)]))
+        c1, twice_centre = draw(nonzero), draw(st.integers(-4, 4))
+        lattice = QQuadraticLattice(p, c1, c1 * p ** (2 * twice_centre), draw(small))
+    else:
+        # ct2 / ct1 = -2c
+        ct1, twice_centre = draw(nonzero), draw(st.integers(-8, 8).filter(bool))
+        lattice = QuadraticLattice(ct1, -ct1 * twice_centre, draw(small))
+    eq = HyperEquation(lattice, draw(st.tuples(small, small, small)),
+                       draw(st.tuples(small, small)), draw(small))
+    n = draw(st.integers(0, 6))
+    length = draw(st.integers(1, 8))
+    start = HalfInt(twice_centre + draw(st.integers(-2 * length - 6, 4)))
+    return eq, n, Window(start, length)
 
 
 @settings(max_examples=60, deadline=None, phases=NO_SHRINK)
@@ -145,6 +179,50 @@ def test_integral_kinds_match_the_definition(problem, data):
         except HyperlatError:
             continue
         assert report.solution.values == reference_solution(eq, n, window, numerator)
+
+
+def full_window_rodrigues(eq, n, window):
+    """(1/rho) delta_{-n}^{(n)} [Y_n] at every point of window.expand(1, 1),
+    with the n-fold difference taken over the whole window."""
+    weight = pearson_weight(eq, weight_window_for(n, window), window.start)
+    enlarged = window.expand(1, 1)
+    product = Y_n(eq, weight, n, enlarged.expand(0, n))
+    return iterated_delta(eq.lattice, -n, n, product) / weight.rho.restrict(enlarged)
+
+
+def same_error(got, expected: Exception) -> bool:
+    return type(got) is type(expected) and str(got) == str(expected)
+
+
+# quad-a is symmetric about s = -1/2
+@example((quad_a(), 1, Window(HalfInt.from_int(0), 5)))     # x(-1) = x(0) in the window
+@example((quad_a(), 4, Window(HalfInt.from_int(4), 2)))     # 4 distinct x for n = 4
+@example((quad_a(), 0, Window(HalfInt.from_int(4), 5)))
+@example((quad_a(), 2, Window(HalfInt.from_int(-10), 9)))   # left of the centre
+@settings(max_examples=80, deadline=None, phases=NO_SHRINK)
+@given(st.one_of(problems(), centred_problems()))
+def test_polynomial_kind_equals_the_full_window_rodrigues_formula(problem):
+    eq, n, window = problem
+    try:
+        report = solve(eq, n, window)
+    except HyperlatError as exc:
+        report = exc
+    try:
+        y = full_window_rodrigues(eq, n, window)
+    except DegenerateStep:
+        # a zero step the (n + 1)-point stencil may not meet
+        assert isinstance(report, DegenerateStep) or report.residual.is_zero()
+        return
+    except HyperlatError as exc:
+        assert same_error(report, exc)
+        return
+    try:
+        residual = apply_L(eq.with_lambda(lambda_n(eq, n)), y)
+    except HyperlatError as exc:
+        assert same_error(report, exc)
+        return
+    assert residual.is_zero()
+    assert report.solution == y.restrict(window) and report.residual == residual
 
 
 @settings(max_examples=40, deadline=None, phases=NO_SHRINK)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -18,15 +19,20 @@ from hyperlat import (
     iterated_nabla,
     lambda_n,
     nabla_k,
+    parse_problem,
     pearson_weight,
     rho_k,
+    run_identity_suite,
     sigma_of_s,
     sigma_star,
     solve,
     tau_of_s,
     weight_window_for,
 )
+from hyperlat import solutions
+
 S = HalfInt.from_int
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 
 @pytest.fixture
@@ -260,3 +266,17 @@ def test_solve_dispatch_and_report_json(equation, window):
         solve(equation, 2, window, kind="generalized")   # P missing
     with pytest.raises(ValueError):
         solve(equation, 2, window, kind="nonsense")
+
+
+def test_verify_solves_each_distinct_problem_once(monkeypatch):
+    calls = []
+    real = solutions.solve
+
+    def counted(eq, n, window, kind="polynomial", **options):
+        calls.append((n, window, kind, tuple(sorted(options.items()))))
+        return real(eq, n, window, kind, **options)
+
+    monkeypatch.setattr(solutions, "solve", counted)
+    results = run_identity_suite(parse_problem((DEMOS / "qlattice.spec").read_text()))
+    assert all(r.passed for r in results)
+    assert calls and len(calls) == len(set(calls))
