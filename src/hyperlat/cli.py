@@ -124,8 +124,7 @@ def _cmd_adjoint(args) -> int:
     eq = spec.equation()
     coeffs = eqn.adjoint_coeffs(eq, spec.window)
     scalars = (("lambda_star", coeffs.lambda_star),
-               ("kappa_minus_one", eq.kappa(-1)),
-               ("lambda_minus_kappa_minus_one", eqn.lambda_star(eq)))
+               ("kappa_minus_one", eq.kappa(-1)))
     if args.format == "json":
         payload = {
             "window": {"start": str(spec.window.start), "length": spec.window.length},

@@ -224,11 +224,12 @@ def rho_k(eq: HyperEquation, weight: PearsonWeight, k: int, s: HalfInt) -> Scala
 def _three_term(lat: Lattice, y: GridFunction, sig, tau, lam: Scalar) -> GridFunction:
     """sig delta_{-1} nabla_0 y + tau delta_0 y + lam y on the interior window
     (one point lost per side); sig and tau are callables of s."""
-    second = delta_k(lat, -1, nabla_k(lat, 0, y))   # on [start+1, end-1]
-    first = delta_k(lat, 0, y)                       # on [start,   end-1]
+    grad = nabla_k(lat, 0, y)              # on [start+1, end]; delta_0 y(s) = grad(s+1)
+    second = delta_k(lat, -1, grad)        # on [start+1, end-1]
     return GridFunction(second.start, tuple(
-        sig(s) * second.value_at(s) + tau(s) * first.value_at(s) + lam * y.value_at(s)
-        for s in second.points()))
+        sig(s) * d2 + tau(s) * d1 + lam * v
+        for s, d2, d1, v in zip(second.points(), second.values,
+                                grad.values[1:], y.values[1:])))
 
 
 def _coefficients(eq: HyperEquation):

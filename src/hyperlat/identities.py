@@ -61,7 +61,7 @@ class _Ctx:
     spec: ProblemSpec
     eq: eqn.HyperEquation
     rng: random.Random
-    _solved: dict = field(default_factory=dict, repr=False)
+    _memo: dict = field(default_factory=dict, repr=False)
 
     @property
     def lat(self):
@@ -75,23 +75,27 @@ class _Ctx:
     def window(self) -> Window:
         return self.spec.window
 
+    def _once(self, key, build):
+        """build() once per key: several checks read the same solution or weight."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
+
     def solve(self, n: int, window: Window, kind: str = "polynomial",
               **options) -> sol.SolutionReport:
-        """``sol.solve`` on the spec's equation, run once per distinct set of
-        arguments: several checks read the same solution.  An option given
-        as None is the default, so it is left out."""
+        """``sol.solve`` on the spec's equation.  An option given as None is
+        the default, so it is left out of the key."""
         options = {name: v for name, v in options.items() if v is not None}
-        key = (n, window, kind, tuple(sorted(options.items())))
-        if key not in self._solved:
-            self._solved[key] = sol.solve(self.eq, n, window, kind, **options)
-        return self._solved[key]
+        return self._once(("solve", n, window, kind, tuple(sorted(options.items()))),
+                          lambda: sol.solve(self.eq, n, window, kind, **options))
 
     def weight(self, n: int | None = None) -> eqn.PearsonWeight:
         # One point per side more than solve() reads: on the shortest window
         # (n + 5 points) adjoint-product reads 7 points of the n = 0 weight
         # from window.start on, and expand(1, n + 1) would hold only 6.
         n = self.n if n is None else n
-        return eqn.pearson_weight(self.eq, self.window.expand(2, n + 2), self.window.start)
+        return self._once(("weight", n), lambda: eqn.pearson_weight(
+            self.eq, self.window.expand(2, n + 2), self.window.start))
 
     def random_grid(self, window: Window, nonzero: bool = False) -> GridFunction:
         def draw():

@@ -2,7 +2,7 @@
 
 ``solve`` is the one entry point.  It builds the Pearson weight rho itself,
 on every point the integral kinds read, and runs all three kinds through one
-Rodrigues formula,
+evaluator (``_rodrigues``) of the Rodrigues formula
 
     y = (1/rho) delta_{-n}^{(n)} [ Y_n C ],     Y_n(s) = rho(s) prod_{j<n} sigma(s-j),
 
@@ -10,17 +10,24 @@ verified by attaching the exact residual of the operator L on the whole
 window.  rho is fixed by the Pearson equation up to a constant, which
 cancels in y.  The kinds are:
 
-* the polynomial eigenfunction (the difference Rodrigues formula): C = 1.
-  y is a polynomial of degree at most n in x(s), so the formula runs on a
-  stencil of n + 1 points with distinct x(s) and exact Newton interpolation
-  in x(s) gives the other values.  rho still spans the whole window, so a
-  singular point is named as for the other kinds;
+* the polynomial eigenfunction (the standard formula): C = 1.  y is a
+  polynomial of degree at most n in x(s), so the formula runs on the first
+  n + 1 points and exact Newton interpolation in x(s) gives the rest.  rho
+  still spans the whole window, so a singular point is named as for the
+  other kinds;
 
-* the second-kind companion: C is the discrete integral of
-  1/(Y_n(t) sigma(t-n)) against nabla x_{-n}(t);
+* the generalized construction: C is the discrete integral of
+  P(x_{-(n+1)}(t)) / (Y_n(t) sigma(t-n)) against nabla x_{-n}(t), for a
+  degree-n polynomial P;
 
-* the generalized construction, where an arbitrary degree-n polynomial P in
-  x_{-(n+1)}(t) replaces the constant numerator of that integral.
+* the second-kind companion: the generalized construction at P = 1.
+
+When two of the first n + 1 points share x(s), the polynomial kind runs the
+formula on the whole window, as the integral kinds do.  Such a window is
+never certified: on both lattice families x repeats only in mirror pairs
+about one centre c, and L divides by a zero step there (``nabla_0`` when c
+lies between grid points, ``delta_{-1}`` when it is one), so the residual
+raises ``DegenerateStep``.
 
 A brute-force oracle recovers the polynomial solution independently, by exact
 null-space extraction from samples of L applied to the monomial basis; it
@@ -99,8 +106,8 @@ def weight_window_for(n: int, window: Window) -> Window:
     """The rho window ``solve()`` builds for a solution on ``window``: one
     extra point on the left and n + 1 on the right (one per side for the
     residual stencil, n more for the n-fold difference).  The integral kinds
-    read all of it; the polynomial kind reads only its (n + 1)-point stencil
-    and the n points after it, but builds it all, so that a singular point
+    read all of it; the polynomial kind reads only the first n + 1 points
+    and the n points after them, but builds it all, so that a singular point
     anywhere on it is named for every kind."""
     return window.expand(1, n + 1)
 
@@ -124,56 +131,35 @@ def solve(eq: HyperEquation, n: int, window: Window, kind: str = "polynomial",
     read; moving N moves the second kind by a multiple of the polynomial
     solution only.  rho is built on ``weight_window_for(n, window)``,
     normalized to 1 at ``window.start``.  The polynomial kind runs the
-    formula on n + 1 points and interpolates in x(s); for every kind the
-    residual covers all of ``window.expand(1, 1)``.  The eigenvalue is
-    pinned to lambda_n; ``residual_lam`` lets a caller verify the
-    construction against a different spectral parameter (the residual is
-    then nonzero unless the two agree).
+    formula on the first n + 1 points of ``window.expand(1, 1)`` and
+    interpolates in x(s); for every kind the residual covers all of that
+    window.  The eigenvalue is pinned to lambda_n; ``residual_lam`` lets a
+    caller verify the construction against a different spectral parameter
+    (the residual is then nonzero unless the two agree).
     """
     if kind == "polynomial":
-        label, numerator, N, P = kind, None, None, None
+        label, N, P = kind, None, None
     elif kind == "second":
         label, P = "second_kind", None
-
-        def numerator(t: HalfInt) -> Scalar:
-            return Fraction(1)
     elif kind == "generalized":
         if P is None:
             raise ValueError("generalized solutions need the coefficient list P")
         label, P = kind, tuple(P)
         if len(P) != n + 1:
             raise ValueError(f"P needs exactly {n + 1} coefficients, got {len(P)}")
-
-        def numerator(t: HalfInt) -> Scalar:
-            x = eq.lattice.x_at(t.twice - (n + 1))
-            acc = Fraction(0)
-            for c in reversed(P):
-                acc = acc * x + c
-            return acc
     else:
         raise ValueError(f"unknown solution kind {kind!r}")
     enlarged = window.expand(1, 1)
     y_window = weight_window_for(n, window)
     weight = pearson_weight(eq, y_window, window.start)
     lam = lambda_n(eq, n)
-    if numerator is None:
-        y = _interpolated_rodrigues(eq, weight, n, enlarged)
+    if kind == "polynomial":
+        y = _polynomial_kind(eq, weight, n, enlarged)
     else:
-        product = Y_n(eq, weight, n, y_window)
-        if N is None:
-            N = y_window.start
+        N = y_window.start if N is None else N
         if N not in y_window:
             raise OutOfWindow(f"sum base {N} must lie in {y_window}")
-
-        def integrand(t: HalfInt, y_n: Scalar) -> Scalar:
-            den = y_n * sigma_of_s(eq, t - n)
-            if den == 0:
-                raise SingularSummand(f"sigma product vanishes at t={t}", point=t)
-            return numerator(t) / den
-
-        g = GridFunction(y_window.start, tuple(integrand(t, v) for t, v in product.items()))
-        product = product * cumulative_nabla_sum(eq.lattice, -n, g, N)
-        y = iterated_delta(eq.lattice, -n, n, product) / weight.rho.restrict(enlarged)
+        y = _rodrigues(eq, weight, n, enlarged, N, (1,) if P is None else P)
     res_lam = lam if residual_lam is None else residual_lam
     residual = apply_L(eq.with_lambda(res_lam), y)
     return SolutionReport(
@@ -183,26 +169,31 @@ def solve(eq: HyperEquation, n: int, window: Window, kind: str = "polynomial",
         sum_base=N, poly=P)
 
 
-# ---------------------------------------------------------------------------
-# the polynomial kind: Rodrigues on a stencil, Newton interpolation in x(s)
+def _rodrigues(eq: HyperEquation, weight: PearsonWeight, n: int, window: Window,
+               N: HalfInt | None = None, P: tuple | None = None) -> GridFunction:
+    """(1/rho) delta_{-n}^{(n)} [Y_n C] on ``window``.  C = 1 without P;
+    with it, C is the discrete integral from N of
+    P(x_{-(n+1)}(t)) / (Y_n(t) sigma(t-n)) against nabla x_{-n}(t).  P is
+    evaluated by Horner's rule from its leading coefficient, so P = (1,)
+    reads no lattice value."""
+    lat = eq.lattice
+    product = Y_n(eq, weight, n, window.expand(0, n))
+    if P is not None:
 
+        def integrand(t: HalfInt, y_n: Scalar) -> Scalar:
+            den = y_n * sigma_of_s(eq, t - n)
+            if den == 0:
+                raise SingularSummand(f"sigma product vanishes at t={t}", point=t)
+            acc = P[-1]
+            if len(P) > 1:
+                x = lat.x_at(t.twice - (n + 1))
+                for c in P[-2::-1]:
+                    acc = acc * x + c
+            return acc / den
 
-def _stencil(lat: Lattice, window: Window, size: int) -> Window:
-    """The first ``size`` points of the longest run of ``window`` with
-    pairwise distinct x(s), or the whole run if it is shorter.
-
-    On both families x repeats only in mirror pairs about one centre, so
-    that run holds every x value of the window.
-    """
-    best, best_len, lo, last = 0, 0, 0, {}
-    for j, s in enumerate(window.points()):
-        x = lat.x(s)
-        if last.get(x, -1) >= lo:
-            lo = last[x] + 1
-        last[x] = j
-        if j - lo + 1 > best_len:
-            best, best_len = lo, j - lo + 1
-    return Window(window.start + best, min(size, best_len))
+        g = GridFunction(product.start, tuple(integrand(t, v) for t, v in product.items()))
+        product = product * cumulative_nabla_sum(lat, -n, g, N)
+    return iterated_delta(lat, -n, n, product) / weight.rho.restrict(window)
 
 
 def _newton(xs: list, ys) -> list:
@@ -224,15 +215,17 @@ def _newton_value(xs: list, c: list, x: Scalar) -> Scalar:
     return acc
 
 
-def _interpolated_rodrigues(eq: HyperEquation, weight: PearsonWeight, n: int,
-                            window: Window) -> GridFunction:
-    """(1/rho) delta_{-n}^{(n)} [Y_n] on ``window``: the formula on the
-    (n + 1)-point ``_stencil``, its Newton form in x(s) everywhere."""
+def _polynomial_kind(eq: HyperEquation, weight: PearsonWeight, n: int,
+                     window: Window) -> GridFunction:
+    """``_rodrigues`` on the first n + 1 points of ``window`` and their
+    Newton form in x(s) elsewhere; on the whole window if two of those
+    points share x(s) (see the module docstring)."""
     lat = eq.lattice
-    stencil = _stencil(lat, window, n + 1)
-    ys = (iterated_delta(lat, -n, n, Y_n(eq, weight, n, stencil.expand(0, n)))
-          / weight.rho.restrict(stencil))
+    stencil = Window(window.start, min(n + 1, window.length))
     xs = [lat.x(s) for s in stencil.points()]
+    if len(set(xs)) < len(xs):
+        return _rodrigues(eq, weight, n, window)
+    ys = _rodrigues(eq, weight, n, stencil)
     c = _newton(xs, ys.values)
 
     def value(s: HalfInt) -> Scalar:

@@ -18,6 +18,10 @@ example instead):
   ``problems``, lattices symmetric about a known centre are drawn with
   windows on either side of it, across it, and shorter than n + 1 distinct
   x values;
+* on a window whose enlargement holds a mirror pair x(s1) = x(s2), L
+  meets a zero step at the centre, so ``apply_L`` and every kind of
+  ``solve()`` end in ``DegenerateStep`` (the integral kinds may first meet
+  a vanishing summand, and any kind a singular weight);
 * ``solve()`` on a window minus its first point equals ``solve()`` on the
   whole window, restricted: exactly for the polynomial kind, and times
   rho(start + 1) for the integral kinds, which are linear in 1/rho.
@@ -33,6 +37,7 @@ import os
 import tempfile
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -42,9 +47,11 @@ from hyperlat import (
     HalfInt,
     HyperEquation,
     HyperlatError,
+    PearsonSingularity,
     ProblemSpec,
     QQuadraticLattice,
     QuadraticLattice,
+    SingularSummand,
     Window,
     Y_n,
     apply_L,
@@ -223,6 +230,30 @@ def test_polynomial_kind_equals_the_full_window_rodrigues_formula(problem):
         return
     assert residual.is_zero()
     assert report.solution == y.restrict(window) and report.residual == residual
+
+
+@settings(max_examples=60, deadline=None, phases=NO_SHRINK)
+@given(centred_problems(), st.data())
+def test_a_mirror_pair_in_the_enlarged_window_is_a_degenerate_step(problem, data):
+    # x(c + t) = x(c - t) puts a zero step of nabla_0 or delta_{-1} at c, so
+    # no kind can be certified on such a window
+    eq, n, window = problem
+    enlarged = window.expand(1, 1)
+    xs = [eq.lattice.x(s) for s in enlarged.points()]
+    assume(len(set(xs)) < len(xs))
+    with pytest.raises(DegenerateStep):
+        apply_L(eq, GridFunction(enlarged.start, tuple(data.draw(small) for _ in xs)))
+    try:
+        pearson_weight(eq, weight_window_for(n, window), window.start)
+    except PearsonSingularity:
+        assume(False)   # solve() stops at the weight, before any difference
+    P = tuple(data.draw(small) for _ in range(n + 1))
+    with pytest.raises(DegenerateStep):
+        solve(eq, n, window, "polynomial")
+    for kind in ("second", "generalized"):
+        # a vanishing summand also ends the integral kinds before any difference
+        with pytest.raises((DegenerateStep, SingularSummand)):
+            solve(eq, n, window, kind, P=P)
 
 
 @settings(max_examples=40, deadline=None, phases=NO_SHRINK)

@@ -29,6 +29,7 @@ from hyperlat import (
     tau_of_s,
     weight_window_for,
 )
+from hyperlat import equation as equation_module
 from hyperlat import solutions
 
 S = HalfInt.from_int
@@ -202,6 +203,15 @@ def test_generalized_constant_matches_second_at_order_zero(equation, window):
     assert a.solution == b.solution
 
 
+def test_second_kind_is_the_generalized_formula_at_p_one(equation, window):
+    for n in range(5):
+        second = solve(equation, n, window, "second")
+        general = solve(equation, n, window, "generalized", P=(F(1),) + (F(0),) * n)
+        assert second.solution == general.solution
+        assert second.residual == general.residual
+        assert (second.kind, second.poly, second.sum_base) == ("second_kind", None, S(3))
+
+
 def test_generalized_random_polynomials(equation, window):
     rng = random.Random(23)
     for n in (1, 2, 3):
@@ -269,14 +279,23 @@ def test_solve_dispatch_and_report_json(equation, window):
 
 
 def test_verify_solves_each_distinct_problem_once(monkeypatch):
-    calls = []
-    real = solutions.solve
+    calls, weights = [], []
+    real_solve, real_weight = solutions.solve, equation_module.pearson_weight
 
     def counted(eq, n, window, kind="polynomial", **options):
         calls.append((n, window, kind, tuple(sorted(options.items()))))
-        return real(eq, n, window, kind, **options)
+        return real_solve(eq, n, window, kind, **options)
+
+    def counted_weight(eq, window, anchor):
+        weights.append((window, anchor))
+        return real_weight(eq, window, anchor)
 
     monkeypatch.setattr(solutions, "solve", counted)
+    monkeypatch.setattr(solutions, "pearson_weight", counted_weight)
+    monkeypatch.setattr(equation_module, "pearson_weight", counted_weight)
     results = run_identity_suite(parse_problem((DEMOS / "qlattice.spec").read_text()))
     assert all(r.passed for r in results)
     assert calls and len(calls) == len(set(calls))
+    # one weight per solve, and one per distinct n (n, n + 3 and 0) that
+    # the checks read a weight at
+    assert len(weights) == len(calls) + 3
