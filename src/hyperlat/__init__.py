@@ -57,7 +57,6 @@ from .lattice import (
     Lattice,
     QQuadraticLattice,
     QuadraticLattice,
-    unit_steps,
 )
 from .numerics import (
     Rational,

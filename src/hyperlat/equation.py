@@ -52,7 +52,7 @@ from .errors import (
     WindowTooSmall,
 )
 from .grid import GridFunction, Window, delta_k, nabla_k
-from .lattice import HalfInt, Lattice, divide_by_step
+from .lattice import HalfInt, Lattice
 from .numerics import Scalar, format_rational
 
 
@@ -153,8 +153,7 @@ def tau_of_s(eq: HyperEquation, s: HalfInt) -> Scalar:
 def tau_k(eq: HyperEquation, k: int, s: HalfInt) -> Scalar:
     """Level-k linear coefficient; defined for every integer k (also
     negative), where it has slope kappa_{2k+1} against x_k(s)."""
-    return divide_by_step(sigma_star(eq, s + k + 1) - sigma_of_s(eq, s),
-                          eq.lattice.nabla_x(k + 1, s), k + 1, s)
+    return eq.lattice.nabla_quotient(sigma_star(eq, s + k + 1) - sigma_of_s(eq, s), k + 1, s)
 
 
 def mu_k(eq: HyperEquation, k: int) -> Scalar:
@@ -256,8 +255,7 @@ def _adjoint_sigma(lat: Lattice, sig, tau, s: HalfInt) -> Scalar:
 
 def _adjoint_tau(lat: Lattice, sig, tau, s: HalfInt) -> Scalar:
     """tau*(s) = [sigma(s+1) - sigma*(s)] / delta x_{-1}(s)."""
-    return divide_by_step(sig(s + 1) - _adjoint_sigma(lat, sig, tau, s),
-                          lat.delta_x(-1, s), -1, s)
+    return lat.delta_quotient(sig(s + 1) - _adjoint_sigma(lat, sig, tau, s), -1, s)
 
 
 def _adjoint_lambda_shift(lat: Lattice, sig, tau, s: HalfInt) -> Scalar:
@@ -266,10 +264,9 @@ def _adjoint_lambda_shift(lat: Lattice, sig, tau, s: HalfInt) -> Scalar:
         delta_{-1}( [sigma*(s) - sigma(s)] / nabla x(s) )
     """
     def h(t: HalfInt) -> Scalar:
-        return divide_by_step(_adjoint_sigma(lat, sig, tau, t) - sig(t),
-                              lat.nabla_x(0, t), 0, t)
+        return lat.nabla_quotient(_adjoint_sigma(lat, sig, tau, t) - sig(t), 0, t)
 
-    return divide_by_step(h(s + 1) - h(s), lat.delta_x(-1, s), -1, s)
+    return lat.delta_quotient(h(s + 1) - h(s), -1, s)
 
 
 def _star_coefficients(eq: HyperEquation):

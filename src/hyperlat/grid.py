@@ -11,18 +11,27 @@ and the discrete integral is the sum
 
     int_N^s g(t) d_nabla x_k(t) = sum_{t=N..s} g(t) * (x_k(t) - x_k(t-1)).
 
-Windows shrink by exactly one point per operator application: on the right
-for delta, on the left for nabla.  That bookkeeping is the main thing the
-tests police.
+Since nabla x_k(s) = delta x_k(s-1), nabla_k f(s) = delta_k f(s-1): both
+operators form the same quotients of consecutive values, and ``nabla_k``
+places them one point right.  Windows shrink by exactly one point per
+operator application: on the right for delta, on the left for nabla.  That
+bookkeeping is the main thing the tests police.  A zero step is named at the
+point its quotient sits at: s - 1 by ``delta_k`` and s by ``nabla_k`` for the
+same step x_k(s) - x_k(s-1).
+
+Arithmetic between two grid functions needs one window (the same start and
+length) and works value by value; to combine functions on different windows,
+restrict them to a common one first.  A scalar multiplies from the left.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .errors import OutOfWindow, WindowTooSmall
-from .lattice import HalfInt, Lattice, divide_by_step, unit_steps
+from .lattice import HalfInt, Lattice
 from .numerics import Scalar
 
 
@@ -114,35 +123,28 @@ class GridFunction:
         lo = self.window.index_of(window.start)
         return GridFunction(window.start, self.values[lo:lo + window.length])
 
-    def map(self, fn: Callable[[Scalar], Scalar]) -> "GridFunction":
-        return GridFunction(self.start, tuple(fn(v) for v in self.values))
-
     def _combine(self, other, op):
-        if isinstance(other, GridFunction):
-            lo = max(self.start, other.start, key=lambda h: h.twice)
-            hi = min(self.window.end, other.window.end, key=lambda h: h.twice)
-            n = unit_steps(lo, hi) + 1
-            if n < 1:
-                raise OutOfWindow("grid functions do not overlap")
-            window = Window(lo, n)
-            return GridFunction(lo, tuple(
-                op(self.value_at(s), other.value_at(s)) for s in window.points()))
-        return GridFunction(self.start, tuple(op(v, other) for v in self.values))
+        """op value by value; both operands must share one window."""
+        if not isinstance(other, GridFunction):
+            return NotImplemented
+        if other.start != self.start or len(other) != len(self):
+            raise OutOfWindow(f"window {other.window} is not {self.window}; restrict first")
+        return GridFunction(self.start, tuple(map(op, self.values, other.values)))
 
     def __add__(self, other):
-        return self._combine(other, lambda a, b: a + b)
+        return self._combine(other, operator.add)
 
     def __sub__(self, other):
-        return self._combine(other, lambda a, b: a - b)
+        return self._combine(other, operator.sub)
 
     def __mul__(self, other):
-        return self._combine(other, lambda a, b: a * b)
+        return self._combine(other, operator.mul)
 
     def __rmul__(self, scalar):
-        return self.map(lambda v: scalar * v)
+        return GridFunction(self.start, tuple(scalar * v for v in self.values))
 
     def __truediv__(self, other):
-        return self._combine(other, lambda a, b: a / b)
+        return self._combine(other, operator.truediv)
 
     def max_abs(self) -> Scalar:
         return max(abs(v) for v in self.values)
@@ -153,26 +155,23 @@ class GridFunction:
 
 def delta_k(lat: Lattice, k: int, f: GridFunction) -> GridFunction:
     """Forward divided difference; window loses its right endpoint."""
-    if len(f) < 2:
-        raise WindowTooSmall("delta_k needs at least two points")
-    out = []
-    for j, s in enumerate(f.points()):
-        if j == len(f) - 1:
-            break
-        out.append(divide_by_step(f.values[j + 1] - f.values[j], lat.delta_x(k, s), k, s))
-    return GridFunction(f.start, tuple(out))
+    return _difference(f, "delta_k", lat.delta_quotient, k, 0)
 
 
 def nabla_k(lat: Lattice, k: int, f: GridFunction) -> GridFunction:
-    """Backward divided difference; window loses its left endpoint."""
+    """Backward divided difference: the forward quotients placed one point
+    right, so the window loses its left endpoint."""
+    return _difference(f, "nabla_k", lat.nabla_quotient, k, 1)
+
+
+def _difference(f: GridFunction, name: str, quotient, k: int, shift: int) -> GridFunction:
+    """quotient(f(t+1) - f(t), k, s) for consecutive points t, each placed
+    at s = t + shift."""
     if len(f) < 2:
-        raise WindowTooSmall("nabla_k needs at least two points")
-    out = []
-    for j, s in enumerate(f.points()):
-        if j == 0:
-            continue
-        out.append(divide_by_step(f.values[j] - f.values[j - 1], lat.nabla_x(k, s), k, s))
-    return GridFunction(f.start + 1, tuple(out))
+        raise WindowTooSmall(f"{name} needs at least two points")
+    start, v = f.start + shift, f.values
+    return GridFunction(start, tuple(quotient(v[j + 1] - v[j], k, start + j)
+                                     for j in range(len(v) - 1)))
 
 
 def iterated_delta(lat: Lattice, k: int, n: int, f: GridFunction) -> GridFunction:

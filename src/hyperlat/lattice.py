@@ -18,6 +18,11 @@ The module holds geometry only.  Its scalars nu(mu) and alpha(mu),
 enter the eigenvalue structure through the ladder coefficient kappa_mu,
 which also needs the equation's coefficients and so lives on the equation
 (``equation.HyperEquation.kappa``).
+
+Every divided difference of the library divides by a step of some x_k, and
+``Lattice.delta_quotient`` and ``Lattice.nabla_quotient`` are the one place
+that does it: each reads its own step, delta x_k(s) or nabla x_k(s), and a
+zero step raises ``DegenerateStep`` naming k and s.
 """
 
 from __future__ import annotations
@@ -54,14 +59,6 @@ class HalfInt:
 
     def __str__(self) -> str:
         return format_rational(self.as_fraction())
-
-
-def unit_steps(start: HalfInt, end: HalfInt) -> int:
-    """Number of unit steps from start to end; they must share parity."""
-    gap = end.twice - start.twice
-    if gap % 2 != 0:
-        raise LatticeError(f"{end} is not a whole number of steps from {start}")
-    return gap // 2
 
 
 @dataclass(frozen=True)
@@ -112,6 +109,15 @@ class Lattice:
         """x_k(s) - x_k(s-1)."""
         t = s.twice + k
         return self.x_at(t) - self.x_at(t - 2)
+
+    # the one place that divides by a lattice step
+    def delta_quotient(self, num: Scalar, k: int, s: HalfInt) -> Scalar:
+        """num / delta x_k(s); a zero step raises DegenerateStep naming s."""
+        return _step_quotient(num, self.delta_x(k, s), k, s)
+
+    def nabla_quotient(self, num: Scalar, k: int, s: HalfInt) -> Scalar:
+        """num / nabla x_k(s); a zero step raises DegenerateStep naming s."""
+        return _step_quotient(num, self.nabla_x(k, s), k, s)
 
     def mean_shift_beta(self) -> Scalar:
         """The constant beta with (x(s+1)+x(s))/2 = alpha(1)*x_1(s) + beta.
@@ -187,12 +193,9 @@ class QuadraticLattice(Lattice):
         return Fraction(1)
 
 
-def divide_by_step(num: Scalar, step: Scalar, k: int, s: HalfInt) -> Scalar:
-    """num / step, where ``step`` is an increment of x_k taken at s.
-
-    This is the one place that divides by a lattice step: a zero step raises
-    DegenerateStep naming s instead of a bare ZeroDivisionError.
-    """
+def _step_quotient(num: Scalar, step: Scalar, k: int, s: HalfInt) -> Scalar:
+    """num / step for an increment ``step`` of x_k taken at s: a zero step
+    raises DegenerateStep naming s instead of a bare ZeroDivisionError."""
     if step == 0:
         raise DegenerateStep(f"zero step of x_{k} at s={s}", point=s)
     return num / step

@@ -61,7 +61,7 @@ from .errors import (
     WindowTooSmall,
 )
 from .grid import GridFunction, Window, cumulative_nabla_sum, iterated_delta
-from .lattice import HalfInt, Lattice, divide_by_step
+from .lattice import HalfInt, Lattice
 from .numerics import Scalar, format_scalar
 
 
@@ -253,14 +253,11 @@ def gamma_ell_eta(eq: HyperEquation, n: int, s: HalfInt) -> tuple[Scalar, Scalar
     lat = eq.lattice
 
     def ell_at(t: HalfInt) -> Scalar:
-        return divide_by_step(sigma_of_s(eq, t - n) - sigma_star(eq, t),
-                              lat.nabla_x(-n, t), -n, t)
+        return lat.nabla_quotient(sigma_of_s(eq, t - n) - sigma_star(eq, t), -n, t)
 
-    dx = lat.delta_x(-(n + 1), s)
-    gamma = divide_by_step(sigma_of_s(eq, s - n + 1) - sigma_star(eq, s),
-                           dx, -(n + 1), s)
+    gamma = lat.delta_quotient(sigma_of_s(eq, s - n + 1) - sigma_star(eq, s), -(n + 1), s)
     ell = ell_at(s)
-    eta = divide_by_step(ell_at(s + 1) - ell, dx, -(n + 1), s)
+    eta = lat.delta_quotient(ell_at(s + 1) - ell, -(n + 1), s)
     return gamma, ell, eta
 
 

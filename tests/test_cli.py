@@ -338,6 +338,40 @@ def test_adjoint_table_columns():
     assert any(line.startswith("kappa_minus_one,") for line in lines)
 
 
+def _main_stdout(capsys, *args):
+    from hyperlat import cli
+    assert cli.main(list(args)) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", ["quadratic.spec", "qlattice.spec"])
+def test_adjoint_json_matches_csv(capsys, name):
+    spec = str(DEMOS / name)
+    payload = json.loads(_main_stdout(capsys, "adjoint", "--spec", spec, "--format", "json"))
+    grid, scalars = _main_stdout(capsys, "adjoint", "--spec", spec).split("\n\n")
+    header, *rows = [line.split(",") for line in grid.split("\n")]
+    assert header == ["s", "sigma_star", "tau_star"]
+    assert [list(col) for col in zip(*rows)] == [
+        payload["s"], payload["sigma_star"], payload["tau_star"]]
+    assert payload["window"] == {"start": payload["s"][0], "length": len(rows)}
+    name_header, *pairs = [line.split(",") for line in scalars.strip().split("\n")]
+    assert name_header == ["name", "value"]
+    assert {name: value for name, value in pairs} == {
+        key: value for key, value in payload.items()
+        if key not in ("window", "s", "sigma_star", "tau_star")}
+
+
+@pytest.mark.parametrize("name", ["quadratic.spec", "qlattice.spec"])
+def test_table_json_matches_csv(capsys, name):
+    spec = str(DEMOS / name)
+    payload = json.loads(_main_stdout(capsys, "table", "--spec", spec, "--format", "json"))
+    header, *rows = [line.split(",") for line in
+                     _main_stdout(capsys, "table", "--spec", spec).strip().split("\n")]
+    assert [list(entry) for entry in payload] == [header] * len(rows)
+    assert [[str(entry[key]) for key in header] for entry in payload] == rows
+    assert [entry["k"] for entry in payload] == list(range(len(rows)))
+
+
 def test_table_columns_and_ladder():
     result = run_cli("table", "--spec", "demos/qlattice.spec")
     lines = result.stdout.strip().split("\n")

@@ -148,7 +148,8 @@ def test_pearson_residual_oracle(equation, window):
     rho = weight.rho
     sigma_rho = GridFunction.sample(window, lambda s: sigma_of_s(equation, s)) * rho
     tau_rho = GridFunction.sample(window, lambda s: tau_of_s(equation, s)) * rho
-    residual = delta_k(equation.lattice, -1, sigma_rho) - tau_rho
+    lhs = delta_k(equation.lattice, -1, sigma_rho)
+    residual = lhs - tau_rho.restrict(lhs.window)
     assert residual.is_zero()
 
 
@@ -161,6 +162,23 @@ def test_pearson_singularity_named():
     with pytest.raises(PearsonSingularity) as err:
         pearson_weight(eq, Window(S(-1), 6), S(0))
     assert err.value.point == S(1)
+
+
+@pytest.mark.parametrize("window, anchor, point, message", [
+    # forward: sigma*(2) = sigma(1) = 0 over sigma(2) = 4
+    (Window(S(1), 3), S(1), S(2), "weight vanishes at s=2"),
+    # backward from s = 2: its divisor sigma*(2) = sigma(1) is zero
+    (Window(S(0), 4), S(2), S(1), "backward Pearson step vanishes at s=1"),
+    # backward from s = 1: sigma(1) = 0 over sigma*(1) = sigma(0) = -2
+    (Window(S(-1), 3), S(1), S(0), "weight vanishes at s=0"),
+])
+def test_pearson_zero_weight_and_backward_step_named(window, anchor, point, message):
+    # the lattice and sigma(s) = (s+2)(s-1) above; tau~ = 0 makes sigma*(s) = sigma(s-1)
+    lat = QuadraticLattice(F(1), F(1), F(0))
+    eq = HyperEquation(lat, (F(-2), F(1), F(0)), (F(0), F(0)))
+    with pytest.raises(PearsonSingularity, match=message) as err:
+        pearson_weight(eq, window, anchor)
+    assert err.value.point == point
 
 
 def test_rho_k_values_and_identity(equation):

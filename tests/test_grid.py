@@ -123,6 +123,20 @@ def test_degenerate_step_reported():
     with pytest.raises(DegenerateStep) as err:
         nabla_k(lat, 1, f)
     assert err.value.point == HalfInt.from_int(0)
+    # delta_k forms the same quotient and names the point it sits at, s = -1
+    with pytest.raises(DegenerateStep) as err:
+        delta_k(lat, 1, f)
+    assert err.value.point == HalfInt.from_int(-1)
+    assert "zero step of x_1 at s=-1" in str(err.value)
+
+
+def test_short_windows_name_their_operator():
+    lat = QuadraticLattice(F(1), F(1), F(0))
+    one = GridFunction(S0, (F(1),))
+    with pytest.raises(WindowTooSmall, match="delta_k needs at least two points"):
+        delta_k(lat, 0, one)
+    with pytest.raises(WindowTooSmall, match="nabla_k needs at least two points"):
+        nabla_k(lat, 0, one)
 
 
 def test_nabla_sum_examples():
@@ -204,3 +218,22 @@ def test_grid_function_ops_and_access():
     assert total.values == (F(3), F(6), F(9))
     clipped = f.restrict(Window(HalfInt(3), 2))
     assert clipped.values == (F(2), F(3))
+
+
+def test_arithmetic_needs_one_window():
+    f = GridFunction(HalfInt(1), (F(1), F(2), F(3)))
+    shorter = f.restrict(Window(HalfInt(3), 2))
+    shifted = GridFunction(HalfInt(3), (F(1), F(2), F(3)))
+    other_parity = GridFunction(HalfInt(2), (F(1), F(2), F(3)))
+    for g in (shorter, shifted, other_parity):
+        for op in (lambda a, b: a + b, lambda a, b: a - b,
+                   lambda a, b: a * b, lambda a, b: a / b):
+            with pytest.raises(OutOfWindow):
+                op(f, g)
+            with pytest.raises(OutOfWindow):
+                op(g, f)
+    assert (f * f).values == (F(1), F(4), F(9))
+    assert (f - f).is_zero()
+    assert (F(1, 2) * f).values == (F(1, 2), F(1), F(3, 2))
+    with pytest.raises(TypeError):
+        f * 2               # a scalar multiplies from the left only

@@ -4,12 +4,14 @@ import pytest
 
 from hyperlat import (
     DegenerateAbscissae,
+    DegenerateStep,
     GridFunction,
     HalfInt,
     HyperEquation,
     OracleDimensionError,
     QuadraticLattice,
     Window,
+    apply_L,
     brute_force_polynomial_oracle,
     nullspace,
     polynomial_coefficients,
@@ -47,6 +49,25 @@ def test_oracle_matches_rodrigues(equation, window):
         mine = polynomial_coefficients(equation.lattice, report.solution, n)
         oracle = brute_force_polynomial_oracle(equation, n)
         scale = next(a / b for a, b in zip(mine, oracle) if b != 0)
+        assert scale != 0
+        assert all(a == scale * b for a, b in zip(mine, oracle))
+
+
+def test_oracle_retries_past_repeated_x_and_zero_steps():
+    # x(s) = s^2 - 5s is symmetric about s = 5/2, so x(2) = x(3): the sample
+    # grids from 1 and 2 repeat an x-value, and the one from 3 reads the zero
+    # step x(3) - x(2) in apply_L; the oracle must go on to a usable grid
+    lat = QuadraticLattice(F(1), F(-5), F(0))
+    eq = HyperEquation(lat, (F(0), F(1), F(0)), (F(1), F(-2)))
+    assert lat.x(S(2)) == lat.x(S(3))
+    window = Window(S(6), 8)
+    for n in range(1, 5):
+        with pytest.raises(DegenerateStep):
+            apply_L(eq, GridFunction.sample(Window(S(2), n + 4), lat.x))
+        report = solve(eq, n, window)
+        mine = polynomial_coefficients(lat, report.solution, n)
+        oracle = brute_force_polynomial_oracle(eq, n)
+        scale = mine[-1] / oracle[-1]
         assert scale != 0
         assert all(a == scale * b for a, b in zip(mine, oracle))
 

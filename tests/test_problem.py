@@ -106,6 +106,24 @@ DIAGNOSTIC_CORPUS = [
     # a literal longer than the interpreter's int/str digit limit
     (MINIMAL_QUADRATIC.replace("ct3 = 0", "ct3 = " + "1" * 5001),
      5, 7, "bad rational '111111111111111111111111...' (5001 characters)"),
+    (MINIMAL_QUADRATIC.replace("n = 2", "n ="), 8, 1, "missing value for 'n'"),
+    (MINIMAL_QUADRATIC.replace("n = 2", "n = 2 3"),
+     8, 7, "unexpected trailing tokens after 'n'"),
+    (MINIMAL_QUADRATIC.replace("tau = 1, 2          # trailing comment", "tau = 1, .."),
+     7, 10, "expected a rational in 'tau' list"),
+    (MINIMAL_QUADRATIC.replace("tau = 1, 2          # trailing comment", "tau = 1 2"),
+     7, 9, "expected ',' in 'tau' list"),
+    (MINIMAL_QUADRATIC.replace("tau = 1, 2          # trailing comment", "tau = 1, 2,"),
+     7, 11, "trailing ',' in 'tau' list"),
+    (MINIMAL_QUADRATIC.replace("window = -4..8", "window = -4"),
+     9, 10, "window must be 'start..end'"),
+    (MINIMAL_QUADRATIC + "allow_degenerate = maybe\n",
+     10, 1, "allow_degenerate must be 'true' or 'false'"),
+    (MINIMAL_QUADRATIC.replace("n = 2", "n = 17"), 8, 1, "n must not exceed 16"),
+    (MINIMAL_QUADRATIC.replace("tau = 1, 2          # trailing comment", "tau = 1, 2, 3"),
+     7, 1, "tau needs exactly 2 coefficients"),
+    (MINIMAL_QUADRATIC.replace("ct3 = 0", "ct3 = 1/0"), 5, 7, "zero denominator in '1/0'"),
+    (MINIMAL_QUADRATIC + "sum_base = 1/3\n", 10, 12, "'sum_base' must be a half-integer"),
 ]
 
 
