@@ -77,6 +77,7 @@ from .solutions import (
     SolutionReport,
     Y_n,
     brute_force_polynomial_oracle,
+    casoratian,
     gamma_ell_eta,
     nullspace,
     polynomial_coefficients,

@@ -363,9 +363,13 @@ def _check_second_kind_residual(ctx: _Ctx):
     report = ctx.solve(ctx.n, ctx.window, "second", N=ctx.spec.sum_base)
     _ensure(report.is_exact_solution(),
             f"second-kind residual max {report.residual_max_abs()}")
-    lowered = iterated_delta(ctx.lat, 0, ctx.n + 1, report.solution)
-    _ensure(not lowered.is_zero(),
-            "second solution passes the degree test (not independent)")
+    # independence: the Casoratian constant K with the polynomial kind is
+    # one nonzero value on the window (rho is anchored where solve() anchors it)
+    poly = ctx.solve(ctx.n, ctx.window).solution
+    ks = {sol.casoratian(ctx.eq, ctx.weight(), poly, report.solution, s)
+          for s in list(ctx.window.points())[:-1]}
+    _ensure(len(ks) == 1, "Casoratian not constant")
+    _ensure(ks.pop() != 0, "Casoratian vanishes (not independent)")
 
 
 def _check_solution_linearity(ctx: _Ctx):

@@ -22,12 +22,31 @@ cancels in y.  The kinds are:
 
 * the second-kind companion: the generalized construction at P = 1.
 
+The two integral kinds run the formula only on a head: the first
+max(2, i - n + 1) points, where the sum base N is point i of the weight
+window, so the head's product window still holds N.  The rest follows from
+the Casoratian W(s) = y1(s) y(s+1) - y1(s+1) y(s) with the polynomial kind
+y1, a discrete Liouville-Ostrogradsky identity (Nikiforov, Suslov and
+Uvarov, ch. 3): for any two solutions at lambda_n,
+
+    K = sigma(s+1) rho(s+1) W(s) / delta x_0(s)             (``casoratian``)
+
+is one constant, so with K taken at the first point
+
+    y(s+1) = (K delta x_0(s) / (sigma(s+1) rho(s+1)) + y1(s+1) y(s)) / y1(s),
+
+O(m) operations in place of an n-fold difference over m points.  The values
+are those of the formula on the whole window, bit for bit.  K = 0 (n
+inadmissible, y a multiple of y1) needs no special case.  The formula runs
+on the whole window instead when the head already covers it, or when y1
+vanishes at a point the recurrence divides by.  The residual, on the whole
+window, certifies y1 and the identity together.
+
 When two of the first n + 1 points share x(s), the polynomial kind runs the
-formula on the whole window, as the integral kinds do.  Such a window is
-never certified: on both lattice families x repeats only in mirror pairs
-about one centre c, and L divides by a zero step there (``nabla_0`` when c
-lies between grid points, ``delta_{-1}`` when it is one), so the residual
-raises ``DegenerateStep``.
+formula on the whole window.  Such a window is never certified: on both
+lattice families x repeats only in mirror pairs about one centre c, and L
+divides by a zero step there (``nabla_0`` when c lies between grid points,
+``delta_{-1}`` when it is one), so the residual raises ``DegenerateStep``.
 
 A brute-force oracle recovers the polynomial solution independently, by exact
 null-space extraction from samples of L applied to the monomial basis; it
@@ -105,10 +124,12 @@ class SolutionReport:
 def weight_window_for(n: int, window: Window) -> Window:
     """The rho window ``solve()`` builds for a solution on ``window``: one
     extra point on the left and n + 1 on the right (one per side for the
-    residual stencil, n more for the n-fold difference).  The integral kinds
-    read all of it; the polynomial kind reads only the first n + 1 points
-    and the n points after them, but builds it all, so that a singular point
-    anywhere on it is named for every kind."""
+    residual stencil, n more for the n-fold difference).  The polynomial
+    stencil reads its first 2n + 1 points and the integral kinds their head
+    and n more, besides the enlarged window.  So, unless the formula runs on
+    the whole window or a sum base past the first n + 2 points lengthens
+    the head, no kind reads the last n points: they are built only so that a
+    singular point there is named as before, for every kind."""
     return window.expand(1, n + 1)
 
 
@@ -132,7 +153,11 @@ def solve(eq: HyperEquation, n: int, window: Window, kind: str = "polynomial",
     solution only.  rho is built on ``weight_window_for(n, window)``,
     normalized to 1 at ``window.start``.  The polynomial kind runs the
     formula on the first n + 1 points of ``window.expand(1, 1)`` and
-    interpolates in x(s); for every kind the residual covers all of that
+    interpolates in x(s); the integral kinds run it on a head of that
+    window, holding N in its product window, and continue by the Casoratian
+    recurrence with the polynomial kind, or run it on the whole window when
+    the head covers it or the polynomial kind vanishes where the recurrence
+    divides.  For every kind the residual covers all of the enlarged
     window.  The eigenvalue is pinned to lambda_n; ``residual_lam`` lets a
     caller verify the construction against a different spectral parameter
     (the residual is then nonzero unless the two agree).
@@ -159,7 +184,7 @@ def solve(eq: HyperEquation, n: int, window: Window, kind: str = "polynomial",
         N = y_window.start if N is None else N
         if N not in y_window:
             raise OutOfWindow(f"sum base {N} must lie in {y_window}")
-        y = _rodrigues(eq, weight, n, enlarged, N, (1,) if P is None else P)
+        y = _integral_kind(eq, weight, n, enlarged, N, (1,) if P is None else P)
     res_lam = lam if residual_lam is None else residual_lam
     residual = apply_L(eq.with_lambda(res_lam), y)
     return SolutionReport(
@@ -171,11 +196,13 @@ def solve(eq: HyperEquation, n: int, window: Window, kind: str = "polynomial",
 
 def _rodrigues(eq: HyperEquation, weight: PearsonWeight, n: int, window: Window,
                N: HalfInt | None = None, P: tuple | None = None) -> GridFunction:
-    """(1/rho) delta_{-n}^{(n)} [Y_n C] on ``window``.  C = 1 without P;
-    with it, C is the discrete integral from N of
-    P(x_{-(n+1)}(t)) / (Y_n(t) sigma(t-n)) against nabla x_{-n}(t).  P is
+    """(1/rho) delta_{-n}^{(n)} [Y_n C] on ``window``, reading rho and
+    sigma on ``window.expand(0, n)``.  C = 1 without P; with it, C is the
+    discrete integral from N of P(x_{-(n+1)}(t)) / (Y_n(t) sigma(t-n))
+    against nabla x_{-n}(t), and N must lie in that product window.  P is
     evaluated by Horner's rule from its leading coefficient, so P = (1,)
-    reads no lattice value."""
+    reads no lattice value.  The callers pass a stencil or a head, and the
+    whole enlarged window only as a fallback."""
     lat = eq.lattice
     product = Y_n(eq, weight, n, window.expand(0, n))
     if P is not None:
@@ -232,6 +259,41 @@ def _polynomial_kind(eq: HyperEquation, weight: PearsonWeight, n: int,
         return ys.value_at(s) if s in stencil else _newton_value(xs, c, lat.x(s))
 
     return GridFunction.sample(window, value)
+
+
+def casoratian(eq: HyperEquation, weight: PearsonWeight, y1: GridFunction,
+               y: GridFunction, s: HalfInt) -> Scalar:
+    """K(s) = sigma(s+1) rho(s+1) W(s) / delta x_0(s) for two grid functions,
+    with the Casoratian W(s) = y1(s) y(s+1) - y1(s+1) y(s).  For two
+    solutions of L y = 0 it is one constant, nonzero exactly when they are
+    independent."""
+    t = s + 1
+    w = y1.value_at(s) * y.value_at(t) - y1.value_at(t) * y.value_at(s)
+    return eq.lattice.delta_quotient(sigma_of_s(eq, t) * weight.value_at(t) * w, 0, s)
+
+
+def _integral_kind(eq: HyperEquation, weight: PearsonWeight, n: int, window: Window,
+                   N: HalfInt, P: tuple) -> GridFunction:
+    """``_rodrigues`` with numerator P on a head of ``window``, continued by
+    the Casoratian recurrence with the polynomial kind y1 (see the module
+    docstring); on the whole window when the head covers it or y1 vanishes
+    at a point the recurrence divides by."""
+    head = Window(window.start, max(2, window.expand(0, n).index_of(N) - n + 1))
+    if head.length >= window.length:
+        return _rodrigues(eq, weight, n, window, N, P)
+    y = _rodrigues(eq, weight, n, head, N, P)
+    y1 = _polynomial_kind(eq, weight, n, window)
+    u = y1.values
+    if any(v == 0 for v in u[head.length - 1:-1]):
+        return _rodrigues(eq, weight, n, window, N, P)
+    K = casoratian(eq, weight, y1, y, window.start)
+    lat, rho = eq.lattice, weight.rho.restrict(window).values
+    values = list(y.values)
+    for j in range(head.length - 1, window.length - 1):
+        s = window.start + j
+        step = K * lat.delta_x(0, s) / (sigma_of_s(eq, s + 1) * rho[j + 1])
+        values.append((step + u[j + 1] * values[j]) / u[j])
+    return GridFunction(window.start, tuple(values))
 
 
 # ---------------------------------------------------------------------------

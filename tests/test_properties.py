@@ -8,9 +8,13 @@ example instead):
 * the adjoint map is an involution: ``dual_coefficients`` gives back
   (sigma(s), tau(s), lambda);
 * L*[rho y] = rho L[y] for the Pearson weight rho;
-* the second-kind and generalized solutions of ``solve()`` equal a
-  reference built here from the definition, with the integrand denominator
-  rho(t) prod_{j=0..n} sigma(t-j) multiplied out by its own loop;
+* the second-kind and generalized solutions of ``solve()`` equal, bit for
+  bit, a reference built here from the definition over the whole window,
+  with the integrand denominator rho(t) prod_{j=0..n} sigma(t-j) multiplied
+  out by its own loop, for a sum base N anywhere in the weight window.
+  Explicit examples reach each route of ``solve()``: the Casoratian
+  recurrence with K = 0, the whole window when y_1 vanishes where the
+  recurrence divides, and the whole window when the head covers it;
 * the polynomial kind of ``solve()`` equals the Rodrigues formula with the
   n-fold difference taken over the whole window, and fails where that
   formula's residual fails; where the formula itself meets a zero step,
@@ -28,7 +32,9 @@ example instead):
 
 Over whole problem specs, drawn like ``_random_spec`` in
 ``test_acceptance``, every CLI command ends in an exit code 0-3 with no
-exception escaping ``cli.main``.
+exception escaping ``cli.main``; and wherever the polynomial and second
+kinds both certify, the Casoratian constant K is one value on the window,
+zero exactly when n is inadmissible.
 """
 
 import contextlib
@@ -54,8 +60,10 @@ from hyperlat import (
     SingularSummand,
     Window,
     Y_n,
+    admissibility_violation,
     apply_L,
     apply_L_star,
+    casoratian,
     dual_coefficients,
     iterated_delta,
     lambda_n,
@@ -146,10 +154,12 @@ def test_adjoint_intertwines_with_the_weight(eq, window, data):
     assert lhs == rhs
 
 
-def reference_solution(eq, n, window, numerator):
+def reference_solution(eq, n, window, N, numerator):
     """(1/rho) delta_{-n}^{(n)}[ Y_n(s) sum_{t=N..s} numerator(t) / den(t)
-    nabla x_{-n}(t) ] with N the first point of the y window and
-    den(t) = rho(t) prod_{j=0..n} sigma(t-j); x_k is the family formula."""
+    nabla x_{-n}(t) ] over the whole y window, with
+    den(t) = rho(t) prod_{j=0..n} sigma(t-j); x_k is the family formula.
+    The sum from N is the running sum from the first point minus its value
+    at N - 1, which is 0 when N is the first point."""
     lat = eq.lattice
     rho = pearson_weight(eq, weight_window_for(n, window), window.start)
     points = list(window.expand(1, 1 + n).points())
@@ -160,21 +170,48 @@ def reference_solution(eq, n, window, numerator):
             value *= sigma_of_s(eq, t - j)
         return value
 
-    acc, values = F(0), []
+    acc, sums = F(0), [F(0)]
     for t in points:
         acc += numerator(t) / sigma_product(t, n + 1) * (lat.x_k(-n, t) - lat.x_k(-n, t - 1))
-        values.append(sigma_product(t, n) * acc)
+        sums.append(acc)
+    offset = sums[points.index(N)]
+    values = [sigma_product(t, n) * (c - offset) for t, c in zip(points, sums[1:])]
     for level in range(-n, 0):
         values = [(b - a) / (lat.x_k(level, t + 1) - lat.x_k(level, t))
                   for t, a, b in zip(points, values, values[1:])]
     return tuple(v / rho.value_at(t) for t, v in zip(points[1:-1], values[1:-1]))
 
 
+@st.composite
+def integral_problems(draw):
+    """A problem with a sum base N anywhere in the weight window, so the
+    Rodrigues head of the integral kinds may reach past its first n + 2
+    points, and a numerator P."""
+    eq, n, window = draw(problems())
+    y_window = weight_window_for(n, window)
+    N = y_window.start + draw(st.integers(0, y_window.length - 1))
+    return eq, n, window, N, tuple(draw(small) for _ in range(n + 1))
+
+
+def _quadratic(ct1, ct2, ct3, sigma_t, tau_t):
+    return HyperEquation(QuadraticLattice(F(ct1), F(ct2), F(ct3)),
+                         tuple(map(F, sigma_t)), tuple(map(F, tau_t)))
+
+
+# y_1 = tau~(x(s)) = 42 - s(s+1) vanishes at s = 6, inside the window, so
+# the recurrence would divide by zero and the formula runs on the whole window
+@example((_quadratic(1, 1, 0, (0, 1, 0), (42, -1)), 1, Window(HalfInt.from_int(4), 6),
+          HalfInt.from_int(3), (F(1), F(2))))
+# lambda_2 = lambda_0: the second kind is a multiple of y_1, and K = 0
+@example((_quadratic(1, 1, 0, (0, 1, 1), (1, -1)), 2, Window(HalfInt.from_int(4), 6),
+          HalfInt.from_int(5), (F(1), F(-1), F(1, 2))))
+# N is the last point of the weight window: the head covers the window
+@example((quad_a(), 2, Window(HalfInt.from_int(4), 5), HalfInt.from_int(11),
+          (F(0), F(1), F(1))))
 @settings(max_examples=40, deadline=None, phases=NO_SHRINK)
-@given(problems(), st.data())
-def test_integral_kinds_match_the_definition(problem, data):
-    eq, n, window = problem
-    P = tuple(data.draw(small) for _ in range(n + 1))
+@given(integral_problems())
+def test_integral_kinds_match_the_definition(problem):
+    eq, n, window, N, P = problem
     lat = eq.lattice
 
     def poly_numerator(t):
@@ -183,10 +220,10 @@ def test_integral_kinds_match_the_definition(problem, data):
 
     for kind, numerator in (("second", lambda t: F(1)), ("generalized", poly_numerator)):
         try:
-            report = solve(eq, n, window, kind, P=P)
+            report = solve(eq, n, window, kind, N=N, P=P)
         except HyperlatError:
             continue
-        assert report.solution.values == reference_solution(eq, n, window, numerator)
+        assert report.solution.values == reference_solution(eq, n, window, N, numerator)
 
 
 def full_window_rodrigues(eq, n, window):
@@ -320,3 +357,23 @@ def test_every_command_ends_in_an_exit_code(spec):
                     contextlib.redirect_stderr(io.StringIO()):
                 code = cli.main([command[0], "--spec", path, *command[1:]])
             assert code in (0, 1, 2, 3), (command, render_problem(spec))
+
+
+@settings(max_examples=40, deadline=None, phases=NO_SHRINK)
+@given(specs())
+def test_the_casoratian_is_one_constant_nonzero_exactly_when_n_is_admissible(spec):
+    # wherever the polynomial and second kinds both certify, K(s) takes one
+    # value on the window, and it vanishes exactly when lambda_m = lambda_n
+    # for some m < n (the second kind is then a multiple of y_1)
+    eq, n, window = spec.equation(), spec.n, spec.window
+    try:
+        y1 = solve(eq, n, window)
+        y = solve(eq, n, window, "second", N=spec.sum_base)
+    except HyperlatError:
+        assume(False)
+    assume(y1.is_exact_solution() and y.is_exact_solution())
+    weight = pearson_weight(eq, window, window.start)
+    ks = {casoratian(eq, weight, y1.solution, y.solution, s)
+          for s in list(window.points())[:-1]}
+    assert len(ks) == 1
+    assert (ks.pop() != 0) == (admissibility_violation(eq, n) is None)
