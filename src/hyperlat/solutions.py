@@ -38,9 +38,14 @@ is one constant, so with K taken at the first point
 O(m) operations in place of an n-fold difference over m points.  The values
 are those of the formula on the whole window, bit for bit.  K = 0 (n
 inadmissible, y a multiple of y1) needs no special case.  The formula runs
-on the whole window instead when the head already covers it, or when y1
-vanishes at a point the recurrence divides by.  The residual, on the whole
-window, certifies y1 and the identity together.
+on the whole window instead when the head already covers it, when the
+n-fold difference there or K at the first point divides by a zero lattice
+step, or when y1 vanishes at a point the recurrence divides by.  So a
+window where the formula has no value (a zero step inside its n-fold
+difference, which the recurrence never reads) raises the formula's own
+``DegenerateStep``, and every error names what the whole-window formula and
+its residual name.  The residual, on the whole window, certifies y1 and the
+identity together.
 
 When two of the first n + 1 points share x(s), the polynomial kind runs the
 formula on the whole window.  Such a window is never certified: on both
@@ -156,8 +161,9 @@ def solve(eq: HyperEquation, n: int, window: Window, kind: str = "polynomial",
     interpolates in x(s); the integral kinds run it on a head of that
     window, holding N in its product window, and continue by the Casoratian
     recurrence with the polynomial kind, or run it on the whole window when
-    the head covers it or the polynomial kind vanishes where the recurrence
-    divides.  For every kind the residual covers all of the enlarged
+    the head covers it, a step the formula or K divides by is zero, or the
+    polynomial kind vanishes where the recurrence divides.  For every kind
+    the residual covers all of the enlarged
     window.  The eigenvalue is pinned to lambda_n; ``residual_lam`` lets a
     caller verify the construction against a different spectral parameter
     (the residual is then nonzero unless the two agree).
@@ -272,14 +278,28 @@ def casoratian(eq: HyperEquation, weight: PearsonWeight, y1: GridFunction,
     return eq.lattice.delta_quotient(sigma_of_s(eq, t) * weight.value_at(t) * w, 0, s)
 
 
+def _meets_zero_step(lat: Lattice, n: int, window: Window) -> bool:
+    """Whether the n-fold difference of ``_rodrigues`` on ``window`` divides
+    by a zero step: its j-th pass divides by delta x_{j-n}(t) at the first
+    len(window) + n - 1 - j points t, and delta x_k(t) is
+    x_at(2t + k + 2) - x_at(2t + k)."""
+    first = window.start.twice - n
+    twice = {first + 2 * i + j for j in range(n) for i in range(window.length + n - 1 - j)}
+    return any(lat.x_at(a + 2) == lat.x_at(a) for a in twice)
+
+
 def _integral_kind(eq: HyperEquation, weight: PearsonWeight, n: int, window: Window,
                    N: HalfInt, P: tuple) -> GridFunction:
     """``_rodrigues`` with numerator P on a head of ``window``, continued by
     the Casoratian recurrence with the polynomial kind y1 (see the module
-    docstring); on the whole window when the head covers it or y1 vanishes
-    at a point the recurrence divides by."""
+    docstring); on the whole window when the head covers it, when the
+    formula there or K at the first point divides by a zero step, or when y1
+    vanishes at a point the recurrence divides by.  So every error is met
+    where the whole-window formula and its residual meet it."""
+    lat = eq.lattice
     head = Window(window.start, max(2, window.expand(0, n).index_of(N) - n + 1))
-    if head.length >= window.length:
+    if (head.length >= window.length or _meets_zero_step(lat, n, window)
+            or lat.delta_x(0, window.start) == 0):
         return _rodrigues(eq, weight, n, window, N, P)
     y = _rodrigues(eq, weight, n, head, N, P)
     y1 = _polynomial_kind(eq, weight, n, window)
@@ -287,7 +307,7 @@ def _integral_kind(eq: HyperEquation, weight: PearsonWeight, n: int, window: Win
     if any(v == 0 for v in u[head.length - 1:-1]):
         return _rodrigues(eq, weight, n, window, N, P)
     K = casoratian(eq, weight, y1, y, window.start)
-    lat, rho = eq.lattice, weight.rho.restrict(window).values
+    rho = weight.rho.restrict(window).values
     values = list(y.values)
     for j in range(head.length - 1, window.length - 1):
         s = window.start + j

@@ -14,7 +14,8 @@ example instead):
   out by its own loop, for a sum base N anywhere in the weight window.
   Explicit examples reach each route of ``solve()``: the Casoratian
   recurrence with K = 0, the whole window when y_1 vanishes where the
-  recurrence divides, and the whole window when the head covers it;
+  recurrence divides, when the formula there divides by a zero step, and
+  when the head covers it;
 * the polynomial kind of ``solve()`` equals the Rodrigues formula with the
   n-fold difference taken over the whole window, and fails where that
   formula's residual fails; where the formula itself meets a zero step,
@@ -205,6 +206,14 @@ def _quadratic(ct1, ct2, ct3, sigma_t, tau_t):
 # lambda_2 = lambda_0: the second kind is a multiple of y_1, and K = 0
 @example((_quadratic(1, 1, 0, (0, 1, 1), (1, -1)), 2, Window(HalfInt.from_int(4), 6),
           HalfInt.from_int(5), (F(1), F(-1), F(1, 2))))
+# x = -s^2/3 + 4s - 4/3 is symmetric about s = 6, so the whole-window formula
+# divides by the zero step of x_-3 at s = 7 and solve() must raise with it;
+# the recurrence, which never reads that step, would return values the
+# definition does not have
+@example((HyperEquation(QuadraticLattice(F(-1, 3), F(4), F(-4, 3)), (F(2), F(-2), F(7, 2)),
+                        (F(-3), F(-1)), F(4)),
+          3, Window(HalfInt.from_int(0), 6), HalfInt.from_int(6),
+          (F(-8, 3), F(7, 3), F(0), F(1))))
 # N is the last point of the weight window: the head covers the window
 @example((quad_a(), 2, Window(HalfInt.from_int(4), 5), HalfInt.from_int(11),
           (F(0), F(1), F(1))))

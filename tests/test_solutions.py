@@ -191,6 +191,20 @@ def test_singular_summand_named():
     assert err.value.point == S(3)
 
 
+def test_integral_kinds_name_the_zero_step_the_whole_window_route_meets():
+    # x = s^2 + s - 3 is symmetric about s = -1/2, so delta x_0(-1) = 0: the
+    # Casoratian K at the first point would divide by it, while the formula
+    # on the whole window does not, and its residual meets it as nabla x_0(0)
+    from hyperlat import DegenerateStep, HyperEquation, QuadraticLattice
+
+    eq = HyperEquation(QuadraticLattice(F(1), F(1), F(-3)),
+                       (F(9, 4), F(-8, 5), F(-9, 2)), (F(1, 5), F(-9, 7)))
+    for kind in ("second", "generalized"):
+        with pytest.raises(DegenerateStep) as err:
+            solve(eq, 1, Window(S(0), 7), kind, P=(F(1), F(2)))
+        assert str(err.value) == "zero step of x_0 at s=0"
+
+
 def test_generalized_zero_polynomial(equation, window):
     report = solve(equation, 2, window, "generalized", P=(F(0), F(0), F(0)))
     assert report.solution.is_zero()
