@@ -22,8 +22,10 @@ drive the polynomial eigenfunctions, and the adjoint coefficients
     lambda*   = lambda - kappa_{-1}
 
 define the adjoint operator L*, which satisfies L*[rho y] = rho L[y] for the
-Pearson weight rho.  L and L* are the same three-term operator with
-different coefficients.  The adjoint map (sigma, tau, lambda) ->
+Pearson weight rho.  L and L* are the same operator with different
+coefficients, evaluated in the three-term form L[y](s) = A(s) y(s+1) +
+B(s) y(s) + C(s) y(s-1), each value summed over one common denominator and
+normalized once (``_three_term``).  The adjoint map (sigma, tau, lambda) ->
 (sigma*, tau*, lambda*) is written once, for any pair of coefficient
 functions, and it is an involution: ``dual_coefficients`` applies it a
 second time, to the starred coefficients, and must get back sigma, tau and
@@ -44,6 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from math import gcd
 
 from .errors import (
     NonConstantLambdaStar,
@@ -51,7 +54,7 @@ from .errors import (
     PearsonSingularity,
     WindowTooSmall,
 )
-from .grid import GridFunction, Window, delta_k, nabla_k
+from .grid import GridFunction, Window
 from .lattice import HalfInt, Lattice
 from .numerics import Scalar, format_rational
 
@@ -222,13 +225,42 @@ def rho_k(eq: HyperEquation, weight: PearsonWeight, k: int, s: HalfInt) -> Scala
 
 def _three_term(lat: Lattice, y: GridFunction, sig, tau, lam: Scalar) -> GridFunction:
     """sig delta_{-1} nabla_0 y + tau delta_0 y + lam y on the interior window
-    (one point lost per side); sig and tau are callables of s."""
-    grad = nabla_k(lat, 0, y)              # on [start+1, end]; delta_0 y(s) = grad(s+1)
-    second = delta_k(lat, -1, grad)        # on [start+1, end-1]
-    return GridFunction(second.start, tuple(
-        sig(s) * d2 + tau(s) * d1 + lam * v
-        for s, d2, d1, v in zip(second.points(), second.values,
-                                grad.values[1:], y.values[1:])))
+    (one point lost per side); sig and tau are callables of s.
+
+    Written out, the two divided differences give the three-term form
+
+        L[y](s) = A(s) y(s+1) + B(s) y(s) + C(s) y(s-1),
+        A = (sig/delta x_{-1} + tau) / delta x_0,   C = sig / (delta x_{-1} nabla x_0),
+        B = lam - A - C,
+
+    with coefficients far smaller than the values of y.  Each output value
+    sums the three products in integers over their least common denominator,
+    about the largest denominator of the three values of y, which share most
+    of their factors, and is normalized once.  Every step is read first, in
+    the order the two passes of divided differences read them (each nabla
+    x_0, then each delta x_{-1}, left to right), so a zero step is named as
+    by those passes.
+    """
+    start, v = y.start + 1, y.values
+    inner = range(len(v) - 2)
+    # 1 / delta x_{-1} at each output point s, and 1 / nabla x_0 there and
+    # one point further, since nabla x_0(s + 1) = delta x_0(s)
+    over_nabla = [lat.nabla_quotient(1, 0, start + j) for j in range(len(v) - 1)]
+    over_delta = [lat.delta_quotient(1, -1, start + j) for j in inner]
+    out = []
+    for j in inner:
+        s = start + j
+        sig_over = sig(s) * over_delta[j]
+        a = (sig_over + tau(s)) * over_nabla[j + 1]
+        c = sig_over * over_nabla[j]
+        num, den = 0, 1
+        for coef, value in ((a, v[j + 2]), (lam - a - c, v[j + 1]), (c, v[j])):
+            d = coef.denominator * value.denominator
+            g = gcd(den, d)
+            num = num * (d // g) + coef.numerator * value.numerator * (den // g)
+            den *= d // g
+        out.append(Fraction(num, den))
+    return GridFunction(start, tuple(out))
 
 
 def _coefficients(eq: HyperEquation):

@@ -97,7 +97,7 @@ class SolutionReport:
     n: int
     lam_n: Scalar                  # the eigenvalue lambda_n used to build it
     solution: GridFunction
-    residual: GridFunction         # apply_L output on the same window
+    residual: GridFunction         # L over window.expand(1, 1), on the solution window
     residual_lam: Scalar           # lambda the residual was evaluated with
     inadmissible_m: int | None     # first m < n with lambda_m = lambda_n
     sum_base: HalfInt | None = None

@@ -22,7 +22,7 @@ from hyperlat import (
     tau_k,
     tau_of_s,
 )
-from tests.conftest import qq_a, quad_a
+from tests.conftest import qq_a, qq_b, quad_a
 
 S = HalfInt.from_int
 
@@ -219,6 +219,26 @@ def test_apply_L_matches_three_point_stencil(equation):
         expect = (sigma_of_s(eq, s) * second + tau_of_s(eq, s) * first
                   + eq.lam * y.value_at(s))
         assert out.value_at(s) == expect
+
+
+@pytest.mark.parametrize("j", [1, 21, 42])
+def test_a_perturbed_value_moves_the_residual_at_its_point_and_neighbours_only(j):
+    # a 44-point second-kind solution on qq-b, n = 8, with values of about
+    # 20k bits: L is a three-term operator, so changing y(s0) moves L[y] at
+    # s0 - 1, s0 and s0 + 1 and nowhere else, whatever the denominators
+    from hyperlat import solve
+
+    eq = qq_b()
+    report = solve(eq, 8, Window(S(12), 44), "second")
+    eq = eq.with_lambda(report.lam_n)
+    y = report.solution
+    assert apply_L(eq, y).is_zero()
+    s0 = y.start + j
+    bumped = GridFunction(y.start, tuple(
+        v + F(1, 7 ** 50) if s == s0 else v for s, v in y.items()))
+    residual = apply_L(eq, bumped)
+    assert {s for s, v in residual.items() if v != 0} == {
+        s for s in (s0 - 1, s0, s0 + 1) if s in residual.window}
 
 
 def test_self_adjoint_form_residual(equation, window):

@@ -23,6 +23,12 @@ example instead):
   ``problems``, lattices symmetric about a known centre are drawn with
   windows on either side of it, across it, and shorter than n + 1 distinct
   x values;
+* ``apply_L`` and ``apply_L_star``, which evaluate the three-term form
+  A y(s+1) + B y(s) + C y(s-1) over one common denominator per point,
+  equal the two-pass operator sig delta_{-1}(nabla_0 y) + tau delta_0 y +
+  lambda y built here from ``nabla_k`` and ``delta_k``, in values and in
+  the class and text of any exception, for integer and rational y of mixed
+  sizes, also on windows that hold a mirror pair;
 * on a window whose enlargement holds a mirror pair x(s1) = x(s2), L
   meets a zero step at the centre, so ``apply_L`` and every kind of
   ``solve()`` end in ``DegenerateStep`` (the integral kinds may first meet
@@ -65,17 +71,23 @@ from hyperlat import (
     apply_L,
     apply_L_star,
     casoratian,
+    delta_k,
     dual_coefficients,
     iterated_delta,
     lambda_n,
+    lambda_star,
+    nabla_k,
     pearson_weight,
     render_problem,
     sigma_of_s,
+    sigma_star,
     solve,
     tau_of_s,
+    tau_star,
     weight_window_for,
 )
 from hyperlat import cli
+from hyperlat.equation import _checked_lambda_star
 from tests.conftest import quad_a
 
 # A failing example is reported as drawn: shrinking one took minutes, since
@@ -153,6 +165,75 @@ def test_adjoint_intertwines_with_the_weight(eq, window, data):
     except HyperlatError:
         assume(False)
     assert lhs == rhs
+
+
+def two_pass(eq, y, sig, tau, lam):
+    """sig delta_{-1}(nabla_0 y) + tau delta_0 y + lam y from two passes of
+    divided differences, with delta_0 y(s) = nabla_0 y(s+1)."""
+    grad = nabla_k(eq.lattice, 0, y)
+    second = delta_k(eq.lattice, -1, grad)
+    return GridFunction(second.start, tuple(
+        sig(eq, s) * d2 + tau(eq, s) * d1 + lam * v
+        for s, d2, d1, v in zip(second.points(), second.values,
+                                grad.values[1:], y.values[1:])))
+
+
+def two_pass_star(eq, w):
+    out = two_pass(eq, w, sigma_star, tau_star, lambda_star(eq))
+    _checked_lambda_star(eq, out.points())
+    return out
+
+
+def outcome(fn, *args):
+    """repr of the result, so the value types count too, or the exception."""
+    try:
+        return repr(fn(*args))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+grid_values = st.one_of(
+    st.integers(-50, 50), small,
+    st.builds(F, st.integers(-10 ** 40, 10 ** 40), st.integers(1, 10 ** 40)))
+
+
+# x = ct1 s^2 + ct2 s + ct3 with ct1 or ct2 (or both) zero: uniform or
+# constant, so a window may hold zero steps of both nabla x_0 and
+# delta x_{-1}, and only the order the steps are read in names the first
+degenerate_quadratic = st.builds(
+    QuadraticLattice, st.just(F(0)) | nonzero, st.just(F(0)) | nonzero, small,
+    allow_degenerate=st.just(True))
+
+
+@st.composite
+def three_term_problems(draw):
+    """An equation, a window of at least three points and y on it.  The
+    window is drawn like ``problems``, or around the centre of a symmetric
+    lattice, where it may hold a mirror pair, or on a degenerate lattice."""
+    branch = draw(st.integers(0, 2))
+    if branch == 0:
+        eq, window = draw(equations), draw(windows(0))
+    elif branch == 1:
+        eq, _, window = draw(centred_problems())
+        window = window.expand(1, 1)
+    else:
+        eq = HyperEquation(draw(degenerate_quadratic), draw(st.tuples(small, small, small)),
+                           draw(st.tuples(small, small)), draw(small))
+        window = draw(windows(0))
+    values = draw(st.lists(grid_values, min_size=window.length, max_size=window.length))
+    return eq, GridFunction(window.start, tuple(values))
+
+
+# a constant lattice: every step is zero, and nabla x_0 at s = 1 is read first
+@example((HyperEquation(QuadraticLattice(F(0), F(0), F(1), allow_degenerate=True),
+                        (F(1), F(0), F(0)), (F(0), F(1)), F(2)),
+          GridFunction(HalfInt.from_int(0), (F(1), 2, F(3, 7)))))
+@settings(max_examples=80, deadline=None, phases=NO_SHRINK)
+@given(three_term_problems())
+def test_the_three_term_kernel_equals_the_two_pass_operator(problem):
+    eq, y = problem
+    assert outcome(apply_L, eq, y) == outcome(two_pass, eq, y, sigma_of_s, tau_of_s, eq.lam)
+    assert outcome(apply_L_star, eq, y) == outcome(two_pass_star, eq, y)
 
 
 def reference_solution(eq, n, window, N, numerator):
