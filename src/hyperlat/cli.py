@@ -12,11 +12,17 @@ Exit codes: 0 success, 1 identity/residual failure, 2 usage or parse error,
 is exact, so a residual passes only when it is literally zero; no flag
 relaxes that.  Output is CSV by default, JSON with ``--format json``;
 identical inputs produce byte identical output.
+
+``main`` loads the problem file once and hands it to the command.  Each
+command builds its text and its JSON once, each as a zero-argument builder,
+and passes both to ``_emit``, the only code that reads ``--format`` and
+``--out``: it builds the form that was asked for and writes it.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -65,12 +71,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_spec(path: str) -> ProblemSpec:
-    with open(path, "rb") as handle:
-        return parse_problem_bytes(handle.read())
-
-
-def _emit(args, text: str) -> None:
+def _emit(args, lines, document) -> None:
+    """The one writer: build only the form ``--format`` asks for, from
+    ``lines()`` (CSV or text) or ``document()`` (JSON), and write it to
+    ``--out`` or standard output."""
+    if args.format == "json":
+        text = json.dumps(document(), indent=2) + "\n"
+    else:
+        text = "\n".join(lines()) + "\n"
     if args.out is None:
         sys.stdout.write(text)
     else:
@@ -78,8 +86,7 @@ def _emit(args, text: str) -> None:
             handle.write(text)
 
 
-def _cmd_solve(args) -> int:
-    spec = _load_spec(args.spec)
+def _cmd_solve(args, spec: ProblemSpec) -> int:
     eq = spec.equation()
     if args.kind == "generalized" and spec.poly_p is None:
         print("error: --kind generalized requires P in the problem file",
@@ -89,92 +96,48 @@ def _cmd_solve(args) -> int:
         eq, spec.n, spec.window, kind=args.kind,
         N=spec.sum_base, P=spec.poly_p,
         residual_lam=eq.lam)
-    if args.format == "json":
-        _emit(args, json.dumps(report.to_json_dict(), indent=2) + "\n")
-    else:
-        lines = ["s,value,residual"]
-        for s, value in report.solution.items():
-            lines.append(f"{s},{format_scalar(value)},"
-                         f"{format_scalar(report.residual.value_at(s))}")
-        _emit(args, "\n".join(lines) + "\n")
+    _emit(args, lambda: ["s,value,residual"] + [
+        f"{s},{format_scalar(value)},{format_scalar(report.residual.value_at(s))}"
+        for s, value in report.solution.items()], report.to_json_dict)
     return EXIT_OK if report.is_exact_solution() else EXIT_FAILED
 
 
-def _cmd_verify(args) -> int:
-    results = run_identity_suite(_load_spec(args.spec))
-    first_failure = next((r for r in results if not r.passed), None)
-    if args.format == "json":
-        payload = [{"name": r.name, "passed": r.passed, "detail": r.detail}
-                   for r in results]
-        _emit(args, json.dumps(payload, indent=2) + "\n")
-    else:
-        lines = []
-        for r in results:
-            lines.append(f"PASS {r.name}" if r.passed else f"FAIL {r.name}: {r.detail}")
-        if first_failure is None:
-            lines.append(f"ok: {len(results)} identities")
-        else:
-            lines.append(f"FAILED: {first_failure.name}")
-        _emit(args, "\n".join(lines) + "\n")
-    return EXIT_OK if first_failure is None else EXIT_FAILED
+def _cmd_verify(args, spec: ProblemSpec) -> int:
+    results = run_identity_suite(spec)
+    failed = [r.name for r in results if not r.passed]
+    summary = f"FAILED: {failed[0]}" if failed else f"ok: {len(results)} identities"
+    _emit(args, lambda: [f"PASS {r.name}" if r.passed else f"FAIL {r.name}: {r.detail}"
+                         for r in results] + [summary],
+          lambda: [dataclasses.asdict(r) for r in results])
+    return EXIT_FAILED if failed else EXIT_OK
 
 
-def _cmd_adjoint(args) -> int:
-    spec = _load_spec(args.spec)
+def _cmd_adjoint(args, spec: ProblemSpec) -> int:
     eq = spec.equation()
     coeffs = eqn.adjoint_coeffs(eq, spec.window)
-    scalars = (("lambda_star", coeffs.lambda_star),
-               ("kappa_minus_one", eq.kappa(-1)))
-    if args.format == "json":
-        payload = {
-            "window": {"start": str(spec.window.start), "length": spec.window.length},
-            "s": [str(s) for s in spec.window.points()],
-            "sigma_star": [format_scalar(v) for v in coeffs.sigma_star.values],
-            "tau_star": [format_scalar(v) for v in coeffs.tau_star.values],
-        }
-        payload.update({name: format_scalar(v) for name, v in scalars})
-        _emit(args, json.dumps(payload, indent=2) + "\n")
-    else:
-        lines = ["s,sigma_star,tau_star"]
-        for s in spec.window.points():
-            lines.append(f"{s},{format_scalar(coeffs.sigma_star.value_at(s))},"
-                         f"{format_scalar(coeffs.tau_star.value_at(s))}")
-        lines.append("")
-        lines.append("name,value")
-        for name, value in scalars:
-            lines.append(f"{name},{format_scalar(value)}")
-        _emit(args, "\n".join(lines) + "\n")
+    columns = {"s": [str(s) for s in spec.window.points()],
+               "sigma_star": [format_scalar(v) for v in coeffs.sigma_star.values],
+               "tau_star": [format_scalar(v) for v in coeffs.tau_star.values]}
+    scalars = {"lambda_star": format_scalar(coeffs.lambda_star),
+               "kappa_minus_one": format_scalar(eq.kappa(-1))}
+    _emit(args, lambda: [",".join(columns), *map(",".join, zip(*columns.values())),
+                         "", "name,value", *map(",".join, scalars.items())],
+          lambda: {"window": {"start": str(spec.window.start), "length": spec.window.length},
+                   **columns, **scalars})
     return EXIT_OK
 
 
-def _cmd_table(args) -> int:
-    spec = _load_spec(args.spec)
+def _cmd_table(args, spec: ProblemSpec) -> int:
     eq = spec.equation()
     lat = eq.lattice
     rows = []
     for k in range(spec.n + 1):
-        rows.append({
-            "k": k,
-            "nu": lat.nu(k),
-            "alpha": lat.alpha(k),
-            "kappa": eq.kappa(k),
-            "kappa_2k_plus_1": eq.kappa(2 * k + 1),
-            "mu": eqn.mu_k(eq, k),
-            "lambda": eqn.lambda_n(eq, k),
-            "hat_mu": eqn.hat_mu_n(eq, k),
-        })
-    if args.format == "json":
-        payload = [{key: (value if key == "k" else format_scalar(value))
-                    for key, value in row.items()} for row in rows]
-        _emit(args, json.dumps(payload, indent=2) + "\n")
-    else:
-        header = ["k", "nu", "alpha", "kappa", "kappa_2k_plus_1", "mu", "lambda", "hat_mu"]
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join(
-                str(row["k"]) if key == "k" else format_scalar(row[key])
-                for key in header))
-        _emit(args, "\n".join(lines) + "\n")
+        values = {"nu": lat.nu(k), "alpha": lat.alpha(k), "kappa": eq.kappa(k),
+                  "kappa_2k_plus_1": eq.kappa(2 * k + 1), "mu": eqn.mu_k(eq, k),
+                  "lambda": eqn.lambda_n(eq, k), "hat_mu": eqn.hat_mu_n(eq, k)}
+        rows.append({"k": k, **{key: format_scalar(v) for key, v in values.items()}})
+    _emit(args, lambda: [",".join(rows[0]), *(",".join(map(str, row.values())) for row in rows)],
+          lambda: rows)
     return EXIT_OK
 
 
@@ -190,7 +153,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        with open(args.spec, "rb") as handle:
+            spec = parse_problem_bytes(handle.read())
+        return _COMMANDS[args.command](args, spec)
     except ProblemFormatError as exc:
         for diagnostic in exc.diagnostics:
             print(diagnostic, file=sys.stderr)

@@ -89,12 +89,11 @@ class _Ctx:
                           lambda: sol.solve(self.eq, n, window, kind, **options))
 
     def weight(self, n: int | None = None) -> eqn.PearsonWeight:
-        # One point per side more than solve() reads: on the shortest window
-        # (n + 5 points) adjoint-product reads 7 points of the n = 0 weight
-        # from window.start on, and expand(1, n + 1) would hold only 6.
+        # solve()'s rule for the window enlarged by one point per side: on the
+        # shortest window adjoint-product reads 7 points of the n = 0 weight.
         n = self.n if n is None else n
         return self._once(("weight", n), lambda: eqn.pearson_weight(
-            self.eq, self.window.expand(2, n + 2), self.window.start))
+            self.eq, sol.weight_window_for(n, self.window.expand(1, 1)), self.window.start))
 
     def random_grid(self, window: Window, nonzero: bool = False) -> GridFunction:
         def draw():

@@ -56,10 +56,9 @@ class ParseDiagnostic:
     line: int
     column: int
     message: str
-    severity: str = "error"
 
     def __str__(self) -> str:
-        return f"{self.line}:{self.column}: {self.severity}: {self.message}"
+        return f"{self.line}:{self.column}: error: {self.message}"
 
 
 @dataclass(frozen=True)

@@ -141,6 +141,14 @@ def run_cli(*args):
     ("verify_qlattice.txt", ("verify", "--spec", "demos/qlattice.spec")),
     ("adjoint_quadratic.csv", ("adjoint", "--spec", "demos/quadratic.spec")),
     ("table_qlattice.csv", ("table", "--spec", "demos/qlattice.spec")),
+    ("adjoint_quadratic.json", ("adjoint", "--spec", "demos/quadratic.spec",
+                                "--format", "json")),
+    ("table_qlattice.json", ("table", "--spec", "demos/qlattice.spec",
+                             "--format", "json")),
+    ("verify_qlattice.json", ("verify", "--spec", "demos/qlattice.spec",
+                              "--format", "json")),
+    ("solve_qlattice_second.json", ("solve", "--spec", "demos/qlattice.spec",
+                                    "--kind", "second", "--format", "json")),
 ])
 def test_golden_outputs(golden_name, args):
     result = run_cli(*args)
@@ -161,6 +169,19 @@ def test_out_flag_writes_file(tmp_path):
     assert result.returncode == 0
     assert out.read_text() == (GOLDEN / "solve_quadratic.csv").read_text()
     assert result.stdout == ""
+
+
+@pytest.mark.parametrize("format", ["csv", "json"])
+@pytest.mark.parametrize("command", [
+    ("solve", "--kind", "second"), ("verify",), ("adjoint",), ("table",)],
+    ids=lambda command: command[0])
+def test_out_writes_the_bytes_stdout_would_get(capsys, tmp_path, command, format):
+    args = [command[0], "--spec", str(DEMOS / "qlattice.spec"), *command[1:],
+            "--format", format]
+    printed = _main_stdout(capsys, *args)
+    out = tmp_path / "out"
+    assert _main_stdout(capsys, *args, "--out", str(out)) == ""
+    assert out.read_bytes() == printed.encode("utf-8")
 
 
 def test_wrong_lambda_exits_one(tmp_path):

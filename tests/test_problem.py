@@ -124,6 +124,16 @@ DIAGNOSTIC_CORPUS = [
      7, 1, "tau needs exactly 2 coefficients"),
     (MINIMAL_QUADRATIC.replace("ct3 = 0", "ct3 = 1/0"), 5, 7, "zero denominator in '1/0'"),
     (MINIMAL_QUADRATIC + "sum_base = 1/3\n", 10, 12, "'sum_base' must be a half-integer"),
+    (MINIMAL_QUADRATIC.replace("n = 2", "n = two"), 8, 5, "bad value for 'n'"),
+    (MINIMAL_QUADRATIC.replace("window = -4..8", "window = 1.5..8"), 9, 11, "expected '..'"),
+    (MINIMAL_QUADRATIC.replace("tau = 1, 2          # trailing comment", "tau ="),
+     7, 1, "missing value for 'tau'"),
+    (MINIMAL_QUADRATIC.replace("tau = 1, 2          # trailing comment", "tau = 1/0, 2"),
+     7, 7, "zero denominator in '1/0'"),
+    (MINIMAL_QUADRATIC.replace("window = -4..8", "window = 1/3..8"),
+     9, 10, "window endpoints must be half-integers"),
+    (MINIMAL_QUADRATIC + "sum_base = 1//2\n", 10, 14, "bad rational '1//2'"),
+    (MINIMAL_QUADRATIC + "sum_base =\n", 10, 1, "missing value for 'sum_base'"),
 ]
 
 

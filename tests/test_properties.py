@@ -39,7 +39,10 @@ example instead):
 
 Over whole problem specs, drawn like ``_random_spec`` in
 ``test_acceptance``, every CLI command ends in an exit code 0-3 with no
-exception escaping ``cli.main``; and wherever the polynomial and second
+exception escaping ``cli.main``; every check ``verify`` fails is one it
+could not evaluate at a singular point or outside the window, or, when some
+order m <= n is inadmissible, one with no unique polynomial or no second
+independent solution; and wherever the polynomial and second
 kinds both certify, the Casoratian constant K is one value on the window,
 zero exactly when n is inadmissible.
 """
@@ -79,6 +82,7 @@ from hyperlat import (
     nabla_k,
     pearson_weight,
     render_problem,
+    run_identity_suite,
     sigma_of_s,
     sigma_star,
     solve,
@@ -447,6 +451,26 @@ def test_every_command_ends_in_an_exit_code(spec):
                     contextlib.redirect_stderr(io.StringIO()):
                 code = cli.main([command[0], "--spec", path, *command[1:]])
             assert code in (0, 1, 2, 3), (command, render_problem(spec))
+
+
+# a check may fail only where it cannot be evaluated (a singular point, or a
+# point outside the window the spec allows) ...
+UNEVALUATED = ("DegenerateStep", "PearsonSingularity", "SingularSummand", "OutOfWindow",
+               "DegenerateAbscissae")
+# ... or, when some order m <= n is inadmissible, because that order has no
+# unique polynomial or no second independent solution
+INADMISSIBLE = ("OracleDimensionError", "Casoratian vanishes (not independent)")
+
+
+@settings(max_examples=15, deadline=None, phases=NO_SHRINK)
+@given(specs())
+def test_verify_never_reports_a_false_identity(spec):
+    eq = spec.equation()
+    inadmissible = any(admissibility_violation(eq, m) is not None for m in range(spec.n + 1))
+    allowed = UNEVALUATED + (INADMISSIBLE if inadmissible else ())
+    for result in run_identity_suite(spec):
+        assert result.passed or result.detail.startswith(allowed), (
+            result, render_problem(spec))
 
 
 @settings(max_examples=40, deadline=None, phases=NO_SHRINK)
