@@ -38,7 +38,7 @@ from .errors import (
 from .identities import run_identity_suite
 from .numerics import format_scalar
 from .problem import ProblemSpec, parse_problem_bytes
-from .solutions import solve
+from .solutions import solve, sum_base_for
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -103,6 +103,9 @@ def _cmd_solve(args, spec: ProblemSpec) -> int:
 
 
 def _cmd_verify(args, spec: ProblemSpec) -> int:
+    if spec.sum_base is not None:
+        # a usage error, as for ``solve``, not a failed identity
+        sum_base_for(spec.n, spec.window, spec.sum_base)
     results = run_identity_suite(spec)
     failed = [r.name for r in results if not r.passed]
     summary = f"FAILED: {failed[0]}" if failed else f"ok: {len(results)} identities"

@@ -184,43 +184,52 @@ def pearson_weight(eq: HyperEquation, window: Window, anchor: HalfInt) -> Pearso
 
     Forward:  rho(s+1) = rho(s) sigma*(s+1) / sigma(s+1)
     Backward: the same relation inverted.  Any zero of a divisor, or a zero
-    weight value, is reported as a PearsonSingularity at the offending point.
+    weight value, is reported as a PearsonSingularity at the offending point
+    (``pearson_steps``).  Each value is its neighbour times one small step.
     """
+    steps = pearson_steps(eq, window, anchor)
+    base = window.index_of(anchor)
+    values = [Fraction(1)] * window.length
+    for j in (*range(base + 1, window.length), *range(base - 1, -1, -1)):
+        values[j] = values[j - 1 if j > base else j + 1] * steps[j]
+    return PearsonWeight(GridFunction(window.start, tuple(values)))
+
+
+def pearson_steps(eq: HyperEquation, window: Window, anchor: HalfInt) -> list:
+    """The Pearson recurrence checked on the whole window, not multiplied
+    out: at each point t its step away from the anchor, rho(t) / rho(t-1) =
+    sigma*(t) / sigma(t) on the right and rho(t) / rho(t+1) = sigma(t+1) /
+    sigma*(t+1) on the left (1 at the anchor).  The scan runs forward from
+    the anchor, then backward, and raises PearsonSingularity at the first
+    point t whose divisor vanishes, or whose dividend and so rho(t) does."""
     if anchor not in window:
         raise OutOfWindow(f"anchor {anchor} not in window {window}")
-    values: list = [None] * window.length
+    steps = [Fraction(1)] * window.length
     base = window.index_of(anchor)
-    values[base] = Fraction(1)
-    s = anchor
-    for j in range(base + 1, window.length):
-        s = s + 1
-        den = sigma_of_s(eq, s)
+    for j in (*range(base + 1, window.length), *range(base - 1, -1, -1)):
+        t = window.start + j
+        forward = j > base
+        s = t if forward else t + 1
+        sig, star = sigma_of_s(eq, s), sigma_star(eq, s)
+        num, den = (star, sig) if forward else (sig, star)
         if den == 0:
-            raise PearsonSingularity(f"sigma vanishes at s={s}", point=s)
-        values[j] = values[j - 1] * sigma_star(eq, s) / den
-        if values[j] == 0:
-            raise PearsonSingularity(f"weight vanishes at s={s}", point=s)
-    s = anchor
-    for j in range(base - 1, -1, -1):
-        prev = s - 1
-        den = sigma_star(eq, s)
-        if den == 0:
-            raise PearsonSingularity(f"backward Pearson step vanishes at s={prev}", point=prev)
-        values[j] = values[j + 1] * sigma_of_s(eq, s) / den
-        if values[j] == 0:
-            raise PearsonSingularity(f"weight vanishes at s={prev}", point=prev)
-        s = prev
-    return PearsonWeight(GridFunction(window.start, tuple(values)))
+            raise PearsonSingularity(f"sigma vanishes at s={t}" if forward else
+                                     f"backward Pearson step vanishes at s={t}", point=t)
+        if num == 0:
+            raise PearsonSingularity(f"weight vanishes at s={t}", point=t)
+        steps[j] = num / den
+    return steps
 
 
 def rho_k(eq: HyperEquation, weight: PearsonWeight, k: int, s: HalfInt) -> Scalar:
     """rho_k(s) = rho(s+k) * prod_{i=1..k} sigma(s+i); rho_0 = rho."""
     if k < 0:
         raise ValueError("rho_k is defined for nonnegative k")
-    value = weight.value_at(s + k)
+    # the small factors first, so the large rho value is multiplied once
+    product = Fraction(1)
     for i in range(1, k + 1):
-        value *= sigma_of_s(eq, s + i)
-    return value
+        product *= sigma_of_s(eq, s + i)
+    return weight.value_at(s + k) * product
 
 
 def _three_term(lat: Lattice, y: GridFunction, sig, tau, lam: Scalar) -> GridFunction:

@@ -1,8 +1,9 @@
 """Solution generators for the lattice hypergeometric equation at lambda_n.
 
-``solve`` is the one entry point.  It builds the Pearson weight rho itself,
-on every point the integral kinds read, and runs all three kinds through one
-evaluator (``_rodrigues``) of the Rodrigues formula
+``solve`` is the one entry point.  It checks the Pearson recurrence on the
+whole weight window, builds the weight rho where each kind reads it, and
+runs all three kinds through one evaluator (``_rodrigues``) of the
+Rodrigues formula
 
     y = (1/rho) delta_{-n}^{(n)} [ Y_n C ],     Y_n(s) = rho(s) prod_{j<n} sigma(s-j),
 
@@ -12,9 +13,10 @@ cancels in y.  The kinds are:
 
 * the polynomial eigenfunction (the standard formula): C = 1.  y is a
   polynomial of degree at most n in x(s), so the formula runs on the first
-  n + 1 points and exact Newton interpolation in x(s) gives the rest.  rho
-  still spans the whole window, so a singular point is named as for the
-  other kinds;
+  n + 1 points, reading rho on 2n + 1, and their interpolant, expanded once
+  over one common denominator, gives each other point by one integer Horner
+  pass.  The Pearson scan still covers the whole weight window, so a
+  singular point is named as for the other kinds;
 
 * the generalized construction: C is the discrete integral of
   P(x_{-(n+1)}(t)) / (Y_n(t) sigma(t-n)) against nabla x_{-n}(t), for a
@@ -64,6 +66,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .equation import (
     HyperEquation,
@@ -71,6 +74,7 @@ from .equation import (
     admissibility_violation,
     apply_L,
     lambda_n,
+    pearson_steps,
     pearson_weight,
     rho_k,
     sigma_of_s,
@@ -127,15 +131,23 @@ class SolutionReport:
 
 
 def weight_window_for(n: int, window: Window) -> Window:
-    """The rho window ``solve()`` builds for a solution on ``window``: one
-    extra point on the left and n + 1 on the right (one per side for the
-    residual stencil, n more for the n-fold difference).  The polynomial
-    stencil reads its first 2n + 1 points and the integral kinds their head
-    and n more, besides the enlarged window.  So, unless the formula runs on
-    the whole window or a sum base past the first n + 2 points lengthens
-    the head, no kind reads the last n points: they are built only so that a
-    singular point there is named as before, for every kind."""
+    """The weight window of a solution on ``window``: one extra point on the
+    left and n + 1 on the right (one per side for the residual stencil, n
+    more for the n-fold difference).  ``solve()`` checks the Pearson
+    recurrence on all of it for every kind, and builds rho where a kind
+    reads it: on the first 2n + 1 points for the polynomial stencil, on all
+    of it for the integral kinds."""
     return window.expand(1, n + 1)
+
+
+def sum_base_for(n: int, window: Window, N: HalfInt | None = None) -> HalfInt:
+    """The sum base of the integral kinds on ``window``: N, by default the
+    first point of ``weight_window_for(n, window)``, in which it must lie."""
+    y_window = weight_window_for(n, window)
+    N = y_window.start if N is None else N
+    if N not in y_window:
+        raise OutOfWindow(f"sum base {N} must lie in {y_window}")
+    return N
 
 
 def Y_n(eq: HyperEquation, weight: PearsonWeight, n: int, window: Window) -> GridFunction:
@@ -155,15 +167,17 @@ def solve(eq: HyperEquation, n: int, window: Window, kind: str = "polynomial",
     it and ``P`` (n+1 coefficients, low order first) are checked before any
     arithmetic.  The integral in C starts at N, by default the first point
     read; moving N moves the second kind by a multiple of the polynomial
-    solution only.  rho is built on ``weight_window_for(n, window)``,
-    normalized to 1 at ``window.start``.  The polynomial kind runs the
-    formula on the first n + 1 points of ``window.expand(1, 1)`` and
-    interpolates in x(s); the integral kinds run it on a head of that
-    window, holding N in its product window, and continue by the Casoratian
-    recurrence with the polynomial kind, or run it on the whole window when
-    the head covers it, a step the formula or K divides by is zero, or the
-    polynomial kind vanishes where the recurrence divides.  For every kind
-    the residual covers all of the enlarged
+    solution only.  The Pearson recurrence is checked on all of
+    ``weight_window_for(n, window)``, and rho, normalized to 1 at
+    ``window.start``, is built where each kind reads it.  The polynomial
+    kind runs the formula on the first n + 1 points of
+    ``window.expand(1, 1)``, reading rho on 2n + 1 points, and extends it
+    by one integer Horner pass per point; the integral kinds run it on a
+    head of that window, holding N in its product window, and continue by
+    the Casoratian recurrence with the polynomial kind, or run it on the
+    whole window when the head covers it, a step the formula or K divides
+    by is zero, or the polynomial kind vanishes where the recurrence
+    divides.  For every kind the residual covers all of the enlarged
     window.  The eigenvalue is pinned to lambda_n; ``residual_lam`` lets a
     caller verify the construction against a different spectral parameter
     (the residual is then nonzero unless the two agree).
@@ -181,15 +195,16 @@ def solve(eq: HyperEquation, n: int, window: Window, kind: str = "polynomial",
     else:
         raise ValueError(f"unknown solution kind {kind!r}")
     enlarged = window.expand(1, 1)
-    y_window = weight_window_for(n, window)
-    weight = pearson_weight(eq, y_window, window.start)
+    anchor = window.start
     lam = lambda_n(eq, n)
     if kind == "polynomial":
-        y = _polynomial_kind(eq, weight, n, enlarged)
+        # the whole weight window is checked; rho is built where it is read
+        pearson_steps(eq, weight_window_for(n, window), anchor)
+        y = _polynomial_kind(eq, lambda span: pearson_weight(
+            eq, Window.span(span.start, max(span.end, anchor)), anchor), n, enlarged)
     else:
-        N = y_window.start if N is None else N
-        if N not in y_window:
-            raise OutOfWindow(f"sum base {N} must lie in {y_window}")
+        weight = pearson_weight(eq, weight_window_for(n, window), anchor)
+        N = sum_base_for(n, window, N)
         y = _integral_kind(eq, weight, n, enlarged, N, (1,) if P is None else P)
     res_lam = lam if residual_lam is None else residual_lam
     residual = apply_L(eq.with_lambda(res_lam), y)
@@ -229,42 +244,46 @@ def _rodrigues(eq: HyperEquation, weight: PearsonWeight, n: int, window: Window,
     return iterated_delta(lat, -n, n, product) / weight.rho.restrict(window)
 
 
-def _newton(xs: list, ys) -> list:
-    """Newton divided differences y[x_0], y[x_0, x_1], ..., y[x_0..x_m] of
-    samples at pairwise distinct abscissae."""
+def _monomial(xs: list, ys) -> list:
+    """Monomial coefficients in x (low order first) of the interpolant
+    through samples at pairwise distinct abscissae: the Newton divided
+    differences, expanded by nested multiplication."""
     c = list(ys)
     for j in range(1, len(xs)):
         for i in range(len(xs) - 1, j - 1, -1):
             c[i] = (c[i] - c[i - 1]) / (xs[i] - xs[i - j])
-    return c
-
-
-def _newton_value(xs: list, c: list, x: Scalar) -> Scalar:
-    """The Newton form with divided differences c on nodes xs, at x, by
-    nested multiplication."""
-    acc = c[-1]
+    coeffs = [c[-1]]
     for xi, ci in zip(reversed(xs[:-1]), reversed(c[:-1])):
-        acc = acc * (x - xi) + ci
-    return acc
+        # coeffs * (x - xi) + ci
+        coeffs = [a - xi * b for a, b in zip([0] + coeffs, coeffs + [0])]
+        coeffs[0] += ci
+    return coeffs
 
 
-def _polynomial_kind(eq: HyperEquation, weight: PearsonWeight, n: int,
-                     window: Window) -> GridFunction:
-    """``_rodrigues`` on the first n + 1 points of ``window`` and their
-    Newton form in x(s) elsewhere; on the whole window if two of those
-    points share x(s) (see the module docstring)."""
+def _polynomial_kind(eq: HyperEquation, weight_on, n: int, window: Window) -> GridFunction:
+    """``_rodrigues`` on the first n + 1 points of ``window``, reading rho
+    from ``weight_on(span)`` on the points ``span`` it reads, and their
+    interpolant sum C_k x^k / D elsewhere: at x(s) = a/b one integer Horner
+    pass, sum C_k a^k b^(d-k), normalized once by D b^d.  On the whole window
+    if those points are all of it or two of them share x(s)."""
     lat = eq.lattice
     stencil = Window(window.start, min(n + 1, window.length))
     xs = [lat.x(s) for s in stencil.points()]
-    if len(set(xs)) < len(xs):
-        return _rodrigues(eq, weight, n, window)
-    ys = _rodrigues(eq, weight, n, stencil)
-    c = _newton(xs, ys.values)
-
-    def value(s: HalfInt) -> Scalar:
-        return ys.value_at(s) if s in stencil else _newton_value(xs, c, lat.x(s))
-
-    return GridFunction.sample(window, value)
+    if stencil == window or len(set(xs)) < len(xs):
+        return _rodrigues(eq, weight_on(window.expand(0, n)), n, window)
+    ys = _rodrigues(eq, weight_on(stencil.expand(0, n)), n, stencil)
+    coeffs = _monomial(xs, ys.values)
+    den = lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in coeffs]
+    values = list(ys.values)
+    for j in range(stencil.length, window.length):
+        x = lat.x(window.start + j)
+        acc, power = ints[-1], 1
+        for c in reversed(ints[:-1]):
+            power *= x.denominator
+            acc = acc * x.numerator + c * power
+        values.append(Fraction(acc, den * power))
+    return GridFunction(window.start, tuple(values))
 
 
 def casoratian(eq: HyperEquation, weight: PearsonWeight, y1: GridFunction,
@@ -302,7 +321,7 @@ def _integral_kind(eq: HyperEquation, weight: PearsonWeight, n: int, window: Win
             or lat.delta_x(0, window.start) == 0):
         return _rodrigues(eq, weight, n, window, N, P)
     y = _rodrigues(eq, weight, n, head, N, P)
-    y1 = _polynomial_kind(eq, weight, n, window)
+    y1 = _polynomial_kind(eq, lambda span: weight, n, window)
     u = y1.values
     if any(v == 0 for v in u[head.length - 1:-1]):
         return _rodrigues(eq, weight, n, window, N, P)
@@ -441,10 +460,4 @@ def polynomial_coefficients(lat: Lattice, f: GridFunction, degree: int) -> list:
     xs = [lat.x(s) for s, _ in samples]
     if len(set(xs)) != len(xs):
         raise DegenerateAbscissae("repeated x-values in interpolation samples")
-    c = _newton(xs, [v for _, v in samples])
-    coeffs = [c[-1]]
-    for xi, ci in zip(reversed(xs[:-1]), reversed(c[:-1])):
-        # coeffs * (x - xi) + ci
-        coeffs = [a - xi * b for a, b in zip([0] + coeffs, coeffs + [0])]
-        coeffs[0] += ci
-    return coeffs
+    return _monomial(xs, [v for _, v in samples])

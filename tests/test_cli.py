@@ -287,6 +287,20 @@ def test_solve_steps_round_zero_steps_outside_the_stencil(tmp_path):
     assert all(residual == "0" for _s, _value, residual in rows)
     assert all(value != "0" for _s, value, _r in rows)
 
+
+def test_verify_rejects_a_sum_base_outside_the_weight_window_as_solve_does(tmp_path):
+    # window 4..15 at n = 2 has the weight window 3..18; window.start - 2 parses
+    spec = (DEMOS / "qlattice.spec").read_text() + "sum_base = 2\n"
+    path = tmp_path / "far-sum-base.spec"
+    path.write_text(spec)
+    verify = run_cli("verify", "--spec", str(path))
+    solve = run_cli("solve", "--spec", str(path), "--kind", "second")
+    for result in (verify, solve):
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == "error: sum base 2 must lie in 3..18\n"
+
+
 def test_parse_error_exits_two(tmp_path):
     path = tmp_path / "broken.spec"
     path.write_text("lattice = nosuch\nn = -1\n")

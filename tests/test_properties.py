@@ -92,7 +92,7 @@ from hyperlat import (
 )
 from hyperlat import cli
 from hyperlat.equation import _checked_lambda_star
-from tests.conftest import quad_a
+from tests.conftest import qq_b, quad_a
 
 # A failing example is reported as drawn: shrinking one took minutes, since
 # every step reruns exact arithmetic on large rationals.
@@ -327,6 +327,20 @@ def full_window_rodrigues(eq, n, window):
     enlarged = window.expand(1, 1)
     product = Y_n(eq, weight, n, enlarged.expand(0, n))
     return iterated_delta(eq.lattice, -n, n, product) / weight.rho.restrict(enlarged)
+
+
+def test_polynomial_kind_equals_the_full_window_formula_at_the_bench_size():
+    # qq-b, n = 8, 44 points, as on the benchmark: rho on the weight window
+    # reaches about 50k bits and the solution about 5k, so the integer
+    # Horner extension runs on 37 points of large values
+    eq, n, window = qq_b(), 8, Window(HalfInt.from_int(12), 44)
+    report = solve(eq, n, window)
+    y = full_window_rodrigues(eq, n, window)
+    assert max(v.numerator.bit_length() + v.denominator.bit_length()
+               for v in report.solution.values) > 5000
+    assert report.solution == y.restrict(window)
+    assert report.residual == apply_L(eq.with_lambda(lambda_n(eq, n)), y)
+    assert report.residual.is_zero()
 
 
 def same_error(got, expected: Exception) -> bool:

@@ -191,6 +191,34 @@ def test_singular_summand_named():
     assert err.value.point == S(3)
 
 
+@pytest.mark.parametrize("zero_of, s0, message", [
+    # in the last n points of the weight window, which no kind reads
+    (sigma_of_s, 19, "sigma vanishes at s=19"),
+    (sigma_star, 20, "weight vanishes at s=20"),
+    # at the anchor: the backward step names the point left of it
+    (sigma_of_s, 4, "weight vanishes at s=3"),
+    (sigma_star, 4, "backward Pearson step vanishes at s=3"),
+])
+def test_every_kind_names_the_pearson_zero_of_the_whole_weight_window(zero_of, s0, message):
+    # quad-a's lattice and tau with sigma~(x) = c + x + x^2/7, c chosen so
+    # that sigma or sigma* vanishes at s0, its only zero on the weight window
+    # 3..20 of n = 2 on 4..17; the polynomial stencil reads rho on 3..7
+    from hyperlat import HyperEquation, PearsonSingularity, QuadraticLattice
+
+    lat = QuadraticLattice(F(1), F(1), F(0))
+    c = -zero_of(HyperEquation(lat, (F(0), F(1), F(1, 7)), (F(1), F(-2))), S(s0))
+    eq = HyperEquation(lat, (c, F(1), F(1, 7)), (F(1), F(-2)))
+    n, window = 2, Window(S(4), 14)
+    with pytest.raises(PearsonSingularity) as expected:
+        pearson_weight(eq, weight_window_for(n, window), window.start)
+    assert str(expected.value) == message
+    for kind in ("polynomial", "second", "generalized"):
+        with pytest.raises(PearsonSingularity) as err:
+            solve(eq, n, window, kind, P=(F(1), F(-1), F(2)))
+        assert str(err.value) == message
+        assert err.value.point == expected.value.point
+
+
 def test_integral_kinds_name_the_zero_step_the_whole_window_route_meets():
     # x = s^2 + s - 3 is symmetric about s = -1/2, so delta x_0(-1) = 0: the
     # Casoratian K at the first point would divide by it, while the formula
