@@ -14,6 +14,7 @@ the reason in the detail field.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -368,7 +369,13 @@ def _check_second_kind_residual(ctx: _Ctx):
     ks = {sol.casoratian(ctx.eq, ctx.weight(), poly, report.solution, s)
           for s in list(ctx.window.points())[:-1]}
     _ensure(len(ks) == 1, "Casoratian not constant")
-    _ensure(ks.pop() != 0, "Casoratian vanishes (not independent)")
+    k = ks.pop()
+    _ensure(k != 0, "Casoratian vanishes (not independent)")
+    # scale: K = prod_{m<n} (lambda_n - lambda_m), so a second kind off by a
+    # constant factor fails here although its residual is zero
+    lam = eqn.lambda_n(ctx.eq, ctx.n)
+    _ensure_zero(k - math.prod(lam - eqn.lambda_n(ctx.eq, m) for m in range(ctx.n)),
+                 "Casoratian is not prod_{m<n} (lambda_n - lambda_m)")
 
 
 def _check_solution_linearity(ctx: _Ctx):

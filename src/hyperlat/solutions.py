@@ -168,8 +168,10 @@ def solve(eq: HyperEquation, n: int, window: Window, kind: str = "polynomial",
     arithmetic.  The integral in C starts at N, by default the first point
     read; moving N moves the second kind by a multiple of the polynomial
     solution only.  The Pearson recurrence is checked on all of
-    ``weight_window_for(n, window)``, and rho, normalized to 1 at
-    ``window.start``, is built where each kind reads it.  The polynomial
+    ``weight_window_for(n, window)``, and rho is built where each kind reads
+    it: normalized to 1 at ``window.start`` for the integral kinds, which
+    scale as 1/rho, and at the first point it reads for the polynomial
+    kind, which does not depend on the scale of rho.  The polynomial
     kind runs the formula on the first n + 1 points of
     ``window.expand(1, 1)``, reading rho on 2n + 1 points, and extends it
     by one integer Horner pass per point; the integral kinds run it on a
@@ -200,8 +202,8 @@ def solve(eq: HyperEquation, n: int, window: Window, kind: str = "polynomial",
     if kind == "polynomial":
         # the whole weight window is checked; rho is built where it is read
         pearson_steps(eq, weight_window_for(n, window), anchor)
-        y = _polynomial_kind(eq, lambda span: pearson_weight(
-            eq, Window.span(span.start, max(span.end, anchor)), anchor), n, enlarged)
+        y = _polynomial_kind(eq, lambda span: pearson_weight(eq, span, span.start),
+                             n, enlarged)
     else:
         weight = pearson_weight(eq, weight_window_for(n, window), anchor)
         N = sum_base_for(n, window, N)

@@ -45,6 +45,7 @@ from hyperlat import (
     tau_star,
 )
 from tests.conftest import qq_a, qq_b, quad_a, quad_b
+from tests.test_cli import DEMO_CALLS, GOLDEN_CALLS
 from tests.test_problem import DIAGNOSTIC_CORPUS
 
 REPO = Path(__file__).resolve().parent.parent
@@ -274,15 +275,8 @@ def test_criterion_9_cli_end_to_end(tmp_path):
                                   capture_output=True, text=True, cwd=REPO)
 
         golden = REPO / "tests" / "golden"
-        for name, args in [
-                ("solve_quadratic.csv", ("solve", "--spec", "demos/quadratic.spec")),
-                ("solve_qlattice_second.csv",
-                 ("solve", "--spec", "demos/qlattice.spec", "--kind", "second")),
-                ("verify_quadratic.txt", ("verify", "--spec", "demos/quadratic.spec")),
-                ("verify_qlattice.txt", ("verify", "--spec", "demos/qlattice.spec")),
-                ("adjoint_quadratic.csv", ("adjoint", "--spec", "demos/quadratic.spec")),
-                ("table_qlattice.csv", ("table", "--spec", "demos/qlattice.spec"))]:
-            result = run(*args)
+        for call, name in GOLDEN_CALLS.items():
+            result = run(*DEMO_CALLS[call])
             assert result.returncode == 0, (name, result.stderr)
             assert result.stdout == (golden / name).read_text(), name
 

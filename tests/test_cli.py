@@ -1,7 +1,9 @@
-"""End-to-end CLI tests: golden outputs, exit-code contract, determinism."""
+"""End-to-end tests: every demo-spec CLI call and demo script, golden
+outputs, the exit-code contract, determinism."""
 
 import json
 import re
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +13,44 @@ import pytest
 REPO = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
 DEMOS = REPO / "demos"
+
+
+def _demo_calls() -> dict:
+    """Each demo spec x (verify, every solve kind it supports, adjoint,
+    table) x (csv, json), by name; run from the repository root.  CSV and
+    the polynomial kind are the defaults, so their flags are left out."""
+    calls = {}
+    for spec in sorted(DEMOS.glob("*.spec")):
+        kinds = ["second"]
+        if re.search(r"^P *=", spec.read_text(), re.MULTILINE):
+            kinds.append("generalized")
+        commands = {"verify": ("verify",), "solve-polynomial": ("solve",),
+                    **{f"solve-{kind}": ("solve", "--kind", kind) for kind in kinds},
+                    "adjoint": ("adjoint",), "table": ("table",)}
+        for format, flags in (("csv", ()), ("json", ("--format", "json"))):
+            for name, (command, *options) in commands.items():
+                calls[f"{spec.stem}-{name}-{format}"] = (
+                    command, "--spec", f"demos/{spec.name}", *options, *flags)
+    return calls
+
+
+DEMO_CALLS = _demo_calls()
+
+# the demo calls whose printed bytes are pinned, and their file in golden/
+GOLDEN_CALLS = {
+    "quadratic-solve-polynomial-csv": "solve_quadratic.csv",
+    "quadratic-solve-polynomial-json": "solve_quadratic.json",
+    "qlattice-solve-second-csv": "solve_qlattice_second.csv",
+    "generalized-solve-generalized-json": "solve_generalized.json",
+    "quadratic-verify-csv": "verify_quadratic.txt",
+    "qlattice-verify-csv": "verify_qlattice.txt",
+    "quadratic-adjoint-csv": "adjoint_quadratic.csv",
+    "qlattice-table-csv": "table_qlattice.csv",
+    "quadratic-adjoint-json": "adjoint_quadratic.json",
+    "qlattice-table-json": "table_qlattice.json",
+    "qlattice-verify-json": "verify_qlattice.json",
+    "qlattice-solve-second-json": "solve_qlattice_second.json",
+}
 
 SINGULAR_SPEC = """\
 lattice = quadratic
@@ -130,26 +170,7 @@ def run_cli(*args):
 
 
 @pytest.mark.parametrize("golden_name, args", [
-    ("solve_quadratic.csv", ("solve", "--spec", "demos/quadratic.spec")),
-    ("solve_quadratic.json", ("solve", "--spec", "demos/quadratic.spec",
-                              "--format", "json")),
-    ("solve_qlattice_second.csv", ("solve", "--spec", "demos/qlattice.spec",
-                                   "--kind", "second")),
-    ("solve_generalized.json", ("solve", "--spec", "demos/generalized.spec",
-                                "--kind", "generalized", "--format", "json")),
-    ("verify_quadratic.txt", ("verify", "--spec", "demos/quadratic.spec")),
-    ("verify_qlattice.txt", ("verify", "--spec", "demos/qlattice.spec")),
-    ("adjoint_quadratic.csv", ("adjoint", "--spec", "demos/quadratic.spec")),
-    ("table_qlattice.csv", ("table", "--spec", "demos/qlattice.spec")),
-    ("adjoint_quadratic.json", ("adjoint", "--spec", "demos/quadratic.spec",
-                                "--format", "json")),
-    ("table_qlattice.json", ("table", "--spec", "demos/qlattice.spec",
-                             "--format", "json")),
-    ("verify_qlattice.json", ("verify", "--spec", "demos/qlattice.spec",
-                              "--format", "json")),
-    ("solve_qlattice_second.json", ("solve", "--spec", "demos/qlattice.spec",
-                                    "--kind", "second", "--format", "json")),
-])
+    (golden_name, DEMO_CALLS[call]) for call, golden_name in GOLDEN_CALLS.items()])
 def test_golden_outputs(golden_name, args):
     result = run_cli(*args)
     assert result.returncode == 0, result.stderr
@@ -171,17 +192,25 @@ def test_out_flag_writes_file(tmp_path):
     assert result.stdout == ""
 
 
-@pytest.mark.parametrize("format", ["csv", "json"])
-@pytest.mark.parametrize("command", [
-    ("solve", "--kind", "second"), ("verify",), ("adjoint",), ("table",)],
-    ids=lambda command: command[0])
-def test_out_writes_the_bytes_stdout_would_get(capsys, tmp_path, command, format):
-    args = [command[0], "--spec", str(DEMOS / "qlattice.spec"), *command[1:],
-            "--format", format]
+@pytest.mark.parametrize("call", DEMO_CALLS)
+def test_demo_call(capsys, tmp_path, monkeypatch, call):
+    # exit 0; --out writes exactly the bytes stdout gets and prints nothing;
+    # a pinned call prints its golden
+    monkeypatch.chdir(REPO)
+    args = DEMO_CALLS[call]
     printed = _main_stdout(capsys, *args)
     out = tmp_path / "out"
     assert _main_stdout(capsys, *args, "--out", str(out)) == ""
     assert out.read_bytes() == printed.encode("utf-8")
+    if call in GOLDEN_CALLS:
+        assert printed == (GOLDEN / GOLDEN_CALLS[call]).read_text()
+
+
+@pytest.mark.parametrize("script", sorted(DEMOS.glob("demo_*.py")),
+                         ids=lambda script: script.stem)
+def test_demo_script(capsys, script):
+    runpy.run_path(str(script), run_name="__main__")
+    assert capsys.readouterr().out
 
 
 def test_wrong_lambda_exits_one(tmp_path):

@@ -44,11 +44,15 @@ could not evaluate at a singular point or outside the window, or, when some
 order m <= n is inadmissible, one with no unique polynomial or no second
 independent solution; and wherever the polynomial and second
 kinds both certify, the Casoratian constant K is one value on the window,
-zero exactly when n is inadmissible.
+prod_{m<n} (lambda_n - lambda_m), so zero exactly when n is inadmissible;
+and every ``DegenerateStep``, ``PearsonSingularity`` or ``SingularSummand``
+that ``solve()`` raises, for any kind, carries its ``HalfInt`` point and
+ends its message with it.
 """
 
 import contextlib
 import io
+import math
 import os
 import tempfile
 from fractions import Fraction as F
@@ -491,8 +495,9 @@ def test_verify_never_reports_a_false_identity(spec):
 @given(specs())
 def test_the_casoratian_is_one_constant_nonzero_exactly_when_n_is_admissible(spec):
     # wherever the polynomial and second kinds both certify, K(s) takes one
-    # value on the window, and it vanishes exactly when lambda_m = lambda_n
-    # for some m < n (the second kind is then a multiple of y_1)
+    # value on the window, prod_{m<n} (lambda_n - lambda_m), so it vanishes
+    # exactly when lambda_m = lambda_n for some m < n (the second kind is
+    # then a multiple of y_1)
     eq, n, window = spec.equation(), spec.n, spec.window
     try:
         y1 = solve(eq, n, window)
@@ -504,4 +509,22 @@ def test_the_casoratian_is_one_constant_nonzero_exactly_when_n_is_admissible(spe
     ks = {casoratian(eq, weight, y1.solution, y.solution, s)
           for s in list(window.points())[:-1]}
     assert len(ks) == 1
-    assert (ks.pop() != 0) == (admissibility_violation(eq, n) is None)
+    k = ks.pop()
+    assert (k != 0) == (admissibility_violation(eq, n) is None)
+    lam = lambda_n(eq, n)
+    assert k == math.prod(lam - lambda_n(eq, m) for m in range(n)), render_problem(spec)
+
+
+@settings(max_examples=40, deadline=None, phases=NO_SHRINK)
+@given(specs())
+def test_a_singular_outcome_names_its_point(spec):
+    eq = spec.equation()
+    P = spec.poly_p or tuple(range(1, spec.n + 2))
+    for kind in ("polynomial", "second", "generalized"):
+        try:
+            solve(eq, spec.n, spec.window, kind, N=spec.sum_base, P=P)
+        except (DegenerateStep, PearsonSingularity, SingularSummand) as exc:
+            assert isinstance(exc.point, HalfInt), (kind, render_problem(spec))
+            assert str(exc).endswith(f"={exc.point}"), (kind, render_problem(spec))
+        except HyperlatError:
+            pass
