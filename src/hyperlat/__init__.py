@@ -28,7 +28,6 @@ from .equation import (
 )
 from .errors import (
     DegenerateAbscissae,
-    DegenerateLattice,
     DegenerateStep,
     DivisionByZero,
     HyperlatError,

@@ -25,11 +25,7 @@ class RationalParseError(HyperlatError, ValueError):
 
 
 class LatticeError(HyperlatError, ValueError):
-    """Invalid lattice parameters (for example p in {0, 1, -1})."""
-
-
-class DegenerateLattice(LatticeError):
-    """Lattice violates the nonuniformity condition and no override was given."""
+    """Invalid lattice parameters (p in {0, 1, -1}, or a constant x(s))."""
 
 
 class WindowTooSmall(HyperlatError, ValueError):

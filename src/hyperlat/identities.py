@@ -7,9 +7,10 @@ equation of the weight product, the exactness auxiliaries of the generalized
 construction, and the residuals of all three solution families.  The CLI
 ``verify`` command prints one PASS/FAIL line per identity.
 
-Checks run independently; a failure (including an exception, which degenerate
-lattices can legitimately trigger) fails only its own identity and carries
-the reason in the detail field.
+Checks run independently; a failure (including an exception at a singular
+point) fails only its own identity and carries the reason in the detail
+field.  A Casoratian that vanishes because n is inadmissible is reported with
+the order m < n that has lambda_m = lambda_n.
 """
 
 from __future__ import annotations
@@ -370,7 +371,9 @@ def _check_second_kind_residual(ctx: _Ctx):
           for s in list(ctx.window.points())[:-1]}
     _ensure(len(ks) == 1, "Casoratian not constant")
     k = ks.pop()
-    _ensure(k != 0, "Casoratian vanishes (not independent)")
+    if k == 0:
+        m = eqn.admissibility_violation(ctx.eq, ctx.n)
+        _ensure(m is None, f"Casoratian vanishes (not independent): lambda_{m} = lambda_n")
     # scale: K = prod_{m<n} (lambda_n - lambda_m), so a second kind off by a
     # constant factor fails here although its residual is zero
     lam = eqn.lambda_n(ctx.eq, ctx.n)

@@ -1,14 +1,20 @@
-"""The two nonuniform lattice families and their shift/step geometry.
+"""The two lattice families and their shift/step geometry.
 
 A lattice is a function x(s) of the form
 
-    q-quadratic:  x(s) = c1*q^s + c2*q^(-s) + c3        (c1*c2 != 0)
-    quadratic:    x(s) = ct1*s^2 + ct2*s + ct3          (ct1*ct2 != 0)
+    q-quadratic:  x(s) = c1*q^s + c2*q^(-s) + c3        (c1, c2 not both 0)
+    quadratic:    x(s) = ct1*s^2 + ct2*s + ct3          (ct1, ct2 not both 0)
 
 together with its shifted copies x_k(s) = x(s + k/2).  All evaluation points
 are half-integers, and q is supplied through its square root p, so that
 q^(s + k/2) = p^(2s + k) stays an exact rational.  Arguments are carried by
 ``HalfInt``, which stores twice the value as an integer.
+
+Each family includes its special cases: the q-linear lattice (c1 = 0 or
+c2 = 0), the lattice ct1*s^2 + ct3 (ct2 = 0) and the linear lattice
+ct2*s + ct3 (ct1 = 0).  Only a constant x(s) is rejected, with a
+``LatticeError``; where a special case makes a step vanish, the step quotient
+below names the point.
 
 The module holds geometry only.  Its scalars nu(mu) and alpha(mu),
 
@@ -30,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import DegenerateLattice, DegenerateStep, LatticeError
+from .errors import DegenerateStep, LatticeError
 from .numerics import Rational, Scalar, format_rational
 
 
@@ -95,10 +101,6 @@ class Lattice:
     def alpha(self, mu: int) -> Scalar:
         raise NotImplementedError
 
-    @property
-    def is_nonuniform(self) -> bool:
-        raise NotImplementedError
-
     # step sizes; a unit step of s on level k
     def delta_x(self, k: int, s: HalfInt) -> Scalar:
         """x_k(s+1) - x_k(s)."""
@@ -137,18 +139,13 @@ class QQuadraticLattice(Lattice):
     c1: Rational
     c2: Rational
     c3: Rational
-    allow_degenerate: bool = False
 
     def __post_init__(self):
         if self.p == 0 or self.p == 1 or self.p == -1:
             raise LatticeError("p must not be 0, 1, or -1")
-        if not self.is_nonuniform and not self.allow_degenerate:
-            raise DegenerateLattice(
-                "q-quadratic lattice needs c1*c2 != 0 (pass allow_degenerate to override)")
-
-    @property
-    def is_nonuniform(self) -> bool:
-        return self.c1 * self.c2 != 0
+        if self.c1 == 0 and self.c2 == 0:
+            raise LatticeError(
+                "q-quadratic lattice needs c1 or c2 nonzero (x(s) is constant)")
 
     def x_k(self, k: int, s: HalfInt) -> Scalar:
         e = s.twice + k  # 2s + k, always an integer
@@ -171,16 +168,11 @@ class QuadraticLattice(Lattice):
     ct1: Rational
     ct2: Rational
     ct3: Rational
-    allow_degenerate: bool = False
 
     def __post_init__(self):
-        if not self.is_nonuniform and not self.allow_degenerate:
-            raise DegenerateLattice(
-                "quadratic lattice needs ct1*ct2 != 0 (pass allow_degenerate to override)")
-
-    @property
-    def is_nonuniform(self) -> bool:
-        return self.ct1 * self.ct2 != 0
+        if self.ct1 == 0 and self.ct2 == 0:
+            raise LatticeError(
+                "quadratic lattice needs ct1 or ct2 nonzero (x(s) is constant)")
 
     def x_k(self, k: int, s: HalfInt) -> Scalar:
         z = Fraction(s.twice + k, 2)

@@ -14,10 +14,9 @@ A problem is a flat list of ``key = value`` lines (``#`` starts a comment):
 A ``qquadratic`` lattice takes ``p, c1, c2, c3`` in place of ``ct1, ct2, ct3``;
 ``_FAMILIES`` lists each family's keys.  Optional keys: ``lambda`` (defaults
 to lambda_n), ``sum_base``, ``P`` (the n+1 coefficients of the generalized
-construction), ``allow_degenerate`` (kept on the lattice).  ``n`` is at most
-``MAX_N`` = 16, a constant of the format.  All numbers are exact rationals;
-no floating literals exist in the format, and any other key is an
-``unknown key`` error.
+construction).  ``n`` is at most ``MAX_N`` = 16, a constant of the format.
+All numbers are exact rationals; no floating literals exist in the format,
+and any other key is an ``unknown key`` error.
 
 The parser is total: any byte string produces either a ProblemSpec or a list
 of diagnostics with 1-based line/column positions, never an exception from
@@ -271,7 +270,6 @@ _VALUE_PARSERS = {
     "window": _value_window,
     "sum_base": _value_half_int,
     "P": _value_rational_list,
-    "allow_degenerate": _value_ident,
 }
 
 
@@ -334,13 +332,6 @@ def parse_problem_with_diagnostics(text: str):
             1, 1, "missing required keys: " + ", ".join(missing)))
 
     # simple value constraints
-    allow_degenerate = False
-    if "allow_degenerate" in values:
-        flag = values["allow_degenerate"].text
-        if flag not in ("true", "false"):
-            diag_at("allow_degenerate", "allow_degenerate must be 'true' or 'false'")
-        else:
-            allow_degenerate = flag == "true"
     n = None
     if "n" in values:
         raw_n = values["n"]
@@ -373,7 +364,7 @@ def parse_problem_with_diagnostics(text: str):
     # a bad p is reported at its own line, not a second time by the constructor
     if cls is not None and all(k in values for k in keys) and not ("p" in keys and bad_p):
         try:
-            lattice = cls(*(values[k] for k in keys), allow_degenerate)
+            lattice = cls(*(values[k] for k in keys))
         except LatticeError as exc:
             diag_at("lattice", str(exc))
 
@@ -430,6 +421,4 @@ def render_problem(spec: ProblemSpec) -> str:
         out.append(f"sum_base = {spec.sum_base}")
     if spec.poly_p is not None:
         out.append("P = " + ", ".join(format_rational(c) for c in spec.poly_p))
-    if lat.allow_degenerate:
-        out.append("allow_degenerate = true")
     return "\n".join(out) + "\n"

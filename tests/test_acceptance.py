@@ -6,8 +6,6 @@ lines.  Criteria with a runtime budget assert it.
 """
 
 import random
-import subprocess
-import sys
 import time
 from contextlib import contextmanager
 from fractions import Fraction as F
@@ -45,7 +43,7 @@ from hyperlat import (
     tau_star,
 )
 from tests.conftest import qq_a, qq_b, quad_a, quad_b
-from tests.test_cli import DEMO_CALLS, GOLDEN_CALLS
+from tests.test_cli import DEMO_CALLS, GOLDEN_CALLS, run_cli, run_cli_once
 from tests.test_problem import DIAGNOSTIC_CORPUS
 
 REPO = Path(__file__).resolve().parent.parent
@@ -222,17 +220,18 @@ def test_criterion_7_calculus_suite():
 
 
 def _random_spec(rng: random.Random) -> ProblemSpec:
+    # (c1, c2) or (ct1, ct2): both nonzero, or one of them 0 for the special
+    # classes (q-linear, linear, ct2 = 0); never both, a constant x(s)
+    zeroed = rng.choice([None, None, 0, 1])
+    pair = lambda *choices: [F(0) if zeroed == i else F(rng.choice(c))
+                             for i, c in enumerate(choices)]
     if rng.random() < 0.5:
         p = F(rng.choice([2, 3, 5, -2, 7]), rng.choice([1, 2, 3]))
         while p in (0, 1, -1):
             p = F(rng.choice([2, 3, 5]), rng.choice([1, 2]))
-        lattice = QQuadraticLattice(
-            p, F(rng.choice([1, 2, -1])), F(rng.choice([1, 3, -2])),
-            F(rng.randint(-3, 3)))
+        lattice = QQuadraticLattice(p, *pair([1, 2, -1], [1, 3, -2]), F(rng.randint(-3, 3)))
     else:
-        lattice = QuadraticLattice(
-            F(rng.choice([1, 2, -1])), F(rng.choice([1, 2, -3])),
-            F(rng.randint(-3, 3)))
+        lattice = QuadraticLattice(*pair([1, 2, -1], [1, 2, -3]), F(rng.randint(-3, 3)))
     n = rng.randint(0, 6)
     start = HalfInt(rng.randint(-12, 12))
     window = Window(start, rng.randint(n + 5, n + 12))
@@ -270,27 +269,23 @@ def test_criterion_8_parser():
 
 def test_criterion_9_cli_end_to_end(tmp_path):
     with criterion(9, "CLI golden outputs and exit-code contract"):
-        def run(*args):
-            return subprocess.run([sys.executable, "-m", "hyperlat", *args],
-                                  capture_output=True, text=True, cwd=REPO)
-
         golden = REPO / "tests" / "golden"
         for call, name in GOLDEN_CALLS.items():
-            result = run(*DEMO_CALLS[call])
+            result = run_cli_once(*DEMO_CALLS[call])
             assert result.returncode == 0, (name, result.stderr)
             assert result.stdout == (golden / name).read_text(), name
 
         wrong = tmp_path / "wrong-lambda.spec"
         wrong.write_text((REPO / "demos" / "quadratic.spec").read_text()
                          + "lambda = 1\n")
-        assert run("solve", "--spec", str(wrong)).returncode == 1
+        assert run_cli("solve", "--spec", str(wrong)).returncode == 1
 
         broken = tmp_path / "broken.spec"
         broken.write_text("lattice = quadratic\nn = oops\n")
-        assert run("solve", "--spec", str(broken)).returncode == 2
+        assert run_cli("solve", "--spec", str(broken)).returncode == 2
 
         singular = tmp_path / "singular.spec"
         singular.write_text(
             "lattice = quadratic\nct1 = 1\nct2 = 1\nct3 = 0\n"
             "sigma = -2, 1, 0\ntau = 0, 0\nn = 2\nwindow = -1..10\n")
-        assert run("solve", "--spec", str(singular)).returncode == 3
+        assert run_cli("solve", "--spec", str(singular)).returncode == 3

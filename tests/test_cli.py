@@ -1,7 +1,9 @@
 """End-to-end tests: every demo-spec CLI call and demo script, golden
 outputs, the exit-code contract, determinism."""
 
+import functools
 import json
+import os
 import re
 import runpy
 import subprocess
@@ -164,15 +166,24 @@ window = -10..-2
 
 
 def run_cli(*args):
+    # the child imports hyperlat from this checkout, installed or not
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "hyperlat", *args],
-        capture_output=True, text=True, cwd=REPO)
+        capture_output=True, text=True, cwd=REPO, env={**os.environ, "PYTHONPATH": path})
+
+
+@functools.cache
+def run_cli_once(*args):
+    """``run_cli`` for a call that several tests read, such as a golden call:
+    one subprocess per argument tuple and test session."""
+    return run_cli(*args)
 
 
 @pytest.mark.parametrize("golden_name, args", [
     (golden_name, DEMO_CALLS[call]) for call, golden_name in GOLDEN_CALLS.items()])
 def test_golden_outputs(golden_name, args):
-    result = run_cli(*args)
+    result = run_cli_once(*args)
     assert result.returncode == 0, result.stderr
     assert result.stdout == (GOLDEN / golden_name).read_text()
 
@@ -241,12 +252,34 @@ def test_tol_cannot_excuse_wrong_lambda(tmp_path):
 def test_tol_flag_and_backend_key_are_usage_errors(tmp_path, command):
     result = run_cli(command, "--spec", "demos/quadratic.spec", "--tol", "0")
     assert result.returncode == 2 and "Traceback" not in result.stderr
-    path = tmp_path / "approx.spec"
-    path.write_text((DEMOS / "quadratic.spec").read_text() + "backend = approx\n")
-    result = run_cli(command, "--spec", str(path))
-    assert result.returncode == 2 and "Traceback" not in result.stderr
-    assert "unknown key 'backend'" in result.stderr
-    assert result.stdout == ""
+    # neither an arithmetic mode nor a lattice gate exists to switch
+    for key, value in (("backend", "approx"), ("allow_degenerate", "true")):
+        path = tmp_path / f"{key}.spec"
+        path.write_text((DEMOS / "quadratic.spec").read_text() + f"{key} = {value}\n")
+        result = run_cli(command, "--spec", str(path))
+        assert result.returncode == 2 and "Traceback" not in result.stderr
+        assert f"unknown key '{key}'" in result.stderr
+        assert result.stdout == ""
+
+
+@pytest.mark.parametrize("spec, constant, message", [
+    ("quadratic.spec", ("ct1", "ct2"), "quadratic lattice needs ct1 or ct2 nonzero"),
+    ("qlattice.spec", ("c1", "c2"), "q-quadratic lattice needs c1 or c2 nonzero"),
+], ids=["quadratic", "qquadratic"])
+def test_every_command_rejects_a_constant_lattice(capsys, tmp_path, spec, constant, message):
+    text = (DEMOS / spec).read_text()
+    for key in constant:
+        text = re.sub(rf"^{key} = .*$", f"{key} = 0", text, flags=re.MULTILINE)
+    path = tmp_path / spec
+    path.write_text(text)
+    from hyperlat import cli
+    for command in (["verify"], ["solve"], ["solve", "--kind", "second"],
+                    ["solve", "--kind", "generalized"], ["adjoint"], ["table"]):
+        assert cli.main([command[0], "--spec", str(path), *command[1:]]) == 2, command
+        out, err = capsys.readouterr()
+        assert out == ""
+        # reported at the lattice line, the second line of each demo spec
+        assert err == f"2:1: error: {message} (x(s) is constant)\n"
 
 
 def test_verify_names_degenerate_points(tmp_path):

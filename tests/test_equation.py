@@ -34,7 +34,7 @@ def test_sigma_of_s_examples():
     s = S(3)
     assert sigma_of_s(eq, s) == eq.sigma_tilde(lat.x(s))
     # x(s) = s^2, sigma~ = x, tau~ = 1: sigma(s) = s^2 - s
-    lat2 = QuadraticLattice(F(1), F(0), F(0), allow_degenerate=True)
+    lat2 = QuadraticLattice(F(1), F(0), F(0))
     eq2 = HyperEquation(lat2, (F(0), F(1), F(0)), (F(1), F(0)))
     for v in (1, 2, 5):
         assert sigma_of_s(eq2, S(v)) == v * v - v
@@ -45,7 +45,7 @@ def test_sigma_of_s_examples():
 
 
 def test_tau_of_s_examples():
-    lat = QuadraticLattice(F(1), F(0), F(0), allow_degenerate=True)
+    lat = QuadraticLattice(F(1), F(0), F(0))
     eq = HyperEquation(lat, (F(0), F(1), F(0)), (F(3), F(2)))
     assert tau_of_s(eq, S(2)) == 11
     eq0 = HyperEquation(lat, (F(0), F(1), F(0)), (F(0), F(0)))
@@ -82,7 +82,7 @@ def test_tau_k_slope_example():
 def test_tau_nu_hand_evaluated_quotient():
     # x(s) = s^2, sigma~ = x, tau~ = 0, nu = 2, s = 1:
     # [sigma(3) - sigma(1)] / (x(5/2) - x(3/2)) = 8 / 4
-    lat = QuadraticLattice(F(1), F(0), F(0), allow_degenerate=True)
+    lat = QuadraticLattice(F(1), F(0), F(0))
     eq = HyperEquation(lat, (F(0), F(1), F(0)), (F(0), F(0)))
     assert tau_k(eq, 2, S(1)) == 2
 

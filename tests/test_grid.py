@@ -73,7 +73,7 @@ def test_delta_of_constant_is_zero():
 
 def test_delta_square_example():
     # x(s) = s^2: divided difference of x^2 is x(s+1) + x(s)
-    lat = QuadraticLattice(F(1), F(0), F(0), allow_degenerate=True)
+    lat = QuadraticLattice(F(1), F(0), F(0))
     f = GridFunction.sample(Window(S0, 4), lambda s: lat.x(s) ** 2)
     assert delta_k(lat, 0, f).values == (F(1), F(5), F(13))
 
@@ -90,7 +90,7 @@ def test_nabla_is_shifted_delta():
 
 
 def test_iterated_delta_degree_and_orders():
-    lat = QuadraticLattice(F(1), F(0), F(0), allow_degenerate=True)
+    lat = QuadraticLattice(F(1), F(0), F(0))
     f = GridFunction.sample(Window(S0, 4), lambda s: lat.x(s) ** 2)
     assert iterated_delta(lat, 0, 0, f) == f
     second = iterated_delta(lat, 0, 2, f)
@@ -118,7 +118,7 @@ def test_window_too_small_boundary():
 
 def test_degenerate_step_reported():
     # x(s) = s^2 has x_1(0) = x_1(-1), a zero backward step at s = 0
-    lat = QuadraticLattice(F(1), F(0), F(0), allow_degenerate=True)
+    lat = QuadraticLattice(F(1), F(0), F(0))
     f = GridFunction(HalfInt.from_int(-1), (F(1), F(2), F(3)))
     with pytest.raises(DegenerateStep) as err:
         nabla_k(lat, 1, f)

@@ -3,7 +3,6 @@ from fractions import Fraction as F
 import pytest
 
 from hyperlat import (
-    DegenerateLattice,
     HalfInt,
     HyperEquation,
     LatticeError,
@@ -21,8 +20,7 @@ def test_half_int_basics():
 
 
 def test_x_k_examples():
-    assert QuadraticLattice(F(1), F(0), F(0), allow_degenerate=True).x_k(
-        0, HalfInt.from_int(2)) == 4
+    assert QuadraticLattice(F(1), F(0), F(0)).x_k(0, HalfInt.from_int(2)) == 4
     q = QQuadraticLattice(F(2), F(1), F(1), F(0))
     assert q.x_k(0, HalfInt.from_int(1)) == F(17, 4)
     assert QuadraticLattice(F(1), F(1), F(0)).x_k(1, HalfInt.from_int(0)) == F(3, 4)
@@ -102,11 +100,14 @@ def test_invalid_p_rejected():
             QQuadraticLattice(p, F(1), F(1), F(0))
 
 
-def test_degenerate_needs_flag():
-    with pytest.raises(DegenerateLattice):
-        QQuadraticLattice(F(2), F(1), F(0), F(0))
-    with pytest.raises(DegenerateLattice):
-        QuadraticLattice(F(1), F(0), F(0))
-    # explicit override constructs, and reports itself as not nonuniform
-    lat = QuadraticLattice(F(1), F(0), F(0), allow_degenerate=True)
-    assert not lat.is_nonuniform
+def test_special_lattices_construct_and_constant_is_rejected():
+    # the linear, ct2 = 0 and two q-linear lattices are lattices of the class
+    for lat in (QuadraticLattice(F(0), F(2), F(1)), QuadraticLattice(F(1), F(0), F(3)),
+                QQuadraticLattice(F(2), F(1), F(0), F(1)),
+                QQuadraticLattice(F(2), F(0), F(1), F(1))):
+        assert lat.x(HalfInt.from_int(1)) != lat.x(HalfInt.from_int(2))
+    # a constant x(s) is not
+    with pytest.raises(LatticeError, match="constant"):
+        QuadraticLattice(F(0), F(0), F(5))
+    with pytest.raises(LatticeError, match="constant"):
+        QQuadraticLattice(F(2), F(0), F(0), F(5))

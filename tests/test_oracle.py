@@ -91,7 +91,7 @@ def test_interpolation_recovers_known_polynomial():
 
 def test_interpolation_rejects_repeated_abscissae():
     # x(s) = s^2 repeats across s = -1, 1
-    lat = QuadraticLattice(F(1), F(0), F(0), allow_degenerate=True)
+    lat = QuadraticLattice(F(1), F(0), F(0))
     f = GridFunction.sample(Window(S(-1), 3), lambda s: lat.x(s))
     with pytest.raises(DegenerateAbscissae):
         polynomial_coefficients(lat, f, 2)

@@ -38,7 +38,6 @@ def test_minimal_quadratic_spec():
     assert spec.n == 2
     assert spec.window == Window(HalfInt.from_int(-4), 13)
     assert spec.lam is None and spec.sum_base is None and spec.poly_p is None
-    assert spec.lattice.allow_degenerate is False
 
 
 def test_qquadratic_spec_with_options():
@@ -117,8 +116,12 @@ DIAGNOSTIC_CORPUS = [
      7, 11, "trailing ',' in 'tau' list"),
     (MINIMAL_QUADRATIC.replace("window = -4..8", "window = -4"),
      9, 10, "window must be 'start..end'"),
-    (MINIMAL_QUADRATIC + "allow_degenerate = maybe\n",
-     10, 1, "allow_degenerate must be 'true' or 'false'"),
+    # the lattice classes need no flag, and an old spec's flag is not read
+    (MINIMAL_QUADRATIC + "allow_degenerate = true\n",
+     10, 1, "unknown key 'allow_degenerate'"),
+    # a constant x(s) is the one lattice rejected, at the lattice line
+    (MINIMAL_QUADRATIC.replace("ct1 = 1", "ct1 = 0").replace("ct2 = 1", "ct2 = 0"),
+     2, 1, "quadratic lattice needs ct1 or ct2 nonzero (x(s) is constant)"),
     (MINIMAL_QUADRATIC.replace("n = 2", "n = 17"), 8, 1, "n must not exceed 16"),
     (MINIMAL_QUADRATIC.replace("tau = 1, 2          # trailing comment", "tau = 1, 2, 3"),
      7, 1, "tau needs exactly 2 coefficients"),
@@ -184,12 +187,9 @@ def test_p_length_checked_against_n():
     assert any("P needs exactly n + 1 = 3" in d.message for d in diagnostics)
 
 
-def test_degenerate_lattice_needs_flag():
+def test_special_lattice_parses_without_a_flag():
     text = MINIMAL_QUADRATIC.replace("ct2 = 1", "ct2 = 0")
-    diagnostics = _diagnostics(text)
-    assert any("allow_degenerate" in d.message for d in diagnostics)
-    spec = parse_problem(text + "allow_degenerate = true\n")
-    assert spec.lattice.allow_degenerate and not spec.lattice.is_nonuniform
+    assert parse_problem(text).lattice == QuadraticLattice(F(1), F(0), F(0))
 
 
 def test_sum_base_parity_checked():
@@ -224,13 +224,15 @@ nonzero_rationals = small_rationals.filter(lambda v: v != 0)
 
 @st.composite
 def problem_specs(draw):
+    # (c1, c2) or (ct1, ct2): both nonzero, or one of them 0 for the special
+    # classes (q-linear, linear, ct2 = 0); never both, a constant x(s)
+    zeroed = draw(st.sampled_from([None, None, 0, 1]))
+    pair = tuple(F(0) if zeroed == i else draw(nonzero_rationals) for i in (0, 1))
     if draw(st.booleans()):
         p = draw(small_rationals.filter(lambda v: v not in (0, 1, -1)))
-        lattice = QQuadraticLattice(p, draw(nonzero_rationals),
-                                    draw(nonzero_rationals), draw(small_rationals))
+        lattice = QQuadraticLattice(p, *pair, draw(small_rationals))
     else:
-        lattice = QuadraticLattice(draw(nonzero_rationals),
-                                   draw(nonzero_rationals), draw(small_rationals))
+        lattice = QuadraticLattice(*pair, draw(small_rationals))
     n = draw(st.integers(min_value=0, max_value=6))
     start = HalfInt(draw(st.integers(min_value=-16, max_value=16)))
     window = Window(start, draw(st.integers(min_value=n + 5, max_value=n + 14)))
@@ -258,20 +260,19 @@ def test_render_parse_round_trip(spec):
     assert parse_problem(render_problem(spec)) == spec
 
 
-def test_render_parse_round_trip_degenerate_lattice():
-    # the flag lives on the lattice alone, so a spec cannot disagree with it
+def test_render_parse_round_trip_special_lattice():
     spec = ProblemSpec(
-        lattice=QuadraticLattice(F(1), F(0), F(0), allow_degenerate=True),
+        lattice=QuadraticLattice(F(1), F(0), F(0)),
         sigma_t=(F(0), F(0), F(1)), tau_t=(F(1), F(2)), n=2,
         window=Window(HalfInt.from_int(-4), 13))
-    assert "allow_degenerate = true" in render_problem(spec)
+    assert "ct2 = 0" in render_problem(spec)
     assert parse_problem(render_problem(spec)) == spec
 
 
 def test_render_omits_absent_optionals():
     spec = parse_problem(MINIMAL_QUADRATIC)
     text = render_problem(spec)
-    for absent in ("lambda", "sum_base", "P", "allow_degenerate"):
+    for absent in ("lambda", "sum_base", "P"):
         assert absent + " =" not in text
 
 
