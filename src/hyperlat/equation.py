@@ -38,8 +38,17 @@ weight itself is fixed only up to scale by
     delta_{-1}[sigma rho] = tau rho,  i.e.  rho(s+1) / rho(s) = sigma*(s+1) / sigma(s+1),
 
 and is normalized here to rho(anchor) = 1.  sigma* is written out once
-(``_adjoint_sigma``); tau*, lambda*, tau_k = [sigma*(s+k+1) - sigma(s)] /
-nabla x_{k+1}(s) and the Pearson step all read it.
+(``_adjoint_sigma``).  For the equation's own coefficients it is the closed
+formula of the sigma* table, which tau_k = [sigma*(s+k+1) - sigma(s)] /
+nabla x_{k+1}(s) and the Pearson step read; tau* and lambda* apply it to
+coefficient callables, since the adjoint map also applies to the starred
+coefficients.
+
+sigma(s), tau(s) and sigma*(s) are tables filled from integer forms (see
+``lattice``).  The Pearson step is one normalized quotient of the
+numerators and denominators of two table values, with its zero tests on
+integers, and rho_k multiplies its sigma factors as integers and
+normalizes once.
 """
 
 from __future__ import annotations
@@ -55,7 +64,7 @@ from .errors import (
     WindowTooSmall,
 )
 from .grid import GridFunction, Window
-from .lattice import HalfInt, Lattice
+from .lattice import FormTable, HalfInt, Lattice
 from .numerics import Scalar, format_rational
 
 
@@ -64,21 +73,24 @@ class HyperEquation:
     """Coefficients sigma_t = (sigma~(0), sigma~'(0), sigma~''/2) and
     tau_t = (tau~(0), tau~'), with the spectral parameter ``lam``.
 
-    sigma(s) and tau(s) are kept in tables indexed by 2s, like the lattice
-    values they are made of: each is computed once per point, on first use.
-    The tables live as long as the equation (and the copies ``with_lambda``
-    makes, which share them) and take no part in equality, hashing or
-    ``repr``.
+    sigma(s), tau(s) and sigma*(s) are kept in tables indexed by 2s, like
+    the lattice values they are made of (``lattice.FormTable``): each table
+    builds the integer form of its closed formula on first use, and fills
+    each point from it.  The tables live as long as the equation (and the
+    copies ``with_lambda`` makes, which share them) and take no part in
+    equality, hashing or ``repr``.
     """
 
     lattice: Lattice
     sigma_t: tuple
     tau_t: tuple
     lam: Scalar = Fraction(0)
-    _sigma: dict = field(default_factory=dict, init=False,
-                         repr=False, compare=False, hash=False)
-    _tau: dict = field(default_factory=dict, init=False,
-                       repr=False, compare=False, hash=False)
+    _sigma: FormTable = field(default_factory=FormTable, init=False,
+                              repr=False, compare=False, hash=False)
+    _tau: FormTable = field(default_factory=FormTable, init=False,
+                            repr=False, compare=False, hash=False)
+    _star: FormTable = field(default_factory=FormTable, init=False,
+                             repr=False, compare=False, hash=False)
 
     def __post_init__(self):
         if len(self.sigma_t) != 3:
@@ -94,29 +106,45 @@ class HyperEquation:
     def tau_tilde(self, x: Scalar) -> Scalar:
         return self.tau_t[0] + self.tau_t[1] * x
 
+    # the closed formulas, run only at the nodes of the integer forms
+    def _sigma_formula(self, twice: int) -> Scalar:
+        x_at = self.lattice.x_at
+        return (self.sigma_tilde(x_at(twice))
+                - self.tau_at(twice) * (x_at(twice + 1) - x_at(twice - 1)) / 2)
+
+    def _tau_formula(self, twice: int) -> Scalar:
+        return self.tau_tilde(self.lattice.x_at(twice))
+
+    def _star_formula(self, twice: int) -> Scalar:
+        return _adjoint_sigma(self.lattice, *_coefficients(self), HalfInt(twice))
+
     def sigma_at(self, twice: int) -> Scalar:
         """sigma(twice/2), from the table."""
         value = self._sigma.get(twice)
         if value is None:
-            x_at = self.lattice.x_at
-            value = self._sigma[twice] = (
-                self.sigma_tilde(x_at(twice))
-                - self.tau_at(twice) * (x_at(twice + 1) - x_at(twice - 1)) / 2)
+            value = self._sigma.fill(self.lattice, self._sigma_formula, 2, twice)
         return value
 
     def tau_at(self, twice: int) -> Scalar:
         """tau(twice/2), from the table."""
         value = self._tau.get(twice)
         if value is None:
-            value = self._tau[twice] = self.tau_tilde(self.lattice.x_at(twice))
+            value = self._tau.fill(self.lattice, self._tau_formula, 1, twice)
+        return value
+
+    def sigma_star_at(self, twice: int) -> Scalar:
+        """sigma*(twice/2), from the table."""
+        value = self._star.get(twice)
+        if value is None:
+            value = self._star.fill(self.lattice, self._star_formula, 2, twice)
         return value
 
     def with_lambda(self, lam: Scalar) -> "HyperEquation":
-        """The same equation at another lambda; sigma and tau do not depend
-        on lambda, so the copy shares their tables."""
+        """The same equation at another lambda; sigma, tau and sigma* do not
+        depend on lambda, so the copy shares their tables."""
         other = replace(self, lam=lam)
-        object.__setattr__(other, "_sigma", self._sigma)
-        object.__setattr__(other, "_tau", self._tau)
+        for name in ("_sigma", "_tau", "_star"):
+            object.__setattr__(other, name, getattr(self, name))
         return other
 
     def kappa(self, mu: int) -> Scalar:
@@ -201,23 +229,26 @@ def pearson_steps(eq: HyperEquation, window: Window, anchor: HalfInt) -> list:
     sigma*(t) / sigma(t) on the right and rho(t) / rho(t+1) = sigma(t+1) /
     sigma*(t+1) on the left (1 at the anchor).  The scan runs forward from
     the anchor, then backward, and raises PearsonSingularity at the first
-    point t whose divisor vanishes, or whose dividend and so rho(t) does."""
+    point t whose divisor vanishes, or whose dividend and so rho(t) does.
+    Each step is one normalized quotient of the numerators and
+    denominators of the sigma and sigma* table values."""
     if anchor not in window:
         raise OutOfWindow(f"anchor {anchor} not in window {window}")
     steps = [Fraction(1)] * window.length
     base = window.index_of(anchor)
     for j in (*range(base + 1, window.length), *range(base - 1, -1, -1)):
-        t = window.start + j
         forward = j > base
-        s = t if forward else t + 1
-        sig, star = sigma_of_s(eq, s), sigma_star(eq, s)
+        twice = window.start.twice + 2 * j + (0 if forward else 2)
+        sig, star = eq.sigma_at(twice), eq.sigma_star_at(twice)
         num, den = (star, sig) if forward else (sig, star)
-        if den == 0:
+        if den.numerator == 0:
+            t = window.start + j
             raise PearsonSingularity(f"sigma vanishes at s={t}" if forward else
                                      f"backward Pearson step vanishes at s={t}", point=t)
-        if num == 0:
+        if num.numerator == 0:
+            t = window.start + j
             raise PearsonSingularity(f"weight vanishes at s={t}", point=t)
-        steps[j] = num / den
+        steps[j] = Fraction(num.numerator * den.denominator, num.denominator * den.numerator)
     return steps
 
 
@@ -225,11 +256,15 @@ def rho_k(eq: HyperEquation, weight: PearsonWeight, k: int, s: HalfInt) -> Scala
     """rho_k(s) = rho(s+k) * prod_{i=1..k} sigma(s+i); rho_0 = rho."""
     if k < 0:
         raise ValueError("rho_k is defined for nonnegative k")
-    # the small factors first, so the large rho value is multiplied once
-    product = Fraction(1)
-    for i in range(1, k + 1):
-        product *= sigma_of_s(eq, s + i)
-    return weight.value_at(s + k) * product
+    # rho(s+k) and the k sigma table values multiplied as integer numerators
+    # and denominators: one normalization in place of k
+    value = weight.value_at(s + k)
+    num, den = value.numerator, value.denominator
+    for twice in range(s.twice + 2, s.twice + 2 * k + 1, 2):
+        factor = eq.sigma_at(twice)
+        num *= factor.numerator
+        den *= factor.denominator
+    return Fraction(num, den)
 
 
 def _three_term(lat: Lattice, y: GridFunction, sig, tau, lam: Scalar) -> GridFunction:
@@ -316,7 +351,7 @@ def _star_coefficients(eq: HyperEquation):
 
 
 def sigma_star(eq: HyperEquation, s: HalfInt) -> Scalar:
-    return _adjoint_sigma(eq.lattice, *_coefficients(eq), s)
+    return eq.sigma_star_at(s.twice)
 
 
 def tau_star(eq: HyperEquation, s: HalfInt) -> Scalar:

@@ -108,7 +108,10 @@ class GridFunction:
         return len(self.values)
 
     def value_at(self, s: HalfInt) -> Scalar:
-        return self.values[self.window.index_of(s)]
+        gap = s.twice - self.start.twice
+        if gap % 2 == 0 and 0 <= gap < 2 * len(self.values):
+            return self.values[gap // 2]
+        return self.values[self.window.index_of(s)]  # raises OutOfWindow
 
     def points(self) -> Iterator[HalfInt]:
         return self.window.points()

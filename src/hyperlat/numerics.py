@@ -1,15 +1,21 @@
-"""Exact rational scalars: parsing and canonical text.
+"""Exact rational scalars: parsing, canonical text and integer forms.
 
 Every value in this library is an exact rational, and every identity is an
 algebraic one, so "zero" means literally ``== 0``.  ``Rational`` (and its
 alias ``Scalar``) is ``fractions.Fraction``, which already keeps values in
 canonical form (reduced, positive denominator) after every operation.
+
+Polynomials are interpolated in one place (``monomial_coefficients``), and
+an ``IntegerForm`` keeps such an interpolant, or a Laurent polynomial, as
+integer coefficients over one denominator, so that each of its values is
+one integer Horner pass and one normalization.
 """
 
 from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from math import lcm
 
 from .errors import DivisionByZero, RationalParseError
 
@@ -89,3 +95,54 @@ def format_rational(value: Rational) -> str:
 
 #: The name the CLI and callers outside the library format values through.
 format_scalar = format_rational
+
+
+def monomial_coefficients(xs: list, ys) -> list:
+    """Monomial coefficients in x (low order first) of the interpolant
+    through samples at pairwise distinct abscissae: the Newton divided
+    differences, expanded by nested multiplication."""
+    c = list(ys)
+    for j in range(1, len(xs)):
+        for i in range(len(xs) - 1, j - 1, -1):
+            c[i] = (c[i] - c[i - 1]) / (xs[i] - xs[i - j])
+    coeffs = [c[-1]]
+    for xi, ci in zip(reversed(xs[:-1]), reversed(c[:-1])):
+        # coeffs * (x - xi) + ci
+        coeffs = [ci - xi * coeffs[0],
+                  *(a - xi * b for a, b in zip(coeffs, coeffs[1:])), coeffs[-1]]
+    return coeffs
+
+
+class IntegerForm:
+    """The Laurent polynomial sum_k coeffs[k] v^(k - shift) / den in one
+    variable v, with integer coefficients over one positive denominator.
+
+    At v = a/b (integers, b != 0, and a != 0 if shift > 0) its value is
+
+        sum_k coeffs[k] a^k b^(m-k) / (den a^shift b^(m-shift)),   m = len(coeffs) - 1,
+
+    one integer Horner pass, homogeneous in (a, b), normalized once.
+    """
+
+    __slots__ = ("coeffs", "den", "shift")
+
+    def __init__(self, coeffs: tuple, den: int, shift: int = 0):
+        self.coeffs, self.den, self.shift = coeffs, den, shift
+
+    @classmethod
+    def through(cls, vs: list, ys, shift: int = 0) -> "IntegerForm":
+        """The form through the samples y at pairwise distinct v: the
+        interpolant of v^shift y, cleared to integers over the least common
+        denominator of its coefficients."""
+        coeffs = monomial_coefficients(vs, [v ** shift * y for v, y in zip(vs, ys)])
+        den = lcm(*(c.denominator for c in coeffs))
+        return cls(tuple(c.numerator * (den // c.denominator) for c in coeffs), den, shift)
+
+    def at(self, a: int, b: int) -> Fraction:
+        """The value at v = a/b."""
+        coeffs = self.coeffs
+        acc, power = coeffs[-1], 1
+        for c in coeffs[-2::-1]:
+            power *= b
+            acc = acc * a + c * power
+        return Fraction(acc, self.den * a ** self.shift * b ** (len(coeffs) - 1 - self.shift))

@@ -66,7 +66,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .equation import (
     HyperEquation,
@@ -90,7 +89,7 @@ from .errors import (
 )
 from .grid import GridFunction, Window, cumulative_nabla_sum, iterated_delta
 from .lattice import HalfInt, Lattice
-from .numerics import Scalar, format_scalar
+from .numerics import IntegerForm, Scalar, format_scalar, monomial_coefficients
 
 
 @dataclass(frozen=True)
@@ -246,45 +245,24 @@ def _rodrigues(eq: HyperEquation, weight: PearsonWeight, n: int, window: Window,
     return iterated_delta(lat, -n, n, product) / weight.rho.restrict(window)
 
 
-def _monomial(xs: list, ys) -> list:
-    """Monomial coefficients in x (low order first) of the interpolant
-    through samples at pairwise distinct abscissae: the Newton divided
-    differences, expanded by nested multiplication."""
-    c = list(ys)
-    for j in range(1, len(xs)):
-        for i in range(len(xs) - 1, j - 1, -1):
-            c[i] = (c[i] - c[i - 1]) / (xs[i] - xs[i - j])
-    coeffs = [c[-1]]
-    for xi, ci in zip(reversed(xs[:-1]), reversed(c[:-1])):
-        # coeffs * (x - xi) + ci
-        coeffs = [a - xi * b for a, b in zip([0] + coeffs, coeffs + [0])]
-        coeffs[0] += ci
-    return coeffs
-
-
 def _polynomial_kind(eq: HyperEquation, weight_on, n: int, window: Window) -> GridFunction:
     """``_rodrigues`` on the first n + 1 points of ``window``, reading rho
     from ``weight_on(span)`` on the points ``span`` it reads, and their
-    interpolant sum C_k x^k / D elsewhere: at x(s) = a/b one integer Horner
-    pass, sum C_k a^k b^(d-k), normalized once by D b^d.  On the whole window
-    if those points are all of it or two of them share x(s)."""
+    interpolant sum C_k x^k / D elsewhere, an ``IntegerForm``: at x(s) = a/b
+    one integer Horner pass, sum C_k a^k b^(d-k), normalized once by D b^d.
+    On the whole window if those points are all of it or two of them share
+    x(s)."""
     lat = eq.lattice
     stencil = Window(window.start, min(n + 1, window.length))
     xs = [lat.x(s) for s in stencil.points()]
     if stencil == window or len(set(xs)) < len(xs):
         return _rodrigues(eq, weight_on(window.expand(0, n)), n, window)
     ys = _rodrigues(eq, weight_on(stencil.expand(0, n)), n, stencil)
-    coeffs = _monomial(xs, ys.values)
-    den = lcm(*(c.denominator for c in coeffs))
-    ints = [c.numerator * (den // c.denominator) for c in coeffs]
+    form = IntegerForm.through(xs, ys.values)
     values = list(ys.values)
     for j in range(stencil.length, window.length):
-        x = lat.x(window.start + j)
-        acc, power = ints[-1], 1
-        for c in reversed(ints[:-1]):
-            power *= x.denominator
-            acc = acc * x.numerator + c * power
-        values.append(Fraction(acc, den * power))
+        x = lat.x_at(window.start.twice + 2 * j)
+        values.append(form.at(x.numerator, x.denominator))
     return GridFunction(window.start, tuple(values))
 
 
@@ -302,11 +280,14 @@ def casoratian(eq: HyperEquation, weight: PearsonWeight, y1: GridFunction,
 def _meets_zero_step(lat: Lattice, n: int, window: Window) -> bool:
     """Whether the n-fold difference of ``_rodrigues`` on ``window`` divides
     by a zero step: its j-th pass divides by delta x_{j-n}(t) at the first
-    len(window) + n - 1 - j points t, and delta x_k(t) is
-    x_at(2t + k + 2) - x_at(2t + k)."""
+    len(window) + n - 1 - j points t, which is ``lat.step_at(2t + j - n)``.
+    From a = 2 window.start - n on, the passes read every a up to
+    a + 2(len(window) + n - 2) for n >= 2, and every other one for n = 1."""
+    if n == 0:
+        return False
     first = window.start.twice - n
-    twice = {first + 2 * i + j for j in range(n) for i in range(window.length + n - 1 - j)}
-    return any(lat.x_at(a + 2) == lat.x_at(a) for a in twice)
+    last = first + 2 * (window.length + n - 2)
+    return any(lat.step_at(a) == 0 for a in range(first, last + 1, 1 if n > 1 else 2))
 
 
 def _integral_kind(eq: HyperEquation, weight: PearsonWeight, n: int, window: Window,
@@ -462,4 +443,4 @@ def polynomial_coefficients(lat: Lattice, f: GridFunction, degree: int) -> list:
     xs = [lat.x(s) for s, _ in samples]
     if len(set(xs)) != len(xs):
         raise DegenerateAbscissae("repeated x-values in interpolation samples")
-    return _monomial(xs, [v for _, v in samples])
+    return monomial_coefficients(xs, [v for _, v in samples])

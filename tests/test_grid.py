@@ -237,3 +237,16 @@ def test_arithmetic_needs_one_window():
     assert (F(1, 2) * f).values == (F(1, 2), F(1), F(3, 2))
     with pytest.raises(TypeError):
         f * 2               # a scalar multiplies from the left only
+
+
+def test_value_at_names_the_window_on_a_miss():
+    f = GridFunction(HalfInt(2), (F(1), F(2), F(3)))
+    assert [f.value_at(HalfInt(t)) for t in (2, 4, 6)] == [1, 2, 3]
+    for twice, text in ((0, "0 not in window 1..3"), (8, "4 not in window 1..3"),
+                        (3, "3/2 not in window 1..3"), (-7, "-7/2 not in window 1..3")):
+        with pytest.raises(OutOfWindow) as caught:
+            f.value_at(HalfInt(twice))
+        assert str(caught.value) == text
+        with pytest.raises(OutOfWindow) as by_window:
+            f.window.index_of(HalfInt(twice))
+        assert str(by_window.value) == text

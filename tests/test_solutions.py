@@ -9,6 +9,8 @@ from hyperlat import (
     HalfInt,
     OutOfWindow,
     PearsonWeight,
+    QQuadraticLattice,
+    QuadraticLattice,
     SingularSummand,
     Window,
     Y_n,
@@ -341,3 +343,32 @@ def test_verify_solves_each_distinct_problem_once(monkeypatch):
     # one weight per solve, and one per distinct n (n, n + 3 and 0) that
     # the checks read a weight at
     assert len(weights) == len(calls) + 3
+
+
+def _meets_zero_step_by_set(lat, n, window):
+    """The predicate as first written: every step key of every pass, as a set."""
+    first = window.start.twice - n
+    twice = {first + 2 * i + j for j in range(n) for i in range(window.length + n - 1 - j)}
+    return any(lat.x_at(a + 2) == lat.x_at(a) for a in twice)
+
+
+def test_meets_zero_step_scans_the_keys_the_passes_read():
+    lattices = [
+        QuadraticLattice(F(1), F(1), F(0)),        # symmetric about s = -1/2
+        QuadraticLattice(F(1), F(0), F(2)),        # symmetric about s = 0
+        QuadraticLattice(F(0), F(3, 2), F(1)),     # linear
+        QQuadraticLattice(F(2), F(1), F(1), F(0)),   # symmetric about s = 0
+        QQuadraticLattice(F(-2), F(1), F(16), F(1)),  # symmetric about s = 1
+        QQuadraticLattice(F(3, 2), F(1), F(3), F(0)),  # no centre on the grid
+        QQuadraticLattice(F(2), F(0), F(1), F(0)),   # q-linear
+    ]
+    rng = random.Random(24)
+    outcomes = set()
+    for _ in range(600):
+        lat = rng.choice(lattices)
+        n = rng.randint(0, 7)
+        window = Window(HalfInt(rng.randint(-16, 12)), rng.randint(1, 10))
+        expected = _meets_zero_step_by_set(lat, n, window)
+        assert solutions._meets_zero_step(lat, n, window) == expected, (lat, n, window)
+        outcomes.add(expected)
+    assert outcomes == {True, False}

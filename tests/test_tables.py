@@ -1,17 +1,22 @@
 """The lattice and coefficient tables: each value is computed once per object,
-and the tables never show in equality, hashing, repr or the problem format."""
+from an integer form that equals the closed formula on every lattice class,
+the formulas run only at the nodes of the forms, and the tables never show
+in equality, hashing, repr or the problem format."""
 
 from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperlat import (
     HalfInt,
     HyperEquation,
     QQuadraticLattice,
     QuadraticLattice,
+    Window,
     parse_problem,
     render_problem,
     solve,
@@ -83,10 +88,12 @@ def test_with_lambda_shares_sigma_and_tau(monkeypatch):
     calls = []
     _count(monkeypatch, HyperEquation, "sigma_tilde", lambda _eq, x: calls.append(x))
     _count(monkeypatch, HyperEquation, "tau_tilde", lambda _eq, x: calls.append(x))
+    star = [eq.sigma_star_at(t) for t in points]
     other = eq.with_lambda(F(5, 7))
     assert other.lam == F(5, 7) and other != eq
     assert [other.sigma_at(t) for t in points] == sigma
     assert [other.tau_at(t) for t in points] == tau
+    assert [other.sigma_star_at(t) for t in points] == star
     assert calls == []
 
 
@@ -102,6 +109,8 @@ def test_tables_match_the_formulas(make):
         x = lat.x_k(0, s)
         assert eq.tau_at(t) == eq.tau_tilde(x)
         assert eq.sigma_at(t) == eq.sigma_tilde(x) - eq.tau_tilde(x) * nabla / 2
+        assert eq.sigma_star_at(t) == (eq.sigma_at(t - 2)
+                                       + eq.tau_at(t - 2) * lat.nabla_x(-1, s))
 
 
 @pytest.mark.parametrize("name", ["quadratic.spec", "qlattice.spec", "generalized.spec"])
@@ -112,3 +121,84 @@ def test_render_parse_round_trip_survives_a_solve(name):
           N=spec.sum_base, P=spec.poly_p)
     assert render_problem(spec) == text
     assert parse_problem(text) == spec
+
+
+small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+nonzero = st.builds(F, st.integers(-4, 4).filter(bool), st.integers(1, 3))
+
+
+@st.composite
+def lattices(draw):
+    """A lattice of either family, with p of either sign: x(s) general, or
+    of a special class, with one of (c1, c2) or (ct1, ct2) zero (the
+    q-linear lattice, the linear lattice and x = ct1 s^2 + ct3)."""
+    u, v = draw(nonzero), draw(nonzero)
+    zeroed = draw(st.sampled_from([None, 0, 1]))
+    pair = (F(0) if zeroed == 0 else u, F(0) if zeroed == 1 else v)
+    if draw(st.booleans()):
+        p = draw(st.sampled_from([F(2), F(-2), F(3, 2), F(-3, 2), F(1, 3), F(-1, 3), F(-5, 4)]))
+        return QQuadraticLattice(p, *pair, draw(small))
+    return QuadraticLattice(*pair, draw(small))
+
+
+@settings(max_examples=100, deadline=None)
+@given(lattices(), st.tuples(small, small, small), st.tuples(small, small),
+       st.lists(st.integers(-30, 30), min_size=1, max_size=6))
+def test_tables_equal_the_closed_formulas(lat, sigma_t, tau_t, points):
+    """At any 2s, even or odd and of either sign, the tables filled from the
+    integer forms equal the closed formulas, written here from x_k alone."""
+    eq = HyperEquation(lat, sigma_t, tau_t)
+
+    def x(t):
+        return lat.x_k(0, HalfInt(t))
+
+    def tau(t):
+        return eq.tau_tilde(x(t))
+
+    def sigma(t):
+        return eq.sigma_tilde(x(t)) - tau(t) * (x(t + 1) - x(t - 1)) / 2
+
+    for t in points:
+        assert lat.x_at(t) == x(t)
+        assert lat.step_at(t) == x(t + 2) - x(t)
+        assert eq.tau_at(t) == tau(t)
+        assert eq.sigma_at(t) == sigma(t)
+        assert eq.sigma_star_at(t) == sigma(t - 2) + tau(t - 2) * (x(t - 1) - x(t - 3))
+
+
+@pytest.mark.parametrize("make", ALL_CONFIGS)
+def test_formulas_run_only_at_the_form_nodes(make, monkeypatch):
+    """However long the window, x_k runs once at each node of the x form
+    (2s = -2..2), sigma~ at the nodes of the sigma form (2s = -3..3) and
+    tau~ at those of the tau form (2s = -2..2)."""
+    calls = []
+    for family in (QQuadraticLattice, QuadraticLattice):
+        _count(monkeypatch, family, "x_k",
+               lambda _lat, k, s: calls.append(("x", s.twice + k)))
+    _count(monkeypatch, HyperEquation, "sigma_tilde", lambda _eq, x: calls.append(("sigma", x)))
+    _count(monkeypatch, HyperEquation, "tau_tilde", lambda _eq, x: calls.append(("tau", x)))
+    n = 3
+    P = tuple(F(j + 1, 2) for j in range(n + 1))
+    for length in (6, 40):
+        eq = make()
+        calls.clear()
+        for kind in KINDS:
+            assert solve(eq, n, Window(HalfInt.from_int(4), length), kind=kind,
+                         P=P).is_exact_solution()
+        x_at = eq.lattice.x_at
+        assert sorted(t for name, t in calls if name == "x") == list(range(-2, 3))
+        assert (sorted(x for name, x in calls if name == "sigma")
+                == sorted(x_at(t) for t in range(-3, 4)))
+        assert (sorted(x for name, x in calls if name == "tau")
+                == sorted(x_at(t) for t in range(-2, 3)))
+
+
+def test_a_form_that_disagrees_with_its_formula_raises():
+    """The formula is checked at one node past each end of the interpolation
+    nodes; a function outside the form's space fails there."""
+    quadratic = QuadraticLattice(F(1), F(1), F(0))
+    with pytest.raises(AssertionError, match="order 2 disagrees with its formula at 2s=-3"):
+        quadratic.integer_form(lambda t: F(t) ** 5, 2)
+    qquadratic = QQuadraticLattice(F(2), F(1), F(1), F(0))
+    with pytest.raises(AssertionError, match="order 1 disagrees with its formula at 2s=-2"):
+        qquadratic.integer_form(lambda t: F(t), 1)
