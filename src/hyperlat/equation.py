@@ -24,8 +24,9 @@ drive the polynomial eigenfunctions, and the adjoint coefficients
 define the adjoint operator L*, which satisfies L*[rho y] = rho L[y] for the
 Pearson weight rho.  L and L* are the same operator with different
 coefficients, evaluated in the three-term form L[y](s) = A(s) y(s+1) +
-B(s) y(s) + C(s) y(s-1), each value summed over one common denominator and
-normalized once (``_three_term``).  The adjoint map (sigma, tau, lambda) ->
+B(s) y(s) + C(s) y(s-1), with A, B and C integers over one denominator
+per point and each value summed over one common denominator and normalized
+once (``_three_term``).  The adjoint map (sigma, tau, lambda) ->
 (sigma*, tau*, lambda*) is written once, for any pair of coefficient
 functions, and it is an involution: ``dual_coefficients`` applies it a
 second time, to the starred coefficients, and must get back sigma, tau and
@@ -40,9 +41,11 @@ weight itself is fixed only up to scale by
 and is normalized here to rho(anchor) = 1.  sigma* is written out once
 (``_adjoint_sigma``).  For the equation's own coefficients it is the closed
 formula of the sigma* table, which tau_k = [sigma*(s+k+1) - sigma(s)] /
-nabla x_{k+1}(s) and the Pearson step read; tau* and lambda* apply it to
-coefficient callables, since the adjoint map also applies to the starred
-coefficients.
+nabla x_{k+1}(s), the Pearson step, tau* and lambda* read.  tau* and
+lambda* are written for callables sigma and sigma*, since the adjoint map
+also applies to the starred coefficients: ``dual_coefficients`` passes
+sigma* in place of sigma, and in place of sigma* the one built from sigma*
+and tau*.
 
 sigma(s), tau(s) and sigma*(s) are tables filled from integer forms (see
 ``lattice``).  The Pearson step is one normalized quotient of the
@@ -55,6 +58,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import partial
 from math import gcd
 
 from .errors import (
@@ -274,36 +278,46 @@ def _three_term(lat: Lattice, y: GridFunction, sig, tau, lam: Scalar) -> GridFun
     Written out, the two divided differences give the three-term form
 
         L[y](s) = A(s) y(s+1) + B(s) y(s) + C(s) y(s-1),
-        A = (sig/delta x_{-1} + tau) / delta x_0,   C = sig / (delta x_{-1} nabla x_0),
-        B = lam - A - C,
+        A = (sig + tau delta x_{-1}) / (delta x_{-1} delta x_0),
+        C = sig / (delta x_{-1} nabla x_0),   B = lam - A - C,
 
-    with coefficients far smaller than the values of y.  Each output value
-    sums the three products in integers over their least common denominator,
-    about the largest denominator of the three values of y, which share most
-    of their factors, and is normalized once.  Every step is read first, in
-    the order the two passes of divided differences read them (each nabla
-    x_0, then each delta x_{-1}, left to right), so a zero step is named as
-    by those passes.
+    with coefficients far smaller than the values of y.  A, B and C are
+    formed as integers over one denominator W per point, from the
+    numerators and denominators of sig(s), tau(s), lam and the three steps,
+    with no ``Fraction`` made.  The three products are summed in integers
+    over the least common denominator of the three values of y, which share
+    most of their factors, and each output value is one normalization of
+    that sum over W times that denominator.  Every step is read first,
+    through the zero-step guard, in the order the two passes of divided
+    differences read them (each nabla x_0, then each delta x_{-1}, left to
+    right), so a zero step is named as by those passes.
     """
     start, v = y.start + 1, y.values
     inner = range(len(v) - 2)
-    # 1 / delta x_{-1} at each output point s, and 1 / nabla x_0 there and
-    # one point further, since nabla x_0(s + 1) = delta x_0(s)
-    over_nabla = [lat.nabla_quotient(1, 0, start + j) for j in range(len(v) - 1)]
-    over_delta = [lat.delta_quotient(1, -1, start + j) for j in inner]
+    # nabla x_0 at each output point s and one point further, since
+    # nabla x_0(s + 1) = delta x_0(s); then delta x_{-1} at each s
+    nablas = [lat.nabla_divisor(0, start + j) for j in range(len(v) - 1)]
+    deltas = [lat.delta_divisor(-1, start + j) for j in inner]
+    ln, ld = lam.numerator, lam.denominator
     out = []
     for j in inner:
         s = start + j
-        sig_over = sig(s) * over_delta[j]
-        a = (sig_over + tau(s)) * over_nabla[j + 1]
-        c = sig_over * over_nabla[j]
+        sg, ta = sig(s), tau(s)
+        sn, sd, tn, td = sg.numerator, sg.denominator, ta.numerator, ta.denominator
+        en, ed = deltas[j].numerator, deltas[j].denominator            # delta x_{-1}
+        an, ad = nablas[j + 1].numerator, nablas[j + 1].denominator    # delta x_0
+        bn, bd = nablas[j].numerator, nablas[j].denominator            # nabla x_0
+        # A, B and C over W = base * ld
+        base = sd * td * en * an * bn
+        a = (sn * td * ed + tn * en * sd) * ad * bn * ld
+        c = sn * ed * bd * td * an * ld
         num, den = 0, 1
-        for coef, value in ((a, v[j + 2]), (lam - a - c, v[j + 1]), (c, v[j])):
-            d = coef.denominator * value.denominator
+        for coef, value in ((a, v[j + 2]), (ln * base - a - c, v[j + 1]), (c, v[j])):
+            d = value.denominator
             g = gcd(den, d)
-            num = num * (d // g) + coef.numerator * value.numerator * (den // g)
+            num = num * (d // g) + coef * value.numerator * (den // g)
             den *= d // g
-        out.append(Fraction(num, den))
+        out.append(Fraction(num, den * base * ld))
     return GridFunction(start, tuple(out))
 
 
@@ -329,18 +343,21 @@ def _adjoint_sigma(lat: Lattice, sig, tau, s: HalfInt) -> Scalar:
     return sig(prev) + tau(prev) * lat.nabla_x(-1, s)
 
 
-def _adjoint_tau(lat: Lattice, sig, tau, s: HalfInt) -> Scalar:
-    """tau*(s) = [sigma(s+1) - sigma*(s)] / delta x_{-1}(s)."""
-    return lat.delta_quotient(sig(s + 1) - _adjoint_sigma(lat, sig, tau, s), -1, s)
+def _adjoint_tau(lat: Lattice, sig, star, s: HalfInt) -> Scalar:
+    """tau*(s) = [sigma(s+1) - sigma*(s)] / delta x_{-1}(s), for callables
+    sig and star (sigma*)."""
+    return lat.delta_quotient(sig(s + 1) - star(s), -1, s)
 
 
-def _adjoint_lambda_shift(lat: Lattice, sig, tau, s: HalfInt) -> Scalar:
+def _adjoint_lambda_shift(lat: Lattice, sig, star, s: HalfInt) -> Scalar:
     """lambda - lambda*, from its defining difference expression at s:
 
         delta_{-1}( [sigma*(s) - sigma(s)] / nabla x(s) )
+
+    for callables sig and star (sigma*).
     """
     def h(t: HalfInt) -> Scalar:
-        return lat.nabla_quotient(_adjoint_sigma(lat, sig, tau, t) - sig(t), 0, t)
+        return lat.nabla_quotient(star(t) - sig(t), 0, t)
 
     return lat.delta_quotient(h(s + 1) - h(s), -1, s)
 
@@ -355,12 +372,13 @@ def sigma_star(eq: HyperEquation, s: HalfInt) -> Scalar:
 
 
 def tau_star(eq: HyperEquation, s: HalfInt) -> Scalar:
-    return _adjoint_tau(eq.lattice, *_coefficients(eq), s)
+    return _adjoint_tau(eq.lattice, partial(sigma_of_s, eq), partial(sigma_star, eq), s)
 
 
 def lambda_star_at(eq: HyperEquation, s: HalfInt) -> Scalar:
     """lambda* from its defining difference expression, evaluated at s."""
-    return eq.lam - _adjoint_lambda_shift(eq.lattice, *_coefficients(eq), s)
+    return eq.lam - _adjoint_lambda_shift(
+        eq.lattice, partial(sigma_of_s, eq), partial(sigma_star, eq), s)
 
 
 def lambda_star(eq: HyperEquation) -> Scalar:
@@ -404,8 +422,12 @@ def dual_coefficients(eq: HyperEquation, s: HalfInt):
     (sigma*, tau*, lambda*); the map is an involution, so this must give back
     the originals.  lambda* is checked at s after the starred shift."""
     lat, star = eq.lattice, _star_coefficients(eq)
-    return (_adjoint_sigma(lat, *star, s), _adjoint_tau(lat, *star, s),
-            -_adjoint_lambda_shift(lat, *star, s) + _checked_lambda_star(eq, (s,)))
+
+    def star_star(t: HalfInt) -> Scalar:
+        return _adjoint_sigma(lat, *star, t)
+
+    return (star_star(s), _adjoint_tau(lat, star[0], star_star, s),
+            -_adjoint_lambda_shift(lat, star[0], star_star, s) + _checked_lambda_star(eq, (s,)))
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,13 @@ bookkeeping is the main thing the tests police.  A zero step is named at the
 point its quotient sits at: s - 1 by ``delta_k`` and s by ``nabla_k`` for the
 same step x_k(s) - x_k(s-1).
 
+The four difference operators share one kernel on integers: each value is
+carried as its (numerator, denominator) pair from the first pass to the
+last, reduced by the gcds ``Fraction`` takes, and one ``Fraction`` is made
+per output value.  No common denominator is carried across the window: on
+q-lattices the lcm of the weight's denominators and the step numerators
+grows with the window, and that was slower than reducing each quotient.
+
 Arithmetic between two grid functions needs one window (the same start and
 length) and works value by value; to combine functions on different windows,
 restrict them to a common one first.  A scalar multiplies from the left.
@@ -28,6 +35,8 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd
 from typing import Callable, Iterator
 
 from .errors import OutOfWindow, WindowTooSmall
@@ -158,41 +167,72 @@ class GridFunction:
 
 def delta_k(lat: Lattice, k: int, f: GridFunction) -> GridFunction:
     """Forward divided difference; window loses its right endpoint."""
-    return _difference(f, "delta_k", lat.delta_quotient, k, 0)
+    return _passes(f, lat.delta_divisor, (k,), 0, "delta_k needs at least two points")
 
 
 def nabla_k(lat: Lattice, k: int, f: GridFunction) -> GridFunction:
     """Backward divided difference: the forward quotients placed one point
     right, so the window loses its left endpoint."""
-    return _difference(f, "nabla_k", lat.nabla_quotient, k, 1)
-
-
-def _difference(f: GridFunction, name: str, quotient, k: int, shift: int) -> GridFunction:
-    """quotient(f(t+1) - f(t), k, s) for consecutive points t, each placed
-    at s = t + shift."""
-    if len(f) < 2:
-        raise WindowTooSmall(f"{name} needs at least two points")
-    start, v = f.start + shift, f.values
-    return GridFunction(start, tuple(quotient(v[j + 1] - v[j], k, start + j)
-                                     for j in range(len(v) - 1)))
+    return _passes(f, lat.nabla_divisor, (k,), 1, "nabla_k needs at least two points")
 
 
 def iterated_delta(lat: Lattice, k: int, n: int, f: GridFunction) -> GridFunction:
     """delta_{k+n-1} ... delta_{k+1} delta_k f (innermost first); n = 0 is f."""
-    if len(f) < n + 1:
-        raise WindowTooSmall(f"iterated delta of order {n} needs {n + 1} points")
-    for j in range(n):
-        f = delta_k(lat, k + j, f)
-    return f
+    return _passes(f, lat.delta_divisor, range(k, k + n), 0,
+                   f"iterated delta of order {n} needs {n + 1} points")
 
 
 def iterated_nabla(lat: Lattice, k: int, n: int, f: GridFunction) -> GridFunction:
     """nabla_{k-n+1} ... nabla_{k-1} nabla_k f (innermost first); n = 0 is f."""
-    if len(f) < n + 1:
-        raise WindowTooSmall(f"iterated nabla of order {n} needs {n + 1} points")
-    for j in range(n):
-        f = nabla_k(lat, k - j, f)
-    return f
+    return _passes(f, lat.nabla_divisor, range(k, k - n, -1), 1,
+                   f"iterated nabla of order {n} needs {n + 1} points")
+
+
+def _passes(f: GridFunction, divisor, levels, shift: int, short: str) -> GridFunction:
+    """One divided-difference pass per level, innermost first, each placing
+    its quotients ``shift`` points right of the left point of their pair.
+    The values stay (num, den) pairs from the first pass to the last."""
+    if len(f) < len(levels) + 1:
+        raise WindowTooSmall(short)
+    if not levels:
+        return f
+    start, pairs = f.start, [(v.numerator, v.denominator) for v in f.values]
+    for k in levels:
+        start += shift
+        pairs = _quotients(pairs, divisor, k, start, k == levels[-1])
+    return GridFunction(start, tuple(Fraction(num, den) for num, den in pairs))
+
+
+def _quotients(pairs: list, divisor, k: int, start: HalfInt, last: bool) -> list:
+    """(f(t+1) - f(t)) / divisor(k, start + j) for the j-th consecutive two
+    canonical pairs, by the gcds of ``Fraction``'s subtraction and division,
+    so that the output pairs are canonical too.  The ``last`` pass skips the
+    gcd that reduces the difference by a factor of the two denominators:
+    the ``Fraction`` made from each of its output pairs reduces it, at about
+    the same cost."""
+    out = []
+    na, da = pairs[0]
+    for j in range(1, len(pairs)):
+        nb, db = na, da
+        na, da = pairs[j]
+        g = gcd(da, db)
+        if g == 1:
+            t, d = na * db - da * nb, da * db
+        else:
+            da_g = da // g
+            t = na * (db // g) - nb * da_g
+            g = 1 if last else gcd(t, g)
+            t, d = t // g, da_g * (db // g)
+        step = divisor(k, start + (j - 1))
+        p, q = step.numerator, step.denominator
+        g = gcd(t, p)
+        if g > 1:
+            t, p = t // g, p // g
+        g = gcd(q, d)
+        if g > 1:
+            q, d = q // g, d // g
+        out.append((t * q, p * d) if p > 0 else (-t * q, -p * d))
+    return out
 
 
 def cumulative_nabla_sum(lat: Lattice, k: int, g: GridFunction, N: HalfInt) -> GridFunction:

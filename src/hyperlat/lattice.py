@@ -26,9 +26,12 @@ which also needs the equation's coefficients and so lives on the equation
 (``equation.HyperEquation.kappa``).
 
 Every divided difference of the library divides by a step of some x_k, and
-``Lattice.delta_quotient`` and ``Lattice.nabla_quotient`` are the one place
-that does it: each reads its own step, delta x_k(s) or nabla x_k(s), and a
-zero step raises ``DegenerateStep`` naming k and s.
+reads it through one guard, ``Lattice.delta_divisor`` or
+``Lattice.nabla_divisor``: each reads its own step, delta x_k(s) or
+nabla x_k(s), and a zero step raises ``DegenerateStep`` naming k and s.
+``delta_quotient`` and ``nabla_quotient`` divide a scalar by the guarded
+step; the integer kernels of ``grid`` and ``equation`` divide by its
+numerator and denominator.
 
 Integer forms.  On either family x(s), its steps, and the equation's
 sigma(s), tau(s) and sigma*(s) are Laurent polynomials in one point variable
@@ -187,14 +190,22 @@ class Lattice:
         """x_k(s) - x_k(s-1)."""
         return self.step_at(s.twice + k - 2)
 
-    # the one place that divides by a lattice step
+    # the one zero-step guard: every step a quotient divides by is read here
+    def delta_divisor(self, k: int, s: HalfInt) -> Scalar:
+        """delta x_k(s); a zero step raises DegenerateStep naming s."""
+        return _nonzero_step(self.delta_x(k, s), k, s)
+
+    def nabla_divisor(self, k: int, s: HalfInt) -> Scalar:
+        """nabla x_k(s); a zero step raises DegenerateStep naming s."""
+        return _nonzero_step(self.nabla_x(k, s), k, s)
+
     def delta_quotient(self, num: Scalar, k: int, s: HalfInt) -> Scalar:
-        """num / delta x_k(s); a zero step raises DegenerateStep naming s."""
-        return _step_quotient(num, self.delta_x(k, s), k, s)
+        """num / delta x_k(s), through the guard."""
+        return num / self.delta_divisor(k, s)
 
     def nabla_quotient(self, num: Scalar, k: int, s: HalfInt) -> Scalar:
-        """num / nabla x_k(s); a zero step raises DegenerateStep naming s."""
-        return _step_quotient(num, self.nabla_x(k, s), k, s)
+        """num / nabla x_k(s), through the guard."""
+        return num / self.nabla_divisor(k, s)
 
     def mean_shift_beta(self) -> Scalar:
         """The constant beta with (x(s+1)+x(s))/2 = alpha(1)*x_1(s) + beta.
@@ -271,9 +282,10 @@ class QuadraticLattice(Lattice):
         return Fraction(1)
 
 
-def _step_quotient(num: Scalar, step: Scalar, k: int, s: HalfInt) -> Scalar:
-    """num / step for an increment ``step`` of x_k taken at s: a zero step
-    raises DegenerateStep naming s instead of a bare ZeroDivisionError."""
+def _nonzero_step(step: Scalar, k: int, s: HalfInt) -> Scalar:
+    """``step``, an increment of x_k taken at s, checked before anything
+    divides by it: zero raises DegenerateStep naming s instead of a bare
+    ZeroDivisionError."""
     if step == 0:
         raise DegenerateStep(f"zero step of x_{k} at s={s}", point=s)
-    return num / step
+    return step

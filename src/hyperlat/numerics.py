@@ -5,17 +5,17 @@ algebraic one, so "zero" means literally ``== 0``.  ``Rational`` (and its
 alias ``Scalar``) is ``fractions.Fraction``, which already keeps values in
 canonical form (reduced, positive denominator) after every operation.
 
-Polynomials are interpolated in one place (``monomial_coefficients``), and
-an ``IntegerForm`` keeps such an interpolant, or a Laurent polynomial, as
-integer coefficients over one denominator, so that each of its values is
-one integer Horner pass and one normalization.
+Polynomials are interpolated in one place, on integers alone
+(``IntegerForm.through``), and an ``IntegerForm`` keeps the interpolant, or
+a Laurent polynomial, as integer coefficients over one denominator, so that
+each of its values is one integer Horner pass and one normalization.
 """
 
 from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import DivisionByZero, RationalParseError
 
@@ -97,25 +97,11 @@ def format_rational(value: Rational) -> str:
 format_scalar = format_rational
 
 
-def monomial_coefficients(xs: list, ys) -> list:
-    """Monomial coefficients in x (low order first) of the interpolant
-    through samples at pairwise distinct abscissae: the Newton divided
-    differences, expanded by nested multiplication."""
-    c = list(ys)
-    for j in range(1, len(xs)):
-        for i in range(len(xs) - 1, j - 1, -1):
-            c[i] = (c[i] - c[i - 1]) / (xs[i] - xs[i - j])
-    coeffs = [c[-1]]
-    for xi, ci in zip(reversed(xs[:-1]), reversed(c[:-1])):
-        # coeffs * (x - xi) + ci
-        coeffs = [ci - xi * coeffs[0],
-                  *(a - xi * b for a, b in zip(coeffs, coeffs[1:])), coeffs[-1]]
-    return coeffs
-
-
 class IntegerForm:
     """The Laurent polynomial sum_k coeffs[k] v^(k - shift) / den in one
-    variable v, with integer coefficients over one positive denominator.
+    variable v, with integer coefficients over one positive denominator
+    that no prime divides together with all of them, so that each
+    polynomial has one form.
 
     At v = a/b (integers, b != 0, and a != 0 if shift > 0) its value is
 
@@ -131,12 +117,35 @@ class IntegerForm:
 
     @classmethod
     def through(cls, vs: list, ys, shift: int = 0) -> "IntegerForm":
-        """The form through the samples y at pairwise distinct v: the
-        interpolant of v^shift y, cleared to integers over the least common
-        denominator of its coefficients."""
-        coeffs = monomial_coefficients(vs, [v ** shift * y for v, y in zip(vs, ys)])
-        den = lcm(*(c.denominator for c in coeffs))
-        return cls(tuple(c.numerator * (den // c.denominator) for c in coeffs), den, shift)
+        """The form through the samples y at pairwise distinct rational v:
+        the interpolant of v^shift y.  With v_i = u_i / q over a common
+        denominator q, the Newton divided differences in u = q v run on
+        integer numerators with one denominator per column: column j
+        multiplies each numerator by the lcm of the column's gaps
+        u_i - u_{i-j} over its own gap, and the denominator by that lcm.
+        Nested multiplication by u - u_i gives integer coefficients in u,
+        the k-th times q^k the one in v, and one gcd reduces them."""
+        q = lcm(*(v.denominator for v in vs))
+        us = [v.numerator * (q // v.denominator) for v in vs]
+        den = lcm(*(y.denominator for y in ys))
+        col = [u ** shift * y.numerator * (den // y.denominator) for u, y in zip(us, ys)]
+        dens = [den * q ** shift]
+        for j in range(1, len(us)):
+            gaps = [b - a for a, b in zip(us, us[j:])]
+            scale = lcm(*gaps)
+            for i in range(len(us) - 1, j - 1, -1):
+                col[i] = (col[i] - col[i - 1]) * (scale // gaps[i - j])
+            dens.append(dens[-1] * scale)
+        den = dens[-1]
+        coeffs = [col[-1]]
+        for i in range(len(us) - 2, -1, -1):
+            # coeffs * (u - u_i) + col[i], all over den
+            u = us[i]
+            coeffs = [col[i] * (den // dens[i]) - u * coeffs[0],
+                      *(a - u * b for a, b in zip(coeffs, coeffs[1:])), coeffs[-1]]
+        coeffs = [c * q ** k for k, c in enumerate(coeffs)]
+        g = gcd(den, *coeffs)
+        return cls(tuple(c // g for c in coeffs), den // g, shift)
 
     def at(self, a: int, b: int) -> Fraction:
         """The value at v = a/b."""

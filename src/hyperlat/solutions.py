@@ -89,7 +89,7 @@ from .errors import (
 )
 from .grid import GridFunction, Window, cumulative_nabla_sum, iterated_delta
 from .lattice import HalfInt, Lattice
-from .numerics import IntegerForm, Scalar, format_scalar, monomial_coefficients
+from .numerics import IntegerForm, Scalar, format_scalar
 
 
 @dataclass(frozen=True)
@@ -443,4 +443,5 @@ def polynomial_coefficients(lat: Lattice, f: GridFunction, degree: int) -> list:
     xs = [lat.x(s) for s, _ in samples]
     if len(set(xs)) != len(xs):
         raise DegenerateAbscissae("repeated x-values in interpolation samples")
-    return monomial_coefficients(xs, [v for _, v in samples])
+    form = IntegerForm.through(xs, [v for _, v in samples])
+    return [Fraction(c, form.den) for c in form.coeffs]

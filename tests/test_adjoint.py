@@ -33,6 +33,8 @@ from hyperlat import (
     tau_star,
 )
 from hyperlat import cli
+from hyperlat import equation as eqn
+from tests.conftest import quad_a
 
 S = HalfInt.from_int
 
@@ -179,6 +181,18 @@ def test_sigma_star_pointwise_definition(equation):
         s = HalfInt(twice)
         assert sigma_star(equation, s) == (sigma_of_s(equation, s - 1)
                                            + tau_of_s(equation, s - 1) * lat.nabla_x(-1, s))
+
+
+def test_adjoint_coeffs_write_sigma_star_out_only_at_its_form_nodes(monkeypatch):
+    """tau* and the lambda* check read the sigma* table: on a fresh quad-a
+    equation and a 12-point window, sigma* is written out only at the 7
+    nodes of its integer form (2s = -3..3)."""
+    calls = []
+    adjoint_sigma = eqn._adjoint_sigma
+    monkeypatch.setattr(eqn, "_adjoint_sigma",
+                        lambda *args: calls.append(args[-1]) or adjoint_sigma(*args))
+    adjoint_coeffs(quad_a(), Window(S(4), 12))
+    assert len(calls) <= 7
 
 
 @pytest.fixture

@@ -165,11 +165,11 @@ window = -10..-2
 """
 
 
-def run_cli(*args):
+def run_cli(*args, launcher=("-m", "hyperlat")):
     # the child imports hyperlat from this checkout, installed or not
     path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "hyperlat", *args],
+        [sys.executable, *launcher, *args],
         capture_output=True, text=True, cwd=REPO, env={**os.environ, "PYTHONPATH": path})
 
 
@@ -186,6 +186,14 @@ def test_golden_outputs(golden_name, args):
     result = run_cli_once(*args)
     assert result.returncode == 0, result.stderr
     assert result.stdout == (GOLDEN / golden_name).read_text()
+
+
+def test_console_entry_point_prints_the_verify_golden():
+    # console_main is what the installed ``hyperlat`` script calls
+    result = run_cli("verify", "--spec", "demos/quadratic.spec", launcher=(
+        "-c", "from hyperlat.cli import console_main; console_main()"))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == (GOLDEN / "verify_quadratic.txt").read_text()
 
 
 def test_determinism():
