@@ -42,10 +42,10 @@ and is normalized here to rho(anchor) = 1.  sigma* is written out once
 (``_adjoint_sigma``).  For the equation's own coefficients it is the closed
 formula of the sigma* table, which tau_k = [sigma*(s+k+1) - sigma(s)] /
 nabla x_{k+1}(s), the Pearson step, tau* and lambda* read.  tau* and
-lambda* are written for callables sigma and sigma*, since the adjoint map
-also applies to the starred coefficients: ``dual_coefficients`` passes
-sigma* in place of sigma, and in place of sigma* the one built from sigma*
-and tau*.
+lambda* are written for readers of 2s of sigma and sigma*, since the
+adjoint map also applies to the starred coefficients: ``dual_coefficients``
+passes sigma* in place of sigma, and in place of sigma* the one built from
+sigma* and tau*.
 
 sigma(s), tau(s) and sigma*(s) are tables filled from integer forms (see
 ``lattice``).  The Pearson step is one normalized quotient of the
@@ -58,7 +58,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import partial
 from math import gcd
 
 from .errors import (
@@ -120,7 +119,7 @@ class HyperEquation:
         return self.tau_tilde(self.lattice.x_at(twice))
 
     def _star_formula(self, twice: int) -> Scalar:
-        return _adjoint_sigma(self.lattice, *_coefficients(self), HalfInt(twice))
+        return _adjoint_sigma(self.lattice, self.sigma_at, self.tau_at, twice)
 
     def sigma_at(self, twice: int) -> Scalar:
         """sigma(twice/2), from the table."""
@@ -273,7 +272,7 @@ def rho_k(eq: HyperEquation, weight: PearsonWeight, k: int, s: HalfInt) -> Scala
 
 def _three_term(lat: Lattice, y: GridFunction, sig, tau, lam: Scalar) -> GridFunction:
     """sig delta_{-1} nabla_0 y + tau delta_0 y + lam y on the interior window
-    (one point lost per side); sig and tau are callables of s.
+    (one point lost per side); sig and tau are readers of 2s.
 
     Written out, the two divided differences give the three-term form
 
@@ -288,21 +287,21 @@ def _three_term(lat: Lattice, y: GridFunction, sig, tau, lam: Scalar) -> GridFun
     over the least common denominator of the three values of y, which share
     most of their factors, and each output value is one normalization of
     that sum over W times that denominator.  Every step is read first,
-    through the zero-step guard, in the order the two passes of divided
+    through ``Lattice.divisor``, in the order the two passes of divided
     differences read them (each nabla x_0, then each delta x_{-1}, left to
     right), so a zero step is named as by those passes.
     """
-    start, v = y.start + 1, y.values
+    first, v = y.start.twice + 2, y.values
     inner = range(len(v) - 2)
     # nabla x_0 at each output point s and one point further, since
     # nabla x_0(s + 1) = delta x_0(s); then delta x_{-1} at each s
-    nablas = [lat.nabla_divisor(0, start + j) for j in range(len(v) - 1)]
-    deltas = [lat.delta_divisor(-1, start + j) for j in inner]
+    nablas = [lat.divisor(first + 2 * j - 2, 0, first + 2 * j) for j in range(len(v) - 1)]
+    deltas = [lat.divisor(first + 2 * j - 1, -1, first + 2 * j) for j in inner]
     ln, ld = lam.numerator, lam.denominator
     out = []
     for j in inner:
-        s = start + j
-        sg, ta = sig(s), tau(s)
+        twice = first + 2 * j
+        sg, ta = sig(twice), tau(twice)
         sn, sd, tn, td = sg.numerator, sg.denominator, ta.numerator, ta.denominator
         en, ed = deltas[j].numerator, deltas[j].denominator            # delta x_{-1}
         an, ad = nablas[j + 1].numerator, nablas[j + 1].denominator    # delta x_0
@@ -318,67 +317,57 @@ def _three_term(lat: Lattice, y: GridFunction, sig, tau, lam: Scalar) -> GridFun
             num = num * (d // g) + coef * value.numerator * (den // g)
             den *= d // g
         out.append(Fraction(num, den * base * ld))
-    return GridFunction(start, tuple(out))
-
-
-def _coefficients(eq: HyperEquation):
-    """(sigma, tau) as callables of s."""
-    return lambda s: sigma_of_s(eq, s), lambda s: tau_of_s(eq, s)
+    return GridFunction(y.start + 1, tuple(out))
 
 
 def apply_L(eq: HyperEquation, y: GridFunction) -> GridFunction:
     """Residual of L[y] on the interior window (one point lost per side)."""
     if len(y) < 3:
         raise WindowTooSmall("apply_L needs at least three points")
-    return _three_term(eq.lattice, y, *_coefficients(eq), eq.lam)
+    return _three_term(eq.lattice, y, eq.sigma_at, eq.tau_at, eq.lam)
 
 
 # ---------------------------------------------------------------------------
 # adjoint machinery
 
 
-def _adjoint_sigma(lat: Lattice, sig, tau, s: HalfInt) -> Scalar:
-    """sigma*(s) = sigma(s-1) + tau(s-1) nabla x_{-1}(s), for callables sig, tau."""
-    prev = s - 1
-    return sig(prev) + tau(prev) * lat.nabla_x(-1, s)
+def _adjoint_sigma(lat: Lattice, sig, tau, twice: int) -> Scalar:
+    """sigma*(s) = sigma(s-1) + tau(s-1) nabla x_{-1}(s) at s = twice/2, for
+    readers sig and tau of 2s."""
+    return sig(twice - 2) + tau(twice - 2) * lat.step_at(twice - 3)
 
 
-def _adjoint_tau(lat: Lattice, sig, star, s: HalfInt) -> Scalar:
-    """tau*(s) = [sigma(s+1) - sigma*(s)] / delta x_{-1}(s), for callables
-    sig and star (sigma*)."""
-    return lat.delta_quotient(sig(s + 1) - star(s), -1, s)
+def _adjoint_tau(lat: Lattice, sig, star, twice: int) -> Scalar:
+    """tau*(s) = [sigma(s+1) - sigma*(s)] / delta x_{-1}(s) at s = twice/2,
+    for readers sig and star (sigma*) of 2s."""
+    return (sig(twice + 2) - star(twice)) / lat.divisor(twice - 1, -1, twice)
 
 
-def _adjoint_lambda_shift(lat: Lattice, sig, star, s: HalfInt) -> Scalar:
-    """lambda - lambda*, from its defining difference expression at s:
+def _adjoint_lambda_shift(lat: Lattice, sig, star, twice: int) -> Scalar:
+    """lambda - lambda* = delta_{-1}([sigma*(s) - sigma(s)] / nabla x(s)) at
+    s = twice/2, its defining expression, for readers sig and star (sigma*)
+    of 2s."""
+    def h(t: int) -> Scalar:
+        return (star(t) - sig(t)) / lat.divisor(t - 2, 0, t)
 
-        delta_{-1}( [sigma*(s) - sigma(s)] / nabla x(s) )
-
-    for callables sig and star (sigma*).
-    """
-    def h(t: HalfInt) -> Scalar:
-        return lat.nabla_quotient(star(t) - sig(t), 0, t)
-
-    return lat.delta_quotient(h(s + 1) - h(s), -1, s)
-
-
-def _star_coefficients(eq: HyperEquation):
-    """(sigma*, tau*) as callables of s."""
-    return lambda s: sigma_star(eq, s), lambda s: tau_star(eq, s)
+    return (h(twice + 2) - h(twice)) / lat.divisor(twice - 1, -1, twice)
 
 
 def sigma_star(eq: HyperEquation, s: HalfInt) -> Scalar:
     return eq.sigma_star_at(s.twice)
 
 
+def _tau_star_at(eq: HyperEquation, twice: int) -> Scalar:
+    return _adjoint_tau(eq.lattice, eq.sigma_at, eq.sigma_star_at, twice)
+
+
 def tau_star(eq: HyperEquation, s: HalfInt) -> Scalar:
-    return _adjoint_tau(eq.lattice, partial(sigma_of_s, eq), partial(sigma_star, eq), s)
+    return _tau_star_at(eq, s.twice)
 
 
 def lambda_star_at(eq: HyperEquation, s: HalfInt) -> Scalar:
     """lambda* from its defining difference expression, evaluated at s."""
-    return eq.lam - _adjoint_lambda_shift(
-        eq.lattice, partial(sigma_of_s, eq), partial(sigma_star, eq), s)
+    return eq.lam - _adjoint_lambda_shift(eq.lattice, eq.sigma_at, eq.sigma_star_at, s.twice)
 
 
 def lambda_star(eq: HyperEquation) -> Scalar:
@@ -412,7 +401,8 @@ def apply_L_star(eq: HyperEquation, w: GridFunction) -> GridFunction:
     with lambda* checked at each output point (the residual needs its steps)."""
     if len(w) < 3:
         raise WindowTooSmall("apply_L_star needs at least three points")
-    out = _three_term(eq.lattice, w, *_star_coefficients(eq), lambda_star(eq))
+    out = _three_term(eq.lattice, w, eq.sigma_star_at, lambda t: _tau_star_at(eq, t),
+                      lambda_star(eq))
     _checked_lambda_star(eq, out.points())
     return out
 
@@ -421,13 +411,14 @@ def dual_coefficients(eq: HyperEquation, s: HalfInt):
     """Reconstruct (sigma(s), tau(s), lambda) by applying the adjoint map to
     (sigma*, tau*, lambda*); the map is an involution, so this must give back
     the originals.  lambda* is checked at s after the starred shift."""
-    lat, star = eq.lattice, _star_coefficients(eq)
+    lat, sig = eq.lattice, eq.sigma_star_at
 
-    def star_star(t: HalfInt) -> Scalar:
-        return _adjoint_sigma(lat, *star, t)
+    def star_star(t: int) -> Scalar:
+        return _adjoint_sigma(lat, sig, lambda u: _tau_star_at(eq, u), t)
 
-    return (star_star(s), _adjoint_tau(lat, star[0], star_star, s),
-            -_adjoint_lambda_shift(lat, star[0], star_star, s) + _checked_lambda_star(eq, (s,)))
+    t = s.twice
+    return (star_star(t), _adjoint_tau(lat, sig, star_star, t),
+            -_adjoint_lambda_shift(lat, sig, star_star, t) + _checked_lambda_star(eq, (s,)))
 
 
 # ---------------------------------------------------------------------------

@@ -167,54 +167,55 @@ class GridFunction:
 
 def delta_k(lat: Lattice, k: int, f: GridFunction) -> GridFunction:
     """Forward divided difference; window loses its right endpoint."""
-    return _passes(f, lat.delta_divisor, (k,), 0, "delta_k needs at least two points")
+    return _passes(f, lat, (k,), 0, "delta_k needs at least two points")
 
 
 def nabla_k(lat: Lattice, k: int, f: GridFunction) -> GridFunction:
     """Backward divided difference: the forward quotients placed one point
     right, so the window loses its left endpoint."""
-    return _passes(f, lat.nabla_divisor, (k,), 1, "nabla_k needs at least two points")
+    return _passes(f, lat, (k,), 1, "nabla_k needs at least two points")
 
 
 def iterated_delta(lat: Lattice, k: int, n: int, f: GridFunction) -> GridFunction:
     """delta_{k+n-1} ... delta_{k+1} delta_k f (innermost first); n = 0 is f."""
-    return _passes(f, lat.delta_divisor, range(k, k + n), 0,
+    return _passes(f, lat, range(k, k + n), 0,
                    f"iterated delta of order {n} needs {n + 1} points")
 
 
 def iterated_nabla(lat: Lattice, k: int, n: int, f: GridFunction) -> GridFunction:
     """nabla_{k-n+1} ... nabla_{k-1} nabla_k f (innermost first); n = 0 is f."""
-    return _passes(f, lat.nabla_divisor, range(k, k - n, -1), 1,
+    return _passes(f, lat, range(k, k - n, -1), 1,
                    f"iterated nabla of order {n} needs {n + 1} points")
 
 
-def _passes(f: GridFunction, divisor, levels, shift: int, short: str) -> GridFunction:
+def _passes(f: GridFunction, lat: Lattice, levels, shift: int, short: str) -> GridFunction:
     """One divided-difference pass per level, innermost first, each placing
     its quotients ``shift`` points right of the left point of their pair.
-    The values stay (num, den) pairs from the first pass to the last."""
+    Values stay (num, den) pairs and points integers 2s to the last pass."""
     if len(f) < len(levels) + 1:
         raise WindowTooSmall(short)
     if not levels:
         return f
-    start, pairs = f.start, [(v.numerator, v.denominator) for v in f.values]
+    left, pairs = f.start.twice, [(v.numerator, v.denominator) for v in f.values]
     for k in levels:
-        start += shift
-        pairs = _quotients(pairs, divisor, k, start, k == levels[-1])
-    return GridFunction(start, tuple(Fraction(num, den) for num, den in pairs))
+        pairs = _quotients(pairs, lat, k, left, left + 2 * shift, k == levels[-1])
+        left += 2 * shift
+    return GridFunction(HalfInt(left), tuple(Fraction(num, den) for num, den in pairs))
 
 
-def _quotients(pairs: list, divisor, k: int, start: HalfInt, last: bool) -> list:
-    """(f(t+1) - f(t)) / divisor(k, start + j) for the j-th consecutive two
-    canonical pairs, by the gcds of ``Fraction``'s subtraction and division,
-    so that the output pairs are canonical too.  The ``last`` pass skips the
-    gcd that reduces the difference by a factor of the two denominators:
-    the ``Fraction`` made from each of its output pairs reduces it, at about
-    the same cost."""
+def _quotients(pairs: list, lat: Lattice, k: int, left: int, at: int, last: bool) -> list:
+    """The quotients of consecutive canonical pairs on level k: pair j, from
+    the point (left + 2j)/2, divides by ``step_at(left + k + 2j)`` and sits
+    at (at + 2j)/2, the point a zero step is named at.  The gcds are those
+    of ``Fraction``'s subtraction and division, so the output pairs are
+    canonical too; the ``last`` pass skips the one that reduces the
+    difference by a factor of the two denominators, which the ``Fraction``
+    made from each output pair takes at about the same cost."""
     out = []
     na, da = pairs[0]
-    for j in range(1, len(pairs)):
+    for j in range(len(pairs) - 1):
         nb, db = na, da
-        na, da = pairs[j]
+        na, da = pairs[j + 1]
         g = gcd(da, db)
         if g == 1:
             t, d = na * db - da * nb, da * db
@@ -223,7 +224,7 @@ def _quotients(pairs: list, divisor, k: int, start: HalfInt, last: bool) -> list
             t = na * (db // g) - nb * da_g
             g = 1 if last else gcd(t, g)
             t, d = t // g, da_g * (db // g)
-        step = divisor(k, start + (j - 1))
+        step = lat.divisor(left + k + 2 * j, k, at + 2 * j)
         p, q = step.numerator, step.denominator
         g = gcd(t, p)
         if g > 1:
@@ -247,14 +248,14 @@ def cumulative_nabla_sum(lat: Lattice, k: int, g: GridFunction, N: HalfInt) -> G
         raise OutOfWindow(f"sum base {N} must lie in {window}")
     base = window.index_of(N)
     values: list = [None] * len(g)
+    # nabla x_k at point j of the window is the step at a + 2j
+    a = window.start.twice + k - 2
     acc = 0
     for j in range(base, len(g)):
-        s = window.start + j
-        acc += g.values[j] * lat.nabla_x(k, s)
+        acc += g.values[j] * lat.step_at(a + 2 * j)
         values[j] = acc
     acc = 0
     for j in range(base - 1, -1, -1):
         values[j] = acc
-        s = window.start + j
-        acc -= g.values[j] * lat.nabla_x(k, s)
+        acc -= g.values[j] * lat.step_at(a + 2 * j)
     return GridFunction(window.start, tuple(values))

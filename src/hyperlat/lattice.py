@@ -26,9 +26,9 @@ which also needs the equation's coefficients and so lives on the equation
 (``equation.HyperEquation.kappa``).
 
 Every divided difference of the library divides by a step of some x_k, and
-reads it through one guard, ``Lattice.delta_divisor`` or
-``Lattice.nabla_divisor``: each reads its own step, delta x_k(s) or
-nabla x_k(s), and a zero step raises ``DegenerateStep`` naming k and s.
+reads it through one guard, ``Lattice.divisor(a, k, twice)``: it returns
+``step_at(a)`` (a = 2s + k for delta x_k(s), 2s + k - 2 for nabla x_k(s)),
+and a zero step raises ``DegenerateStep`` naming k and s = twice/2.
 ``delta_quotient`` and ``nabla_quotient`` divide a scalar by the guarded
 step; the integer kernels of ``grid`` and ``equation`` divide by its
 numerator and denominator.
@@ -47,8 +47,8 @@ a mismatch is a library bug and raises ``AssertionError``.  A
 integer Horner pass and one normalization, so the closed formulas run only
 at those 2r + 3 nodes, however many points are read.  The lattice keeps x
 in such a table (``x_at``), and its steps x_at(a + 2) - x_at(a) in another,
-keyed by a = 2s + k (``step_at``), which ``delta_x``, ``nabla_x`` and so
-every step quotient read.
+keyed by a = 2s + k (``step_at``), which the guard and so every step
+quotient read.
 """
 
 from __future__ import annotations
@@ -191,21 +191,23 @@ class Lattice:
         return self.step_at(s.twice + k - 2)
 
     # the one zero-step guard: every step a quotient divides by is read here
-    def delta_divisor(self, k: int, s: HalfInt) -> Scalar:
-        """delta x_k(s); a zero step raises DegenerateStep naming s."""
-        return _nonzero_step(self.delta_x(k, s), k, s)
-
-    def nabla_divisor(self, k: int, s: HalfInt) -> Scalar:
-        """nabla x_k(s); a zero step raises DegenerateStep naming s."""
-        return _nonzero_step(self.nabla_x(k, s), k, s)
+    def divisor(self, a: int, k: int, twice: int) -> Scalar:
+        """``step_at(a)``, a step of x_k taken at s = twice/2, checked before
+        anything divides by it: zero raises DegenerateStep naming s instead
+        of a bare ZeroDivisionError."""
+        step = self.step_at(a)
+        if step == 0:
+            s = HalfInt(twice)
+            raise DegenerateStep(f"zero step of x_{k} at s={s}", point=s)
+        return step
 
     def delta_quotient(self, num: Scalar, k: int, s: HalfInt) -> Scalar:
         """num / delta x_k(s), through the guard."""
-        return num / self.delta_divisor(k, s)
+        return num / self.divisor(s.twice + k, k, s.twice)
 
     def nabla_quotient(self, num: Scalar, k: int, s: HalfInt) -> Scalar:
         """num / nabla x_k(s), through the guard."""
-        return num / self.nabla_divisor(k, s)
+        return num / self.divisor(s.twice + k - 2, k, s.twice)
 
     def mean_shift_beta(self) -> Scalar:
         """The constant beta with (x(s+1)+x(s))/2 = alpha(1)*x_1(s) + beta.
@@ -281,11 +283,3 @@ class QuadraticLattice(Lattice):
     def alpha(self, mu: int) -> Scalar:
         return Fraction(1)
 
-
-def _nonzero_step(step: Scalar, k: int, s: HalfInt) -> Scalar:
-    """``step``, an increment of x_k taken at s, checked before anything
-    divides by it: zero raises DegenerateStep naming s instead of a bare
-    ZeroDivisionError."""
-    if step == 0:
-        raise DegenerateStep(f"zero step of x_{k} at s={s}", point=s)
-    return step

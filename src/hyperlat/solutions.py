@@ -25,7 +25,7 @@ cancels in y.  The kinds are:
 * the second-kind companion: the generalized construction at P = 1.
 
 The two integral kinds run the formula only on a head: the first
-max(2, i - n + 1) points, where the sum base N is point i of the weight
+max(3, i - n + 1) points, where the sum base N is point i of the weight
 window, so the head's product window still holds N.  The rest follows from
 the Casoratian W(s) = y1(s) y(s+1) - y1(s+1) y(s) with the polynomial kind
 y1, a discrete Liouville-Ostrogradsky identity (Nikiforov, Suslov and
@@ -46,8 +46,15 @@ step, or when y1 vanishes at a point the recurrence divides by.  So a
 window where the formula has no value (a zero step inside its n-fold
 difference, which the recurrence never reads) raises the formula's own
 ``DegenerateStep``, and every error names what the whole-window formula and
-its residual name.  The residual, on the whole window, certifies y1 and the
-identity together.
+its residual name.
+
+A zero residual on the whole window certifies the polynomial kind's n + 1
+formula values and their interpolant, and the integral kinds' y1, rho,
+recurrence and head.  The head has at least three points, so the residual
+at its interior point reads formula values only and checks the integrand
+there: any two head values would continue to an exact solution.  Past the
+head no value reads C.  ``verify`` also pins the second kind's K, which
+fixes its scale.
 
 When two of the first n + 1 points share x(s), the polynomial kind runs the
 formula on the whole window.  Such a window is never certified: on both
@@ -229,18 +236,21 @@ def _rodrigues(eq: HyperEquation, weight: PearsonWeight, n: int, window: Window,
     product = Y_n(eq, weight, n, window.expand(0, n))
     if P is not None:
 
-        def integrand(t: HalfInt, y_n: Scalar) -> Scalar:
-            den = y_n * sigma_of_s(eq, t - n)
+        def integrand(twice: int, y_n: Scalar) -> Scalar:
+            den = y_n * eq.sigma_at(twice - 2 * n)
             if den == 0:
+                t = HalfInt(twice)
                 raise SingularSummand(f"sigma product vanishes at t={t}", point=t)
             acc = P[-1]
             if len(P) > 1:
-                x = lat.x_at(t.twice - (n + 1))
+                x = lat.x_at(twice - (n + 1))
                 for c in P[-2::-1]:
                     acc = acc * x + c
             return acc / den
 
-        g = GridFunction(product.start, tuple(integrand(t, v) for t, v in product.items()))
+        first = product.start.twice
+        g = GridFunction(product.start, tuple(integrand(first + 2 * j, v)
+                                              for j, v in enumerate(product.values)))
         product = product * cumulative_nabla_sum(lat, -n, g, N)
     return iterated_delta(lat, -n, n, product) / weight.rho.restrict(window)
 
@@ -299,9 +309,10 @@ def _integral_kind(eq: HyperEquation, weight: PearsonWeight, n: int, window: Win
     vanishes at a point the recurrence divides by.  So every error is met
     where the whole-window formula and its residual meet it."""
     lat = eq.lattice
-    head = Window(window.start, max(2, window.expand(0, n).index_of(N) - n + 1))
+    head = Window(window.start, max(3, window.expand(0, n).index_of(N) - n + 1))
+    first = window.start.twice
     if (head.length >= window.length or _meets_zero_step(lat, n, window)
-            or lat.delta_x(0, window.start) == 0):
+            or lat.step_at(first) == 0):
         return _rodrigues(eq, weight, n, window, N, P)
     y = _rodrigues(eq, weight, n, head, N, P)
     y1 = _polynomial_kind(eq, lambda span: weight, n, window)
@@ -312,8 +323,8 @@ def _integral_kind(eq: HyperEquation, weight: PearsonWeight, n: int, window: Win
     rho = weight.rho.restrict(window).values
     values = list(y.values)
     for j in range(head.length - 1, window.length - 1):
-        s = window.start + j
-        step = K * lat.delta_x(0, s) / (sigma_of_s(eq, s + 1) * rho[j + 1])
+        twice = first + 2 * j     # delta x_0(s) and sigma(s + 1) at s = twice/2
+        step = K * lat.step_at(twice) / (eq.sigma_at(twice + 2) * rho[j + 1])
         values.append((step + u[j + 1] * values[j]) / u[j])
     return GridFunction(window.start, tuple(values))
 

@@ -2,10 +2,13 @@
 
 The n-fold differences (``grid``), the interpolation (``IntegerForm.through``)
 and the three-term residual (``apply_L``, ``apply_L_star``) run on integer
-numerators and denominators.  Each property compares one of them with a
-reference written here in plain ``Fraction`` arithmetic, with its own
-zero-step guard on steps taken from the family formula ``x_k``: values must
-be equal, and so must the class, text and point of any exception.  Lattices
+numerators and denominators, and the discrete integral and the adjoint map
+read steps and coefficients by the integer 2s.  Each property compares one
+of them with a reference written here in plain ``Fraction`` arithmetic on
+half-integer points, with its own zero-step guard on steps taken from the
+family formula ``x_k``, and sigma, tau and sigma* written from sigma~ and
+tau~: values must be equal, and so must the class, text and point of any
+exception.  Lattices
 come from both families and all four classes (general, q-linear, ct2 = 0 and
 linear), with p of either sign, and half of them are symmetric about a
 centre that the window often straddles, so a zero step falls inside it.
@@ -18,18 +21,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperlat import (
+    AdjointCoefficients,
     DegenerateStep,
     GridFunction,
     HalfInt,
     HyperEquation,
     HyperlatError,
+    NonConstantLambdaStar,
+    OutOfWindow,
     QQuadraticLattice,
     QuadraticLattice,
     Window,
     WindowTooSmall,
+    adjoint_coeffs,
     apply_L,
     apply_L_star,
+    cumulative_nabla_sum,
     delta_k,
+    dual_coefficients,
+    format_rational,
     iterated_delta,
     iterated_nabla,
     lambda_n,
@@ -41,6 +51,7 @@ from hyperlat import (
     tau_of_s,
     tau_star,
 )
+from hyperlat.equation import lambda_star_at
 from hyperlat.numerics import IntegerForm
 
 P_VALUES = [F(2), F(-2), F(3, 2), F(-3, 2), F(1, 3), F(-1, 3), F(-5, 4)]
@@ -248,3 +259,112 @@ def test_three_term_residuals_equal_the_fraction_form(problem):
     assert outcome(apply_L_star, eq, y) == outcome(
         ref_three_term, lat, y, lambda s: sigma_star(eq, s), lambda s: tau_star(eq, s),
         lambda_star(eq), "apply_L_star needs at least three points")
+
+
+# ---------------------------------------------------------------------------
+# the discrete integral
+
+
+def ref_cumulative(lat, k, g, N):
+    """sum_{t=N..s} g(t) nabla x_k(t) at s >= N, and minus the sum over
+    s < t < N at s < N."""
+    if N not in g.window:
+        raise OutOfWindow(f"sum base {N} must lie in {g.window}")
+    i = g.window.index_of(N)
+    terms = [v * (lat.x_k(k, t) - lat.x_k(k, t - 1)) for t, v in g.items()]
+    return GridFunction(g.start, tuple(sum(terms[i:j + 1]) if j >= i else -sum(terms[j + 1:i])
+                                       for j in range(len(terms))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(lattices_and_starts(), st.integers(-3, 3), st.integers(1, 9), st.integers(-2, 10),
+       st.data())
+def test_cumulative_sum_equals_the_fraction_sum(lattice_start, k, length, base, data):
+    lat, start = lattice_start
+    g = GridFunction(start, data.draw(grid_values(length)))
+    N = start + base
+    assert outcome(cumulative_nabla_sum, lat, k, g, N) == outcome(ref_cumulative, lat, k, g, N)
+
+
+# ---------------------------------------------------------------------------
+# the adjoint map
+
+
+def ref_coefficients(eq):
+    """sigma, tau and sigma* as functions of s, from sigma~, tau~ and x_k:
+    sigma(s) = sigma~(x(s)) - tau~(x(s)) nabla x_1(s) / 2, tau(s) = tau~(x(s))
+    and sigma*(s) = sigma(s-1) + tau(s-1) nabla x_{-1}(s)."""
+    lat = eq.lattice
+    (a0, a1, a2), (b0, b1) = eq.sigma_t, eq.tau_t
+    nabla = lambda k, s: lat.x_k(k, s) - lat.x_k(k, s - 1)
+    tau = lambda s: b0 + b1 * lat.x_k(0, s)
+    sigma = lambda s: (a0 + a1 * lat.x_k(0, s) + a2 * lat.x_k(0, s) ** 2
+                       - tau(s) * nabla(1, s) / 2)
+    star = lambda s: sigma(s - 1) + tau(s - 1) * nabla(-1, s)
+    return sigma, tau, star
+
+
+def ref_adjoint_tau(lat, sig, star, s):
+    return (sig(s + 1) - star(s)) / ref_step(lat, -1, s, True)
+
+
+def ref_lambda_shift(lat, sig, star, s):
+    """delta_{-1}( [sigma*(s) - sigma(s)] / nabla x_0(s) ) for any sig, star."""
+    h = lambda t: (star(t) - sig(t)) / ref_step(lat, 0, t, False)
+    return (h(s + 1) - h(s)) / ref_step(lat, -1, s, True)
+
+
+def ref_tau_star(eq, s):
+    sigma, _, star = ref_coefficients(eq)
+    return ref_adjoint_tau(eq.lattice, sigma, star, s)
+
+
+def ref_lambda_star_at(eq, s):
+    sigma, _, star = ref_coefficients(eq)
+    return eq.lam - ref_lambda_shift(eq.lattice, sigma, star, s)
+
+
+def ref_checked_lambda_star(eq, s):
+    direct, closed = ref_lambda_star_at(eq, s), lambda_star(eq)
+    if direct != closed:
+        raise NonConstantLambdaStar(
+            f"lambda* mismatch: direct {format_rational(direct)} vs closed form "
+            f"{format_rational(closed)} at s={s}")
+    return closed
+
+
+def ref_adjoint_coeffs(eq, window):
+    sigma_star_of = ref_coefficients(eq)[2]
+    sig = GridFunction.sample(window, sigma_star_of)
+    tau = GridFunction.sample(window, lambda s: ref_tau_star(eq, s))
+    for s in window.points():
+        ref_checked_lambda_star(eq, s)
+    return AdjointCoefficients(sig, tau, lambda_star(eq))
+
+
+def ref_dual(eq, s):
+    """The adjoint map applied to (sigma*, tau*, lambda*)."""
+    lat, star = eq.lattice, ref_coefficients(eq)[2]
+    star_star = lambda t: (star(t - 1) + ref_tau_star(eq, t - 1)
+                           * (lat.x_k(-1, t) - lat.x_k(-1, t - 1)))
+    return (star_star(s), ref_adjoint_tau(lat, star, star_star, s),
+            -ref_lambda_shift(lat, star, star_star, s) + ref_checked_lambda_star(eq, s))
+
+
+@st.composite
+def equations_and_windows(draw):
+    lat, start = draw(lattices_and_starts())
+    eq = HyperEquation(lat, draw(st.tuples(small, small, small)),
+                       draw(st.tuples(small, small)), draw(small))
+    return eq, Window(start, draw(st.integers(1, 9)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(equations_and_windows())
+def test_adjoint_map_equals_the_fraction_form(problem):
+    eq, window = problem
+    assert outcome(adjoint_coeffs, eq, window) == outcome(ref_adjoint_coeffs, eq, window)
+    for s in window.points():
+        assert outcome(tau_star, eq, s) == outcome(ref_tau_star, eq, s)
+        assert outcome(lambda_star_at, eq, s) == outcome(ref_lambda_star_at, eq, s)
+        assert outcome(dual_coefficients, eq, s) == outcome(ref_dual, eq, s)

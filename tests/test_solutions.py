@@ -372,3 +372,25 @@ def test_meets_zero_step_scans_the_keys_the_passes_read():
         assert solutions._meets_zero_step(lat, n, window) == expected, (lat, n, window)
         outcomes.add(expected)
     assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("name", ["generalized", "quadratic", "qlattice", "qlinear"])
+def test_verify_fails_on_a_wrong_integrand_past_the_first_two_head_values(monkeypatch, name):
+    """The integral kinds' integrand doubled from product point n + 2 on.
+    The first two head values read only the product points before it, so
+    they stay right, and so does K: on a head of two points the Casoratian
+    recurrence continued them to an exact solution of the right scale, and
+    every identity passed.  The third head value reads the wrong point, and
+    the residual at the head's interior point must show it."""
+    spec = parse_problem((DEMOS / f"{name}.spec").read_text())
+    assert all(r.passed for r in run_identity_suite(spec))
+    real = solutions.cumulative_nabla_sum
+
+    def wrong(lat, k, g, N):
+        reach = 2 - k       # n + 2, on level k = -n
+        values = g.values[:reach] + tuple(2 * v for v in g.values[reach:])
+        return real(lat, k, GridFunction(g.start, values), N)
+
+    monkeypatch.setattr(solutions, "cumulative_nabla_sum", wrong)
+    failed = [r.name for r in run_identity_suite(spec) if not r.passed]
+    assert "second-kind-residual" in failed
