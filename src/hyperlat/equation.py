@@ -48,10 +48,12 @@ passes sigma* in place of sigma, and in place of sigma* the one built from
 sigma* and tau*.
 
 sigma(s), tau(s) and sigma*(s) are tables filled from integer forms (see
-``lattice``).  The Pearson step is one normalized quotient of the
-numerators and denominators of two table values, with its zero tests on
-integers, and rho_k multiplies its sigma factors as integers and
-normalizes once.
+``lattice``), each composed from the form of x by the formula above, which
+is written once and runs on forms as on values.  The Pearson step is one
+normalized quotient of the numerators and denominators of two table values,
+with its zero tests on integers, and rho_k multiplies its sigma factors as
+integers and normalizes once.  ``admissibility_violation`` scans the
+eigenvalues lambda_0..lambda_n in one pass on integers.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ from .errors import (
 )
 from .grid import GridFunction, Window
 from .lattice import FormTable, HalfInt, Lattice
-from .numerics import Scalar, format_rational
+from .numerics import IntegerForm, Scalar, format_rational
 
 
 @dataclass(frozen=True)
@@ -78,10 +80,10 @@ class HyperEquation:
 
     sigma(s), tau(s) and sigma*(s) are kept in tables indexed by 2s, like
     the lattice values they are made of (``lattice.FormTable``): each table
-    builds the integer form of its closed formula on first use, and fills
-    each point from it.  The tables live as long as the equation (and the
-    copies ``with_lambda`` makes, which share them) and take no part in
-    equality, hashing or ``repr``.
+    composes its integer form from the lattice's forms on first use
+    (``Lattice.composed``), and fills each point from it.  The tables live
+    as long as the equation (and the copies ``with_lambda`` makes, which
+    share them) and take no part in equality, hashing or ``repr``.
     """
 
     lattice: Lattice
@@ -109,37 +111,52 @@ class HyperEquation:
     def tau_tilde(self, x: Scalar) -> Scalar:
         return self.tau_t[0] + self.tau_t[1] * x
 
-    # the closed formulas, run only at the nodes of the integer forms
-    def _sigma_formula(self, twice: int) -> Scalar:
-        x_at = self.lattice.x_at
-        return (self.sigma_tilde(x_at(twice))
-                - self.tau_at(twice) * (x_at(twice + 1) - x_at(twice - 1)) / 2)
+    # the formulas, each run on the integer forms once and on values at the
+    # two check nodes of its form (``Lattice.composed``); x and tau are
+    # readers of 2s
+    def _tau_formula(self, x, twice: int):
+        return self.tau_tilde(x(twice))
 
-    def _tau_formula(self, twice: int) -> Scalar:
-        return self.tau_tilde(self.lattice.x_at(twice))
+    def _sigma_formula(self, x, tau, twice: int):
+        return self.sigma_tilde(x(twice)) - tau(twice) * (x(twice + 1) - x(twice - 1)) / 2
 
-    def _star_formula(self, twice: int) -> Scalar:
-        return _adjoint_sigma(self.lattice, self.sigma_at, self.tau_at, twice)
+    def _tau_form(self) -> IntegerForm:
+        lat = self.lattice
+        return self._tau.integer_form(
+            lambda: lat.composed(self._tau_formula, 1, (lat.x_form(), lat.x_at)))
+
+    def _sigma_form(self) -> IntegerForm:
+        lat = self.lattice
+        return self._sigma.integer_form(
+            lambda: lat.composed(self._sigma_formula, 2, (lat.x_form(), lat.x_at),
+                                 (self._tau_form(), self.tau_at)))
+
+    def _star_form(self) -> IntegerForm:
+        lat = self.lattice
+        return self._star.integer_form(
+            lambda: lat.composed(_adjoint_sigma, 2, (lat.step_form(), lat.step_at),
+                                 (self._sigma_form(), self.sigma_at),
+                                 (self._tau_form(), self.tau_at)))
 
     def sigma_at(self, twice: int) -> Scalar:
         """sigma(twice/2), from the table."""
         value = self._sigma.get(twice)
         if value is None:
-            value = self._sigma.fill(self.lattice, self._sigma_formula, 2, twice)
+            value = self._sigma.fill(self.lattice, self._sigma_form, twice)
         return value
 
     def tau_at(self, twice: int) -> Scalar:
         """tau(twice/2), from the table."""
         value = self._tau.get(twice)
         if value is None:
-            value = self._tau.fill(self.lattice, self._tau_formula, 1, twice)
+            value = self._tau.fill(self.lattice, self._tau_form, twice)
         return value
 
     def sigma_star_at(self, twice: int) -> Scalar:
         """sigma*(twice/2), from the table."""
         value = self._star.get(twice)
         if value is None:
-            value = self._star.fill(self.lattice, self._star_formula, 2, twice)
+            value = self._star.fill(self.lattice, self._star_form, twice)
         return value
 
     def with_lambda(self, lam: Scalar) -> "HyperEquation":
@@ -202,12 +219,35 @@ def lambda_n(eq: HyperEquation, n: int) -> Scalar:
 
 
 def admissibility_violation(eq: HyperEquation, n: int) -> int | None:
-    """First m < n with lambda_m = lambda_n, or None when n is admissible."""
-    target = lambda_n(eq, n)
-    for m in range(n):
-        if lambda_n(eq, m) == target:
-            return m
-    return None
+    """First m < n with lambda_m = lambda_n, or None when n is admissible.
+
+    All lambda_m, m <= n, in one pass on integers.  On both families nu and
+    alpha obey f(m+1) = c f(m) - f(m-1) with c = 2 alpha(1) = C/D, so
+    nu(m) = N_m / D^(m-1) and alpha(m) = A_m / (2 D^m), where N and A obey
+    g(m+1) = C g(m) - D^2 g(m-1) from N_0 = 0, N_1 = 1 and A_0 = 2, A_1 = C.
+    With tau~' = B/E and sigma~''/2 = S/E,
+
+        lambda_m = -(A_{m-1} B + 2 D N_{m-1} S) N_m / (2 E D^(2m-2)),
+
+    and each is kept as that numerator times D^(2(n-m)), over the common
+    denominator 2 E D^(2n-2); lambda_0 = 0.
+    """
+    c = 2 * eq.lattice.alpha(1)
+    C, D = c.numerator, c.denominator
+    tau1, sigma2 = eq.tau_t[1], eq.sigma_t[2]
+    E = tau1.denominator * sigma2.denominator
+    B, S = tau1.numerator * sigma2.denominator, sigma2.numerator * tau1.denominator
+    dd = D * D
+    scale = dd ** n
+    values = [0]
+    n_prev, n_cur, a_prev, a_cur = 0, 1, 2, C
+    for _ in range(n):
+        scale //= dd
+        values.append(-(a_prev * B + 2 * D * n_prev * S) * n_cur * scale)
+        n_prev, n_cur = n_cur, C * n_cur - dd * n_prev
+        a_prev, a_cur = a_cur, C * a_cur - dd * a_prev
+    m = values.index(values[n])
+    return m if m < n else None
 
 
 def pearson_weight(eq: HyperEquation, window: Window, anchor: HalfInt) -> PearsonWeight:
@@ -218,8 +258,12 @@ def pearson_weight(eq: HyperEquation, window: Window, anchor: HalfInt) -> Pearso
     weight value, is reported as a PearsonSingularity at the offending point
     (``pearson_steps``).  Each value is its neighbour times one small step.
     """
-    steps = pearson_steps(eq, window, anchor)
-    base = window.index_of(anchor)
+    return weight_from_steps(pearson_steps(eq, window, anchor), window, window.index_of(anchor))
+
+
+def weight_from_steps(steps: list, window: Window, base: int) -> PearsonWeight:
+    """rho on ``window``, 1 at its point ``base``, multiplied out from the
+    first ``window.length`` steps of ``pearson_steps`` anchored there."""
     values = [Fraction(1)] * window.length
     for j in (*range(base + 1, window.length), *range(base - 1, -1, -1)):
         values[j] = values[j - 1 if j > base else j + 1] * steps[j]
@@ -331,10 +375,11 @@ def apply_L(eq: HyperEquation, y: GridFunction) -> GridFunction:
 # adjoint machinery
 
 
-def _adjoint_sigma(lat: Lattice, sig, tau, twice: int) -> Scalar:
+def _adjoint_sigma(step, sig, tau, twice: int):
     """sigma*(s) = sigma(s-1) + tau(s-1) nabla x_{-1}(s) at s = twice/2, for
-    readers sig and tau of 2s."""
-    return sig(twice - 2) + tau(twice - 2) * lat.step_at(twice - 3)
+    readers sig and tau of 2s and a reader ``step`` of a = 2s + k; on
+    values, or on integer forms (see ``HyperEquation``)."""
+    return sig(twice - 2) + tau(twice - 2) * step(twice - 3)
 
 
 def _adjoint_tau(lat: Lattice, sig, star, twice: int) -> Scalar:
@@ -414,7 +459,7 @@ def dual_coefficients(eq: HyperEquation, s: HalfInt):
     lat, sig = eq.lattice, eq.sigma_star_at
 
     def star_star(t: int) -> Scalar:
-        return _adjoint_sigma(lat, sig, lambda u: _tau_star_at(eq, u), t)
+        return _adjoint_sigma(lat.step_at, sig, lambda u: _tau_star_at(eq, u), t)
 
     t = s.twice
     return (star_star(t), _adjoint_tau(lat, sig, star_star, t),

@@ -37,18 +37,24 @@ Integer forms.  On either family x(s), its steps, and the equation's
 sigma(s), tau(s) and sigma*(s) are Laurent polynomials in one point variable
 of t = 2s (``Lattice.point``): t itself on the quadratic family, and
 p^t = a/b on the q-family, with (a, b) = (num^t, den^t) for t >= 0 and
-(den^-t, num^-t) for t < 0, where p = num/den.  A function of order r (1 for
-x, its steps and tau, 2 for sigma and sigma*) spans the powers 0..2r of t,
-or -r..r of p^t.  ``Lattice.integer_form`` interpolates its closed formula
-at t = -r..r into a ``numerics.IntegerForm``, integer coefficients over one
-denominator, and checks the form against the formula at t = -r-1 and r+1;
-a mismatch is a library bug and raises ``AssertionError``.  A
-``FormTable`` builds the form on its first miss and fills each value by one
-integer Horner pass and one normalization, so the closed formulas run only
-at those 2r + 3 nodes, however many points are read.  The lattice keeps x
-in such a table (``x_at``), and its steps x_at(a + 2) - x_at(a) in another,
-keyed by a = 2s + k (``step_at``), which the guard and so every step
-quotient read.
+(den^-t, num^-t) for t < 0, where p = num/den.  Each is kept as a
+``numerics.IntegerForm``, integer coefficients over one denominator, built
+by exact integer algebra: the lattice writes the form of x from the family's
+coefficients (``written_x``), and every other form is composed from it by
+sums, products, rational scalings and the move t -> t + k
+(``Lattice.shifted``: a Taylor shift of t on the quadratic family, a scaling
+of each power of p^t on the q-family).  Each formula is written once, as a
+function of readers of 2s, and runs on forms (readers of moved forms, at
+t = 0) and on values (readers of the tables) alike (``Lattice.composed``).
+A form of order r (1 for x, its steps and tau, 2 for sigma and sigma*) is
+checked against its formula on values at t = -r-1 and r+1
+(``Lattice.checked``; the form of x against the family formula ``x_k``); a
+mismatch is a library bug and raises ``AssertionError``.  A ``FormTable``
+builds its form on its first miss and fills each value by one integer
+Horner pass and one normalization, so the formulas run on values only at
+those two nodes, however many points are read.  The lattice keeps x in such
+a table (``x_at``), and its steps x_at(a + 2) - x_at(a) in another, keyed by
+a = 2s + k (``step_at``), which the guard and so every step quotient read.
 """
 
 from __future__ import annotations
@@ -89,19 +95,23 @@ class HalfInt:
 
 class FormTable(dict):
     """The values of one function of t = 2s on a lattice, keyed by t, and
-    the function's integer form, built on the first ``fill``.  The table
-    holds no reference to its owner, so an owner and its tables are freed
-    as soon as the owner is dropped.  Owners read a value by ``get`` and
-    fill it on a miss."""
+    the function's integer form, built on first use.  The table holds no
+    reference to its owner, so an owner and its tables are freed as soon as
+    the owner is dropped.  Owners read a value by ``get`` and fill it on a
+    miss."""
 
     form = None
 
-    def fill(self, lattice: "Lattice", formula, order: int, twice: int) -> Scalar:
-        """The value at t = twice, from the integer form of ``formula`` (a
-        callable of t of the given order), kept in the table."""
+    def integer_form(self, build) -> IntegerForm:
+        """The table's form, from ``build()`` on first use."""
         if self.form is None:
-            self.form = lattice.integer_form(formula, order)
-        value = self[twice] = self.form.at(*lattice.point(twice))
+            self.form = build()
+        return self.form
+
+    def fill(self, lattice: "Lattice", form_of, twice: int) -> Scalar:
+        """The value at t = twice, kept in the table, from the table's form,
+        or from ``form_of()`` (which builds it) before there is one."""
+        value = self[twice] = (self.form or form_of()).at(*lattice.point(twice))
         return value
 
 
@@ -111,10 +121,10 @@ class Lattice:
 
     x_k(s) depends on k and s only through the integer 2s + k, so every
     value and mean below reads one table indexed by it (``x_at``), filled
-    from the integer form of the family formula ``x_k``, and every step
-    reads a second table indexed the same way (``step_at``).  The tables
-    live as long as the lattice, grow with the points asked for, and take
-    no part in equality, hashing or ``repr``.
+    from the integer form of x written from the family's coefficients, and
+    every step reads a second table indexed the same way (``step_at``).
+    The tables live as long as the lattice, grow with the points asked for,
+    and take no part in equality, hashing or ``repr``.
     """
 
     _table: FormTable = field(default_factory=FormTable, init=False,
@@ -122,38 +132,57 @@ class Lattice:
     _steps: FormTable = field(default_factory=FormTable, init=False,
                               repr=False, compare=False, hash=False)
 
-    # whether a function of order r reaches down to the power -r of the
-    # point variable (a Laurent polynomial) or starts at the power 0
-    laurent = False
-
     def point(self, twice: int) -> tuple[int, int]:
         """The point variable at t = twice as integers (a, b), value a/b."""
         raise NotImplementedError
 
-    def integer_form(self, formula, order: int) -> IntegerForm:
-        """The integer form of ``formula``, a callable of t = 2s of the given
-        order: interpolated at t = -order..order, and checked against the
-        formula at one more node on each side."""
-        nodes = range(-order - 1, order + 2)
-        points = [self.point(t) for t in nodes]
-        values = [formula(t) for t in nodes]
-        form = IntegerForm.through([Fraction(a, b) for a, b in points[1:-1]],
-                                   values[1:-1], order if self.laurent else 0)
-        for j in (0, -1):
-            if form.at(*points[j]) != values[j]:
+    def written_x(self) -> IntegerForm:
+        """The form of x(t/2), written from the family's coefficients."""
+        raise NotImplementedError
+
+    def shifted(self, form: IntegerForm, k: int) -> IntegerForm:
+        """The form of f(t + k), for the form of f(t)."""
+        raise NotImplementedError
+
+    def checked(self, form: IntegerForm, formula, order: int) -> IntegerForm:
+        """``form``, once it equals ``formula``, a callable of t = 2s, at one
+        node past each end of t = -order..order."""
+        for t in (-order - 1, order + 1):
+            if form.at(*self.point(t)) != formula(t):
                 raise AssertionError(f"integer form of order {order} disagrees with "
-                                     f"its formula at 2s={nodes[j]}")
+                                     f"its formula at 2s={t}")
         return form
+
+    def composed(self, formula, order: int, *operands) -> IntegerForm:
+        """The checked form of ``formula``, a function of readers of 2s and
+        of a point 2s, of the given order: run on readers of the moved forms
+        at t = 0, and checked against its run on the value readers.  Each
+        operand is a pair (form, value reader)."""
+        forms = [self._mover(form) for form, _ in operands]
+        values = [reader for _, reader in operands]
+        return self.checked(formula(*forms, 0), lambda t: formula(*values, t), order)
+
+    def _mover(self, form: IntegerForm):
+        """The reader of ``form`` moved by k: the form of f(t + k)."""
+        return lambda k: self.shifted(form, k) if k else form
+
+    def x_form(self) -> IntegerForm:
+        """The integer form of x, written from the coefficients and checked
+        against the family formula ``x_k``."""
+        return self._table.integer_form(lambda: self.checked(
+            self.written_x(), lambda t: self.x_k(0, HalfInt(t)), 1))
+
+    def step_form(self) -> IntegerForm:
+        """The integer form of the step x_at(t + 2) - x_at(t)."""
+        return self._steps.integer_form(lambda: self.composed(
+            lambda x, t: x(t + 2) - x(t), 1, (self.x_form(), self.x_at)))
 
     def x_at(self, twice: int) -> Scalar:
         """x(twice/2), from the table; x_k(s) is ``x_at(2s + k)``."""
         value = self._table.get(twice)
         if value is None:
-            value = self._table.fill(self, self._x_formula, 1, twice)
+            value = self._table.fill(self, self.x_form, twice)
         return value
-
-    def _x_formula(self, twice: int) -> Scalar:
-        return self.x_k(0, HalfInt(twice))
 
     def x(self, s: HalfInt) -> Scalar:
         return self.x_at(s.twice)
@@ -164,16 +193,11 @@ class Lattice:
 
     def step_at(self, a: int) -> Scalar:
         """x_at(a + 2) - x_at(a), from the step table: delta x_k(s) at
-        a = 2s + k, and nabla x_k(s) at a = 2s + k - 2.  The table is filled
-        from the integer form of that difference, so it reads x only at the
-        nodes of the form."""
+        a = 2s + k, and nabla x_k(s) at a = 2s + k - 2."""
         value = self._steps.get(a)
         if value is None:
-            value = self._steps.fill(self, self._step_formula, 1, a)
+            value = self._steps.fill(self, self.step_form, a)
         return value
-
-    def _step_formula(self, a: int) -> Scalar:
-        return self.x_at(a + 2) - self.x_at(a)
 
     def nu(self, mu: int) -> Scalar:
         raise NotImplementedError
@@ -228,8 +252,6 @@ class QQuadraticLattice(Lattice):
     c2: Rational
     c3: Rational
 
-    laurent = True
-
     def __post_init__(self):
         if self.p == 0 or self.p == 1 or self.p == -1:
             raise LatticeError("p must not be 0, 1, or -1")
@@ -242,6 +264,14 @@ class QQuadraticLattice(Lattice):
         for t = twice < 0."""
         num, den = self.p.numerator, self.p.denominator
         return (num ** twice, den ** twice) if twice >= 0 else (den ** -twice, num ** -twice)
+
+    def written_x(self) -> IntegerForm:
+        """c2 (p^t)^-1 + c3 + c1 p^t."""
+        return IntegerForm.of((self.c2, self.c3, self.c1), 1)
+
+    def shifted(self, form: IntegerForm, k: int) -> IntegerForm:
+        """p^(t + k) = p^k p^t: each power of p^t gains its power of p^k."""
+        return form.dilated(self.p ** k)
 
     def x_k(self, k: int, s: HalfInt) -> Scalar:
         e = s.twice + k  # 2s + k, always an integer
@@ -272,6 +302,14 @@ class QuadraticLattice(Lattice):
 
     def point(self, twice: int) -> tuple[int, int]:
         return twice, 1
+
+    def written_x(self) -> IntegerForm:
+        """ct3 + (ct2/2) t + (ct1/4) t^2, since s = t/2."""
+        return IntegerForm.of((self.ct3, Fraction(self.ct2, 2), Fraction(self.ct1, 4)))
+
+    def shifted(self, form: IntegerForm, k: int) -> IntegerForm:
+        """A Taylor shift of t."""
+        return form.translated(k)
 
     def x_k(self, k: int, s: HalfInt) -> Scalar:
         z = Fraction(s.twice + k, 2)

@@ -16,7 +16,8 @@ cancels in y.  The kinds are:
   n + 1 points, reading rho on 2n + 1, and their interpolant, expanded once
   over one common denominator, gives each other point by one integer Horner
   pass.  The Pearson scan still covers the whole weight window, so a
-  singular point is named as for the other kinds;
+  singular point is named as for the other kinds, and rho is multiplied
+  out from that scan's steps where it is read;
 
 * the generalized construction: C is the discrete integral of
   P(x_{-(n+1)}(t)) / (Y_n(t) sigma(t-n)) against nabla x_{-n}(t), for a
@@ -37,8 +38,12 @@ is one constant, so with K taken at the first point
 
     y(s+1) = (K delta x_0(s) / (sigma(s+1) rho(s+1)) + y1(s+1) y(s)) / y1(s),
 
-O(m) operations in place of an n-fold difference over m points.  The values
-are those of the formula on the whole window, bit for bit.  K = 0 (n
+O(m) operations in place of an n-fold difference over m points.  Each step
+forms K delta x_0 / (sigma rho) + y1(s+1) y(s) from the numerators and
+denominators of its seven values, summed over the lcm of its two
+denominators as ``Fraction`` adds and divided by y1(s) with the cross gcds
+``Fraction`` divides with, and makes one ``Fraction`` per value.
+The values are those of the formula on the whole window, bit for bit.  K = 0 (n
 inadmissible, y a multiple of y1) needs no special case.  The formula runs
 on the whole window instead when the head already covers it, when the
 n-fold difference there or K at the first point divides by a zero lattice
@@ -73,6 +78,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, prod
 
 from .equation import (
     HyperEquation,
@@ -82,9 +88,9 @@ from .equation import (
     lambda_n,
     pearson_steps,
     pearson_weight,
-    rho_k,
     sigma_of_s,
     sigma_star,
+    weight_from_steps,
 )
 from .errors import (
     DegenerateAbscissae,
@@ -158,10 +164,28 @@ def sum_base_for(n: int, window: Window, N: HalfInt | None = None) -> HalfInt:
 
 def Y_n(eq: HyperEquation, weight: PearsonWeight, n: int, window: Window) -> GridFunction:
     """Y_n(s) = rho(s) prod_{j=0..n-1} sigma(s-j), the level-n weight product
-    rho_n(s-n)."""
+    rho_n(s-n).  The product of sigma slides along the window on integer
+    numerators and denominators, reading sigma by 2s: each step multiplies
+    in sigma(s+1) and divides out sigma(s-n+1) exactly, with zero factors
+    counted apart, and each value is one normalization."""
     if not weight.window.covers(window):
         raise OutOfWindow(f"weight window {weight.window} does not cover {window}")
-    return GridFunction.sample(window, lambda s: rho_k(eq, weight, n, s - n))
+    rho = weight.rho.restrict(window).values
+    # factor i is sigma at 2s = first + 2i; point j reads factors j..j+n-1
+    first = window.start.twice - 2 * (n - 1)
+    factors = [eq.sigma_at(first + 2 * i) for i in range(window.length + n - 1)]
+    nums = [f.numerator for f in factors]
+    dens = [f.denominator for f in factors]
+    num, den, zeros = prod(v or 1 for v in nums[:n]), prod(dens[:n]), nums[:n].count(0)
+    values = []
+    for j, r in enumerate(rho):
+        values.append(Fraction(0) if zeros else
+                      Fraction(r.numerator * num, r.denominator * den))
+        if j + n < len(factors):   # factor j + n comes in, factor j goes out
+            num = num * (nums[j + n] or 1) // (nums[j] or 1)
+            den = den * dens[j + n] // dens[j]
+            zeros += (nums[j + n] == 0) - (nums[j] == 0)
+    return GridFunction(window.start, tuple(values))
 
 
 def solve(eq: HyperEquation, n: int, window: Window, kind: str = "polynomial",
@@ -206,10 +230,11 @@ def solve(eq: HyperEquation, n: int, window: Window, kind: str = "polynomial",
     anchor = window.start
     lam = lambda_n(eq, n)
     if kind == "polynomial":
-        # the whole weight window is checked; rho is built where it is read
-        pearson_steps(eq, weight_window_for(n, window), anchor)
-        y = _polynomial_kind(eq, lambda span: pearson_weight(eq, span, span.start),
-                             n, enlarged)
+        # one scan checks the whole weight window; rho is multiplied out where
+        # it is read, 1 at the window's first point, one left of the anchor
+        steps = pearson_steps(eq, weight_window_for(n, window), anchor)
+        steps[:2] = [Fraction(1), 1 / steps[0]]
+        y = _polynomial_kind(eq, lambda span: weight_from_steps(steps, span, 0), n, enlarged)
     else:
         weight = pearson_weight(eq, weight_window_for(n, window), anchor)
         N = sum_base_for(n, window, N)
@@ -229,24 +254,25 @@ def _rodrigues(eq: HyperEquation, weight: PearsonWeight, n: int, window: Window,
     sigma on ``window.expand(0, n)``.  C = 1 without P; with it, C is the
     discrete integral from N of P(x_{-(n+1)}(t)) / (Y_n(t) sigma(t-n))
     against nabla x_{-n}(t), and N must lie in that product window.  P is
-    evaluated by Horner's rule from its leading coefficient, so P = (1,)
-    reads no lattice value.  The callers pass a stencil or a head, and the
-    whole enlarged window only as a fallback."""
+    one ``IntegerForm`` in x, read once per point, and each integrand value
+    is one normalization of the integers of P(x), Y_n and sigma.  The
+    callers pass a stencil or a head, and the whole enlarged window only as
+    a fallback."""
     lat = eq.lattice
     product = Y_n(eq, weight, n, window.expand(0, n))
     if P is not None:
+        p_form = IntegerForm.of(P)
 
         def integrand(twice: int, y_n: Scalar) -> Scalar:
-            den = y_n * eq.sigma_at(twice - 2 * n)
-            if den == 0:
+            # P(x) / (y_n sigma), normalized once
+            sg = eq.sigma_at(twice - 2 * n)
+            if y_n.numerator == 0 or sg.numerator == 0:
                 t = HalfInt(twice)
                 raise SingularSummand(f"sigma product vanishes at t={t}", point=t)
-            acc = P[-1]
-            if len(P) > 1:
-                x = lat.x_at(twice - (n + 1))
-                for c in P[-2::-1]:
-                    acc = acc * x + c
-            return acc / den
+            x = lat.x_at(twice - (n + 1))
+            p = p_form.at(x.numerator, x.denominator)
+            return Fraction(p.numerator * y_n.denominator * sg.denominator,
+                            p.denominator * y_n.numerator * sg.numerator)
 
         first = product.start.twice
         g = GridFunction(product.start, tuple(integrand(first + 2 * j, v)
@@ -320,12 +346,25 @@ def _integral_kind(eq: HyperEquation, weight: PearsonWeight, n: int, window: Win
     if any(v == 0 for v in u[head.length - 1:-1]):
         return _rodrigues(eq, weight, n, window, N, P)
     K = casoratian(eq, weight, y1, y, window.start)
+    kn, kd = K.numerator, K.denominator
     rho = weight.rho.restrict(window).values
     values = list(y.values)
     for j in range(head.length - 1, window.length - 1):
         twice = first + 2 * j     # delta x_0(s) and sigma(s + 1) at s = twice/2
-        step = K * lat.step_at(twice) / (eq.sigma_at(twice + 2) * rho[j + 1])
-        values.append((step + u[j + 1] * values[j]) / u[j])
+        dx, sg, r = lat.step_at(twice), eq.sigma_at(twice + 2), rho[j + 1]
+        a, b, c = u[j + 1], values[j], u[j]
+        # y(s+1) = (tn/td + a b) / c with tn/td = K dx / (sg r): the sum over
+        # lcm(td, pd) as Fraction adds, then divided by c with the cross
+        # gcds Fraction's division takes, so the one normalization left
+        # works on numbers the size of the value
+        tn = kn * dx.numerator * sg.denominator * r.denominator
+        td = kd * dx.denominator * sg.numerator * r.numerator
+        pd = a.denominator * b.denominator
+        g = gcd(td, pd)
+        td_g = td // g
+        sn, sd = tn * (pd // g) + a.numerator * b.numerator * td_g, td_g * pd
+        h, k = gcd(sn, c.numerator), gcd(sd, c.denominator)
+        values.append(Fraction(sn // h * (c.denominator // k), sd // k * (c.numerator // h)))
     return GridFunction(window.start, tuple(values))
 
 

@@ -1,9 +1,12 @@
 """The integer kernels against the ``Fraction`` arithmetic they replace.
 
-The n-fold differences (``grid``), the interpolation (``IntegerForm.through``)
-and the three-term residual (``apply_L``, ``apply_L_star``) run on integer
-numerators and denominators, and the discrete integral and the adjoint map
-read steps and coefficients by the integer 2s.  Each property compares one
+The n-fold differences (``grid``), the interpolation (``IntegerForm.through``),
+the algebra of integer forms, the three-term residual (``apply_L``,
+``apply_L_star``), the weight product ``Y_n``, the integrand and the
+Casoratian recurrence of the integral kinds, and the eigenvalue scan of
+``admissibility_violation`` run on integer numerators and denominators, and
+the discrete integral and the adjoint map read steps and coefficients by the
+integer 2s.  Each property compares one
 of them with a reference written here in plain ``Fraction`` arithmetic on
 half-integer points, with its own zero-step guard on steps taken from the
 family formula ``x_k``, and sigma, tau and sigma* written from sigma~ and
@@ -15,7 +18,7 @@ centre that the window often straddles, so a zero step falls inside it.
 """
 
 from fractions import Fraction as F
-from math import lcm
+from math import gcd, lcm
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +26,12 @@ from hypothesis import strategies as st
 from hyperlat import (
     AdjointCoefficients,
     DegenerateStep,
+    PearsonWeight,
+    SingularSummand,
+    Y_n,
+    admissibility_violation,
+    pearson_weight,
+    weight_window_for,
     GridFunction,
     HalfInt,
     HyperEquation,
@@ -53,6 +62,7 @@ from hyperlat import (
 )
 from hyperlat.equation import lambda_star_at
 from hyperlat.numerics import IntegerForm
+from hyperlat.solutions import sum_base_for
 
 P_VALUES = [F(2), F(-2), F(3, 2), F(-3, 2), F(1, 3), F(-1, 3), F(-5, 4)]
 small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
@@ -137,10 +147,10 @@ def ref_passes(lat, levels, f, forward, short):
     return f
 
 
-def ref_through(vs, ys, shift):
+def ref_through(vs, ys):
     """Newton divided differences in Fraction, expanded by nested
     multiplication and cleared to integers over their lcm."""
-    c = [v ** shift * y for v, y in zip(vs, ys)]
+    c = list(ys)
     for j in range(1, len(vs)):
         for i in range(len(vs) - 1, j - 1, -1):
             c[i] = (c[i] - c[i - 1]) / (vs[i] - vs[i - j])
@@ -198,28 +208,25 @@ def test_differences_equal_the_fraction_passes(lattice_start, k, n, length, data
 
 @st.composite
 def interpolation_nodes(draw):
-    """The points of a lattice's integer forms, p^t on the q-family (so a
-    Laurent shift) or t on the quadratic one, or distinct random rationals."""
+    """Points p^t of a q-lattice, points t, or distinct random rationals."""
     count = draw(st.integers(1, 9))
     kind = draw(st.sampled_from(["q", "t", "random"]))
     if kind == "q":
         p = draw(st.sampled_from(P_VALUES))
         first = draw(st.integers(-6, 2))
-        return [p ** t for t in range(first, first + count)], draw(st.integers(0, 4))
+        return [p ** t for t in range(first, first + count)]
     if kind == "t":
         first = draw(st.integers(-8, 8))
-        return [F(t) for t in range(first, first + count)], 0
-    vs = draw(st.lists(st.one_of(small, big), min_size=count, max_size=count, unique=True))
-    return vs, draw(st.integers(0, 3))
+        return [F(t) for t in range(first, first + count)]
+    return draw(st.lists(st.one_of(small, big), min_size=count, max_size=count, unique=True))
 
 
 @settings(max_examples=200, deadline=None)
 @given(interpolation_nodes(), st.data())
-def test_integer_form_equals_the_fraction_interpolant(nodes, data):
-    vs, shift = nodes
+def test_integer_form_equals_the_fraction_interpolant(vs, data):
     ys = data.draw(grid_values(len(vs)))
-    form = IntegerForm.through(vs, ys, shift)
-    assert (form.coeffs, form.den, form.shift) == (*ref_through(vs, ys, shift), shift)
+    form = IntegerForm.through(vs, ys)
+    assert (form.coeffs, form.den, form.shift) == (*ref_through(vs, ys), 0)
     assert all(type(c) is int for c in form.coeffs) and type(form.den) is int
 
 
@@ -368,3 +375,161 @@ def test_adjoint_map_equals_the_fraction_form(problem):
         assert outcome(tau_star, eq, s) == outcome(ref_tau_star, eq, s)
         assert outcome(lambda_star_at, eq, s) == outcome(ref_lambda_star_at, eq, s)
         assert outcome(dual_coefficients, eq, s) == outcome(ref_dual, eq, s)
+
+
+# ---------------------------------------------------------------------------
+# the algebra of integer forms
+
+
+@st.composite
+def laurent_forms(draw):
+    """A form from rational coefficients of the powers v^-shift, ..., and
+    those coefficients."""
+    shift = draw(st.integers(0, 2))
+    coeffs = draw(st.lists(st.one_of(small, big), min_size=shift + 1, max_size=shift + 4))
+    return IntegerForm.of(coeffs, shift), coeffs, shift
+
+
+def laurent_value(coeffs, shift, v):
+    return sum(c * v ** (k - shift) for k, c in enumerate(coeffs))
+
+
+def is_reduced(form):
+    return (form.den > 0 and gcd(form.den, *form.coeffs) == 1
+            and 0 <= form.shift < len(form.coeffs) and all(type(c) is int for c in form.coeffs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(laurent_forms(), laurent_forms(), st.one_of(small, big).filter(bool),
+       st.one_of(nonzero, big.filter(bool)), st.integers(-6, 6))
+def test_form_algebra_equals_the_fraction_values(f, g, r, v, k):
+    (f, fc, fs), (g, gc, gs) = f, g
+    point = (v.numerator, v.denominator)
+    fv, gv = laurent_value(fc, fs, v), laurent_value(gc, gs, v)
+    cases = [(f, fv), (f + g, fv + gv), (f - g, fv - gv), (f * g, fv * gv),
+             (r * f, r * fv), (f * r, r * fv), (r + f, r + fv), (f - r, fv - r),
+             (f / r, fv / r), (f.dilated(r), laurent_value(fc, fs, r * v))]
+    if fs == 0:
+        cases.append((f.translated(k), laurent_value(fc, 0, v + k)))
+    for form, expected in cases:
+        assert form.at(*point) == expected
+        assert is_reduced(form)
+
+
+# ---------------------------------------------------------------------------
+# the weight product, the integrand and the Casoratian recurrence
+
+
+def ref_Y_n(eq, rho, n, window):
+    """rho(s) sigma(s) sigma(s-1) ... sigma(s-n+1), one Fraction product per
+    point, with sigma written from sigma~ and tau~."""
+    sigma = ref_coefficients(eq)[0]
+
+    def product(s):
+        value = rho.value_at(s)
+        for j in range(n):
+            value *= sigma(s - j)
+        return value
+
+    return GridFunction.sample(window, product)
+
+
+def with_sigma_zero_at(eq, s):
+    """The equation with sigma~(0) moved so that sigma(s) = 0."""
+    sigma = ref_coefficients(eq)[0]
+    return HyperEquation(eq.lattice, (eq.sigma_t[0] - sigma(s), *eq.sigma_t[1:]), eq.tau_t,
+                         eq.lam)
+
+
+@settings(max_examples=150, deadline=None)
+@given(equations_and_windows(), st.integers(0, 5), st.data())
+def test_weight_product_equals_the_fraction_product(problem, n, data):
+    """For n > 0, half of the equations have a zero of sigma among the
+    factors, which the sliding product counts apart."""
+    eq, window = problem
+    if n and data.draw(st.booleans()):
+        zero = data.draw(st.integers(1 - n, window.length - 1))
+        eq = with_sigma_zero_at(eq, window.start + zero)
+    rho = GridFunction(window.start - 1, data.draw(grid_values(window.length + 2)))
+    product = Y_n(eq, PearsonWeight(rho), n, window)
+    assert product.start == window.start
+    assert product.values == ref_Y_n(eq, rho, n, window).values
+
+
+def ref_rodrigues(eq, rho, n, window, N, P):
+    """(1/rho) delta_{-n}^{(n)} [Y_n C] on the whole window in Fraction, with
+    C the sum from N of P(x_{-(n+1)}(t)) / (Y_n(t) sigma(t-n)) nabla x_{-n}(t),
+    P by Horner's rule."""
+    lat, sigma = eq.lattice, ref_coefficients(eq)[0]
+    span = window.expand(0, n)
+    product = ref_Y_n(eq, rho, n, span)
+
+    def integrand(t):
+        den = product.value_at(t) * sigma(t - n)
+        if den == 0:
+            raise SingularSummand(f"sigma product vanishes at t={t}", point=t)
+        x, acc = lat.x_k(-(n + 1), t), F(0)
+        for c in reversed(P):
+            acc = acc * x + c
+        return acc / den
+
+    C = ref_cumulative(lat, -n, GridFunction.sample(span, integrand), N)
+    f = GridFunction(span.start, tuple(a * b for a, b in zip(product.values, C.values)))
+    diff = ref_passes(lat, range(-n, 0), f, True, "")
+    return GridFunction(window.start, tuple(v / rho.value_at(s) for s, v in diff.items()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(lattices_and_starts(), st.tuples(small, small, small), st.tuples(small, small),
+       st.integers(0, 4), st.integers(2, 12), st.booleans(), st.data())
+def test_integral_kinds_equal_the_fraction_formula(lattice_start, sigma_t, tau_t, n, length,
+                                                   second, data):
+    """Past a head of three points each value comes from the integer
+    Casoratian step, and must equal the whole-window formula, here in
+    Fraction arithmetic with its own integrand and weight product."""
+    lat, start = lattice_start
+    eq = HyperEquation(lat, sigma_t, tau_t)
+    window = Window(start, length)
+    P = (1,) if second else tuple(data.draw(small) for _ in range(n)) + (data.draw(nonzero),)
+    try:
+        report = solve(eq, n, window, kind="second" if second else "generalized", P=P)
+    except HyperlatError:
+        return
+    rho = pearson_weight(eq, weight_window_for(n, window), window.start).rho
+    expected = ref_rodrigues(eq, rho, n, window.expand(1, 1), sum_base_for(n, window), P)
+    assert report.solution.values == expected.restrict(window).values
+
+
+# ---------------------------------------------------------------------------
+# the eigenvalue scan
+
+
+def ref_admissibility(eq, n):
+    """The first m < n with lambda_n(eq, m) = lambda_n(eq, n), one closed form
+    per m."""
+    target = lambda_n(eq, n)
+    return next((m for m in range(n) if lambda_n(eq, m) == target), None)
+
+
+@st.composite
+def eigen_problems(draw):
+    """An equation on either family and an order n <= 12; in half of them
+    tau~' is chosen so that lambda_m = lambda_n for a drawn m < n."""
+    lat = draw(lattices_and_starts())[0]
+    n = draw(st.integers(0, 12))
+    sigma2, tau1 = draw(small), draw(small)
+    if n and draw(st.booleans()):
+        # lambda_k = -(alpha(k-1) tau~' + nu(k-1) sigma~''/2) nu(k) is linear in tau~'
+        m = draw(st.integers(0, n - 1))
+        slope = [-lat.alpha(k - 1) * lat.nu(k) for k in (m, n)]
+        const = [-lat.nu(k - 1) * sigma2 * lat.nu(k) for k in (m, n)]
+        if slope[0] != slope[1]:
+            tau1 = (const[1] - const[0]) / (slope[0] - slope[1])
+    return HyperEquation(lat, (F(0), F(1), sigma2), (F(1), tau1)), n
+
+
+@settings(max_examples=300, deadline=None)
+@given(eigen_problems())
+def test_admissibility_equals_the_loop_over_lambda_n(problem):
+    eq, n = problem
+    assert admissibility_violation(eq, n) == ref_admissibility(eq, n)

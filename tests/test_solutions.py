@@ -323,26 +323,32 @@ def test_solve_dispatch_and_report_json(equation, window):
 
 
 def test_verify_solves_each_distinct_problem_once(monkeypatch):
-    calls, weights = [], []
-    real_solve, real_weight = solutions.solve, equation_module.pearson_weight
+    calls, weights, scans = [], [], []
+    real_solve = solutions.solve
+    real_weight, real_scan = equation_module.weight_from_steps, equation_module.pearson_steps
 
     def counted(eq, n, window, kind="polynomial", **options):
         calls.append((n, window, kind, tuple(sorted(options.items()))))
         return real_solve(eq, n, window, kind, **options)
 
-    def counted_weight(eq, window, anchor):
-        weights.append((window, anchor))
-        return real_weight(eq, window, anchor)
+    def counted_weight(steps, window, base):
+        weights.append((window, base))
+        return real_weight(steps, window, base)
+
+    def counted_scan(eq, window, anchor):
+        scans.append((window, anchor))
+        return real_scan(eq, window, anchor)
 
     monkeypatch.setattr(solutions, "solve", counted)
-    monkeypatch.setattr(solutions, "pearson_weight", counted_weight)
-    monkeypatch.setattr(equation_module, "pearson_weight", counted_weight)
+    for module in (solutions, equation_module):
+        monkeypatch.setattr(module, "weight_from_steps", counted_weight)
+        monkeypatch.setattr(module, "pearson_steps", counted_scan)
     results = run_identity_suite(parse_problem((DEMOS / "qlattice.spec").read_text()))
     assert all(r.passed for r in results)
     assert calls and len(calls) == len(set(calls))
-    # one weight per solve, and one per distinct n (n, n + 3 and 0) that
-    # the checks read a weight at
-    assert len(weights) == len(calls) + 3
+    # one Pearson scan and one weight per solve, and one of each per
+    # distinct n (n, n + 3 and 0) that the checks read a weight at
+    assert len(scans) == len(weights) == len(calls) + 3
 
 
 def _meets_zero_step_by_set(lat, n, window):

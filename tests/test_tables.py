@@ -1,7 +1,8 @@
 """The lattice and coefficient tables: each value is computed once per object,
-from an integer form that equals the closed formula on every lattice class,
-the formulas run only at the nodes of the forms, and the tables never show
-in equality, hashing, repr or the problem format."""
+from an integer form, composed from the form of x, that equals the closed
+formula on every lattice class; the formulas run on values only at the check
+nodes of the forms, and the tables never show in equality, hashing, repr or
+the problem format."""
 
 from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
@@ -21,7 +22,8 @@ from hyperlat import (
     render_problem,
     solve,
 )
-from tests.conftest import ALL_CONFIGS, quad_b
+from hyperlat.numerics import IntegerForm
+from tests.conftest import ALL_CONFIGS, qq_b, quad_b
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 KINDS = ("polynomial", "second", "generalized")
@@ -168,9 +170,10 @@ def test_tables_equal_the_closed_formulas(lat, sigma_t, tau_t, points):
 
 @pytest.mark.parametrize("make", ALL_CONFIGS)
 def test_formulas_run_only_at_the_form_nodes(make, monkeypatch):
-    """However long the window, x_k runs once at each node of the x form
-    (2s = -2..2), sigma~ at the nodes of the sigma form (2s = -3..3) and
-    tau~ at those of the tau form (2s = -2..2)."""
+    """However long the window, the formulas run on values only at the check
+    nodes of their forms: x_k at 2s = -2 and 2, sigma~ at x(-3/2) and x(3/2),
+    tau~ at x(-1) and x(1).  sigma~ and tau~ also run once each on the form
+    of x, to compose the forms of sigma and tau."""
     calls = []
     for family in (QQuadraticLattice, QuadraticLattice):
         _count(monkeypatch, family, "x_k",
@@ -186,19 +189,81 @@ def test_formulas_run_only_at_the_form_nodes(make, monkeypatch):
             assert solve(eq, n, Window(HalfInt.from_int(4), length), kind=kind,
                          P=P).is_exact_solution()
         x_at = eq.lattice.x_at
-        assert sorted(t for name, t in calls if name == "x") == list(range(-2, 3))
-        assert (sorted(x for name, x in calls if name == "sigma")
-                == sorted(x_at(t) for t in range(-3, 4)))
-        assert (sorted(x for name, x in calls if name == "tau")
-                == sorted(x_at(t) for t in range(-2, 3)))
+        assert sorted(t for name, t in calls if name == "x") == [-2, 2]
+        for name, nodes in (("sigma", (-3, 3)), ("tau", (-2, 2))):
+            args = [x for kind, x in calls if kind == name]
+            assert sum(isinstance(x, IntegerForm) for x in args) == 1
+            assert (sorted(x for x in args if not isinstance(x, IntegerForm))
+                    == sorted(x_at(t) for t in nodes))
 
 
-def test_a_form_that_disagrees_with_its_formula_raises():
-    """The formula is checked at one node past each end of the interpolation
-    nodes; a function outside the form's space fails there."""
+def test_a_form_that_disagrees_with_its_formula_raises(monkeypatch):
+    """A form is checked against its formula on values at one node past each
+    end of t = -r..r; a wrong formula fails there."""
     quadratic = QuadraticLattice(F(1), F(1), F(0))
     with pytest.raises(AssertionError, match="order 2 disagrees with its formula at 2s=-3"):
-        quadratic.integer_form(lambda t: F(t) ** 5, 2)
+        quadratic.checked(quadratic.x_form() * quadratic.x_form(), lambda t: F(t) ** 5, 2)
     qquadratic = QQuadraticLattice(F(2), F(1), F(1), F(0))
     with pytest.raises(AssertionError, match="order 1 disagrees with its formula at 2s=-2"):
-        qquadratic.integer_form(lambda t: F(t), 1)
+        qquadratic.checked(qquadratic.x_form(), lambda t: F(t), 1)
+    # sigma~ off by one on values only: the composed form of sigma is caught
+    real = HyperEquation.sigma_tilde
+    monkeypatch.setattr(HyperEquation, "sigma_tilde",
+                        lambda eq, x: real(eq, x) + (not isinstance(x, IntegerForm)))
+    for make in (quad_b, qq_b):
+        with pytest.raises(AssertionError, match="order 2 disagrees with its formula at 2s=-3"):
+            make().sigma_at(20)
+
+
+@pytest.mark.parametrize("family, lattice", [
+    (QuadraticLattice, QuadraticLattice(F(1), F(1), F(3, 2))),
+    (QQuadraticLattice, QQuadraticLattice(F(3, 2), F(1), F(2), F(-1, 3))),
+])
+def test_a_sign_flip_of_the_constant_in_x_k_raises(family, lattice, monkeypatch):
+    """The form of x is written from the coefficients and checked against
+    x_k, so x_k with the constant term's sign flipped no longer passes."""
+    real = family.x_k
+    constant = lattice.ct3 if family is QuadraticLattice else lattice.c3
+    monkeypatch.setattr(family, "x_k", lambda lat, k, s: real(lat, k, s) - 2 * constant)
+    with pytest.raises(AssertionError, match="order 1 disagrees with its formula at 2s=-2"):
+        lattice.x_at(7)
+
+
+@st.composite
+def lattices_of_every_class(draw):
+    """A lattice of one of the six classes (general, and c1 = 0 or c2 = 0 on
+    the q-family; general, linear and ct2 = 0 on the quadratic family), with
+    a nonzero constant c3 or ct3."""
+    u, v, constant = draw(nonzero), draw(nonzero), draw(nonzero)
+    if draw(st.booleans()):
+        p = draw(st.sampled_from([F(2), F(-2), F(3, 2), F(-3, 2), F(1, 3), F(-5, 4)]))
+        c1, c2 = draw(st.sampled_from([(u, v), (F(0), v), (u, F(0))]))
+        return QQuadraticLattice(p, c1, c2, constant)
+    ct1, ct2 = draw(st.sampled_from([(u, v), (F(0), v), (u, F(0))]))
+    return QuadraticLattice(ct1, ct2, constant)
+
+
+@settings(max_examples=150, deadline=None)
+@given(lattices_of_every_class(), st.tuples(small, small, small), st.tuples(small, small),
+       st.lists(st.builds(lambda t, sign: sign * t, st.integers(8, 160), st.sampled_from([-1, 1])),
+                min_size=1, max_size=4))
+def test_composed_forms_equal_the_closed_formulas_far_from_the_nodes(lat, sigma_t, tau_t, points):
+    """Each composed table equals its closed formula, written here from x_k
+    alone, at points t = 2s far outside the nodes -3..3 of the checks."""
+    eq = HyperEquation(lat, sigma_t, tau_t)
+
+    def x(t):
+        return lat.x_k(0, HalfInt(t))
+
+    def tau(t):
+        return eq.tau_tilde(x(t))
+
+    def sigma(t):
+        return eq.sigma_tilde(x(t)) - tau(t) * (x(t + 1) - x(t - 1)) / 2
+
+    for t in points:
+        assert lat.x_at(t) == x(t)
+        assert lat.step_at(t) == x(t + 2) - x(t)
+        assert eq.tau_at(t) == tau(t)
+        assert eq.sigma_at(t) == sigma(t)
+        assert eq.sigma_star_at(t) == sigma(t - 2) + tau(t - 2) * (x(t - 1) - x(t - 3))
