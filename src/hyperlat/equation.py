@@ -47,18 +47,18 @@ adjoint map also applies to the starred coefficients: ``dual_coefficients``
 passes sigma* in place of sigma, and in place of sigma* the one built from
 sigma* and tau*.
 
-sigma(s), tau(s) and sigma*(s) are tables filled from integer forms (see
-``lattice``), each composed from the form of x by the formula above, which
-is written once and runs on forms as on values.  The Pearson step is one
-normalized quotient of the numerators and denominators of two table values,
-with its zero tests on integers, and rho_k multiplies its sigma factors as
-integers and normalizes once.  ``admissibility_violation`` scans the
-eigenvalues lambda_0..lambda_n in one pass on integers.
+sigma(s), tau(s) and sigma*(s) are ``lattice.FormTable`` tables, filled
+from integer forms each composed from the form of x by the formula above,
+which is written once and runs on forms as on values.  The Pearson step
+is one normalized quotient of the numerators and denominators of two
+table values, with its zero tests on integers, and rho_k multiplies its
+sigma factors as integers and normalizes once.  ``admissibility_violation``
+scans the eigenvalues lambda_0..lambda_n in one pass on integers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd
 
@@ -70,7 +70,7 @@ from .errors import (
 )
 from .grid import GridFunction, Window
 from .lattice import FormTable, HalfInt, Lattice
-from .numerics import IntegerForm, Scalar, format_rational
+from .numerics import Scalar, format_rational
 
 
 @dataclass(frozen=True)
@@ -79,23 +79,18 @@ class HyperEquation:
     tau_t = (tau~(0), tau~'), with the spectral parameter ``lam``.
 
     sigma(s), tau(s) and sigma*(s) are kept in tables indexed by 2s, like
-    the lattice values they are made of (``lattice.FormTable``): each table
-    composes its integer form from the lattice's forms on first use
-    (``Lattice.composed``), and fills each point from it.  The tables live
-    as long as the equation (and the copies ``with_lambda`` makes, which
-    share them) and take no part in equality, hashing or ``repr``.
+    the lattice values they are made of (``lattice.FormTable``): each is
+    declared once (``FormTable.declared``), and made on its first read with
+    its integer form composed from the lattice's tables
+    (``Lattice.composed``).  The tables live as long as the equation (and
+    the copies ``with_lambda`` makes, which share the tables made so far)
+    and take no part in equality, hashing or ``repr``.
     """
 
     lattice: Lattice
     sigma_t: tuple
     tau_t: tuple
     lam: Scalar = Fraction(0)
-    _sigma: FormTable = field(default_factory=FormTable, init=False,
-                              repr=False, compare=False, hash=False)
-    _tau: FormTable = field(default_factory=FormTable, init=False,
-                            repr=False, compare=False, hash=False)
-    _star: FormTable = field(default_factory=FormTable, init=False,
-                             repr=False, compare=False, hash=False)
 
     def __post_init__(self):
         if len(self.sigma_t) != 3:
@@ -111,60 +106,46 @@ class HyperEquation:
     def tau_tilde(self, x: Scalar) -> Scalar:
         return self.tau_t[0] + self.tau_t[1] * x
 
-    # the formulas, each run on the integer forms once and on values at the
-    # two check nodes of its form (``Lattice.composed``); x and tau are
-    # readers of 2s
-    def _tau_formula(self, x, twice: int):
-        return self.tau_tilde(x(twice))
-
-    def _sigma_formula(self, x, tau, twice: int):
-        return self.sigma_tilde(x(twice)) - tau(twice) * (x(twice + 1) - x(twice - 1)) / 2
-
-    def _tau_form(self) -> IntegerForm:
+    # the tables; each formula runs on the integer forms once and on values
+    # at the two check nodes of its form (``Lattice.composed``), with x and
+    # tau readers of 2s
+    @FormTable.declared
+    def _tau(self) -> FormTable:
         lat = self.lattice
-        return self._tau.integer_form(
-            lambda: lat.composed(self._tau_formula, 1, (lat.x_form(), lat.x_at)))
+        return FormTable(lat.point, lat.composed(lambda x, t: self.tau_tilde(x(t)), 1, lat._table))
 
-    def _sigma_form(self) -> IntegerForm:
+    @FormTable.declared
+    def _sigma(self) -> FormTable:
         lat = self.lattice
-        return self._sigma.integer_form(
-            lambda: lat.composed(self._sigma_formula, 2, (lat.x_form(), lat.x_at),
-                                 (self._tau_form(), self.tau_at)))
+        return FormTable(lat.point, lat.composed(
+            lambda x, tau, t: self.sigma_tilde(x(t)) - tau(t) * (x(t + 1) - x(t - 1)) / 2,
+            2, lat._table, self._tau))
 
-    def _star_form(self) -> IntegerForm:
+    @FormTable.declared
+    def _star(self) -> FormTable:
         lat = self.lattice
-        return self._star.integer_form(
-            lambda: lat.composed(_adjoint_sigma, 2, (lat.step_form(), lat.step_at),
-                                 (self._sigma_form(), self.sigma_at),
-                                 (self._tau_form(), self.tau_at)))
+        return FormTable(lat.point, lat.composed(
+            _adjoint_sigma, 2, lat._steps, self._sigma, self._tau))
 
     def sigma_at(self, twice: int) -> Scalar:
         """sigma(twice/2), from the table."""
-        value = self._sigma.get(twice)
-        if value is None:
-            value = self._sigma.fill(self.lattice, self._sigma_form, twice)
-        return value
+        return self._sigma[twice]
 
     def tau_at(self, twice: int) -> Scalar:
         """tau(twice/2), from the table."""
-        value = self._tau.get(twice)
-        if value is None:
-            value = self._tau.fill(self.lattice, self._tau_form, twice)
-        return value
+        return self._tau[twice]
 
     def sigma_star_at(self, twice: int) -> Scalar:
         """sigma*(twice/2), from the table."""
-        value = self._star.get(twice)
-        if value is None:
-            value = self._star.fill(self.lattice, self._star_form, twice)
-        return value
+        return self._star[twice]
 
     def with_lambda(self, lam: Scalar) -> "HyperEquation":
         """The same equation at another lambda; sigma, tau and sigma* do not
-        depend on lambda, so the copy shares their tables."""
+        depend on lambda, so the copy shares the tables made so far."""
         other = replace(self, lam=lam)
-        for name in ("_sigma", "_tau", "_star"):
-            object.__setattr__(other, name, getattr(self, name))
+        for name, table in vars(self).items():
+            if isinstance(table, FormTable):
+                object.__setattr__(other, name, table)
         return other
 
     def kappa(self, mu: int) -> Scalar:

@@ -45,22 +45,27 @@ sums, products, rational scalings and the move t -> t + k
 (``Lattice.shifted``: a Taylor shift of t on the quadratic family, a scaling
 of each power of p^t on the q-family).  Each formula is written once, as a
 function of readers of 2s, and runs on forms (readers of moved forms, at
-t = 0) and on values (readers of the tables) alike (``Lattice.composed``).
-A form of order r (1 for x, its steps and tau, 2 for sigma and sigma*) is
-checked against its formula on values at t = -r-1 and r+1
-(``Lattice.checked``; the form of x against the family formula ``x_k``); a
-mismatch is a library bug and raises ``AssertionError``.  A ``FormTable``
-builds its form on its first miss and fills each value by one integer
-Horner pass and one normalization, so the formulas run on values only at
-those two nodes, however many points are read.  The lattice keeps x in such
-a table (``x_at``), and its steps x_at(a + 2) - x_at(a) in another, keyed by
-a = 2s + k (``step_at``), which the guard and so every step quotient read.
+t = 0) and on values (the tables) alike (``Lattice.composed``).  A form of
+order r (1 for x, its steps and tau, 2 for sigma and sigma*) is checked
+against its formula on values at t = -r-1 and r+1 (``Lattice.checked``; the
+form of x against the family formula ``x_k``); a mismatch is a library bug
+and raises ``AssertionError``.
+
+Each of the five functions is kept in one ``FormTable``, the only code that
+gets, fills or builds: its owner declares it once (``FormTable.declared``),
+its form is built on the first read, and each missing value is filled by
+one integer Horner pass and one normalization, so the formulas run on
+values only at the check nodes, however many points are read.  The lattice
+keeps x (``x_at``) and its steps x_at(a + 2) - x_at(a), keyed by
+a = 2s + k (``step_at``), which the guard and so every step quotient read;
+the equation keeps sigma, tau and sigma*.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .errors import DegenerateStep, LatticeError
 from .numerics import IntegerForm, Rational, Scalar, format_rational
@@ -94,25 +99,36 @@ class HalfInt:
 
 
 class FormTable(dict):
-    """The values of one function of t = 2s on a lattice, keyed by t, and
-    the function's integer form, built on first use.  The table holds no
-    reference to its owner, so an owner and its tables are freed as soon as
-    the owner is dropped.  Owners read a value by ``get`` and fill it on a
-    miss."""
+    """The values of one function of t = 2s on a lattice, keyed by t: each
+    missing value is filled from the function's integer form ``form`` at
+    the point ``point(t)``.  The point reader is a function of t alone, so
+    a table holds no reference to its owner, and an owner and its tables
+    are freed as soon as the owner is dropped."""
 
-    form = None
+    def __init__(self, point, form: IntegerForm):
+        self.point, self.form = point, form
 
-    def integer_form(self, build) -> IntegerForm:
-        """The table's form, from ``build()`` on first use."""
-        if self.form is None:
-            self.form = build()
-        return self.form
-
-    def fill(self, lattice: "Lattice", form_of, twice: int) -> Scalar:
-        """The value at t = twice, kept in the table, from the table's form,
-        or from ``form_of()`` (which builds it) before there is one."""
-        value = self[twice] = (self.form or form_of()).at(*lattice.point(twice))
+    def __missing__(self, twice: int) -> Scalar:
+        value = self[twice] = self.form.at(*self.point(twice))
         return value
+
+    class declared:
+        """An owner's table, declared by the method that makes it: made on
+        the first read of the attribute and then stored on the owner, even
+        a frozen one, by ``object.__setattr__``.  Unlike
+        ``functools.cached_property`` it leaves the owner's ``__dict__``
+        alone: materializing it makes every other attribute read of the
+        owner slower."""
+
+        def __init__(self, make):
+            self.make, self.name = make, make.__name__
+
+        def __get__(self, owner, cls=None):
+            if owner is None:
+                return self
+            table = self.make(owner)
+            object.__setattr__(owner, self.name, table)
+            return table
 
 
 @dataclass(frozen=True)
@@ -120,20 +136,18 @@ class Lattice:
     """Common interface of the two families.  Instances are immutable.
 
     x_k(s) depends on k and s only through the integer 2s + k, so every
-    value and mean below reads one table indexed by it (``x_at``), filled
-    from the integer form of x written from the family's coefficients, and
-    every step reads a second table indexed the same way (``step_at``).
-    The tables live as long as the lattice, grow with the points asked for,
-    and take no part in equality, hashing or ``repr``.
+    value and mean below reads one ``FormTable`` indexed by it (``x_at``),
+    built from the integer form of x written from the family's
+    coefficients, and every step reads a second table indexed the same way
+    (``step_at``).  Each table is declared once (``FormTable.declared``):
+    it lives as long as the lattice, grows with the points asked for, and
+    takes no part in equality, hashing or ``repr``.
     """
 
-    _table: FormTable = field(default_factory=FormTable, init=False,
-                              repr=False, compare=False, hash=False)
-    _steps: FormTable = field(default_factory=FormTable, init=False,
-                              repr=False, compare=False, hash=False)
-
     def point(self, twice: int) -> tuple[int, int]:
-        """The point variable at t = twice as integers (a, b), value a/b."""
+        """The point variable at t = twice as integers (a, b), value a/b.
+        Each family's reader is a function of t alone, so the tables that
+        keep it hold no reference to the lattice."""
         raise NotImplementedError
 
     def written_x(self) -> IntegerForm:
@@ -153,36 +167,37 @@ class Lattice:
                                      f"its formula at 2s={t}")
         return form
 
-    def composed(self, formula, order: int, *operands) -> IntegerForm:
+    def composed(self, formula, order: int, *tables: FormTable) -> IntegerForm:
         """The checked form of ``formula``, a function of readers of 2s and
-        of a point 2s, of the given order: run on readers of the moved forms
-        at t = 0, and checked against its run on the value readers.  Each
-        operand is a pair (form, value reader)."""
-        forms = [self._mover(form) for form, _ in operands]
-        values = [reader for _, reader in operands]
+        of a point 2s, of the given order: run on readers of the tables'
+        moved forms at t = 0, and checked against its run on the tables."""
+        forms = [self._mover(table.form) for table in tables]
+        values = [table.__getitem__ for table in tables]
         return self.checked(formula(*forms, 0), lambda t: formula(*values, t), order)
 
     def _mover(self, form: IntegerForm):
         """The reader of ``form`` moved by k: the form of f(t + k)."""
         return lambda k: self.shifted(form, k) if k else form
 
-    def x_form(self) -> IntegerForm:
-        """The integer form of x, written from the coefficients and checked
-        against the family formula ``x_k``."""
-        return self._table.integer_form(lambda: self.checked(
+    @FormTable.declared
+    def _table(self) -> FormTable:
+        """x, its form written from the coefficients and checked against
+        the family formula ``x_k``."""
+        return FormTable(self.point, self.checked(
             self.written_x(), lambda t: self.x_k(0, HalfInt(t)), 1))
 
-    def step_form(self) -> IntegerForm:
-        """The integer form of the step x_at(t + 2) - x_at(t)."""
-        return self._steps.integer_form(lambda: self.composed(
-            lambda x, t: x(t + 2) - x(t), 1, (self.x_form(), self.x_at)))
+    @FormTable.declared
+    def _steps(self) -> FormTable:
+        """The step x_at(t + 2) - x_at(t)."""
+        return FormTable(self.point, self.composed(lambda x, t: x(t + 2) - x(t), 1, self._table))
+
+    def x_form(self) -> IntegerForm:
+        """The integer form of x."""
+        return self._table.form
 
     def x_at(self, twice: int) -> Scalar:
         """x(twice/2), from the table; x_k(s) is ``x_at(2s + k)``."""
-        value = self._table.get(twice)
-        if value is None:
-            value = self._table.fill(self, self.x_form, twice)
-        return value
+        return self._table[twice]
 
     def x(self, s: HalfInt) -> Scalar:
         return self.x_at(s.twice)
@@ -194,10 +209,7 @@ class Lattice:
     def step_at(self, a: int) -> Scalar:
         """x_at(a + 2) - x_at(a), from the step table: delta x_k(s) at
         a = 2s + k, and nabla x_k(s) at a = 2s + k - 2."""
-        value = self._steps.get(a)
-        if value is None:
-            value = self._steps.fill(self, self.step_form, a)
-        return value
+        return self._steps[a]
 
     def nu(self, mu: int) -> Scalar:
         raise NotImplementedError
@@ -243,6 +255,12 @@ class Lattice:
         return (self.x_at(2) + self.x_at(0)) / 2 - self.alpha(1) * self.x_at(1)
 
 
+def _power_point(num: int, den: int, t: int) -> tuple[int, int]:
+    """p^t as (a, b), p = num/den: (num^t, den^t), or (den^-t, num^-t) for
+    t < 0."""
+    return (num ** t, den ** t) if t >= 0 else (den ** -t, num ** -t)
+
+
 @dataclass(frozen=True)
 class QQuadraticLattice(Lattice):
     """x(s) = c1*q^s + c2*q^(-s) + c3 with q = p^2."""
@@ -258,12 +276,9 @@ class QQuadraticLattice(Lattice):
         if self.c1 == 0 and self.c2 == 0:
             raise LatticeError(
                 "q-quadratic lattice needs c1 or c2 nonzero (x(s) is constant)")
-
-    def point(self, twice: int) -> tuple[int, int]:
-        """p^twice as (a, b), p = num/den: (num^t, den^t), or (den^-t, num^-t)
-        for t = twice < 0."""
-        num, den = self.p.numerator, self.p.denominator
-        return (num ** twice, den ** twice) if twice >= 0 else (den ** -twice, num ** -twice)
+        # the point reader holds the integers of p, not the lattice
+        object.__setattr__(self, "point", partial(_power_point, self.p.numerator,
+                                                  self.p.denominator))
 
     def written_x(self) -> IntegerForm:
         """c2 (p^t)^-1 + c3 + c1 p^t."""
@@ -300,7 +315,8 @@ class QuadraticLattice(Lattice):
             raise LatticeError(
                 "quadratic lattice needs ct1 or ct2 nonzero (x(s) is constant)")
 
-    def point(self, twice: int) -> tuple[int, int]:
+    @staticmethod
+    def point(twice: int) -> tuple[int, int]:
         return twice, 1
 
     def written_x(self) -> IntegerForm:

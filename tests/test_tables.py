@@ -4,6 +4,8 @@ formula on every lattice class; the formulas run on values only at the check
 nodes of the forms, and the tables never show in equality, hashing, repr or
 the problem format."""
 
+import gc
+import weakref
 from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
 from pathlib import Path
@@ -267,3 +269,26 @@ def test_composed_forms_equal_the_closed_formulas_far_from_the_nodes(lat, sigma_
         assert eq.tau_at(t) == tau(t)
         assert eq.sigma_at(t) == sigma(t)
         assert eq.sigma_star_at(t) == sigma(t - 2) + tau(t - 2) * (x(t - 1) - x(t - 3))
+
+
+@pytest.mark.parametrize("make", [quad_b, qq_b], ids=["quadratic", "q-quadratic"])
+def test_a_lattice_and_an_equation_die_with_their_last_reference(make, window):
+    """No table refers back to its owner: with the cycle collector off, a
+    lattice, an equation and its ``with_lambda`` copy are freed as soon as
+    the last reference is dropped, after a solve of every kind, so dropping
+    an object frees its tables."""
+    n = 3
+    P = tuple(F(j + 1, 2) for j in range(n + 1))
+    gc.collect()
+    gc.disable()
+    try:
+        eq = make()
+        for kind in KINDS:
+            assert solve(eq, n, window, kind=kind, P=P).is_exact_solution()
+        copy = eq.with_lambda(F(5, 7))
+        assert copy.sigma_star_at(41) == eq.sigma_star_at(41)
+        refs = [weakref.ref(obj) for obj in (eq, eq.lattice, copy)]
+        del eq, copy
+        assert [ref() for ref in refs] == [None, None, None]
+    finally:
+        gc.enable()
