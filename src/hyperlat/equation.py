@@ -51,16 +51,18 @@ sigma(s), tau(s) and sigma*(s) are ``lattice.FormTable`` tables, filled
 from integer forms each composed from the form of x by the formula above,
 which is written once and runs on forms as on values.  The Pearson step
 is one normalized quotient of the numerators and denominators of two
-table values, with its zero tests on integers, and rho_k multiplies its
-sigma factors as integers and normalizes once.  ``admissibility_violation``
-scans the eigenvalues lambda_0..lambda_n in one pass on integers.
+table values, with its zero tests on integers.  rho_k is its definition,
+rho(s+k) sigma(s+1)...sigma(s+k) in ``Fraction`` arithmetic: only
+``verify`` reads it, and ``Y_n`` slides its own product.
+``admissibility_violation`` scans the eigenvalues lambda_0..lambda_n in one
+pass on integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 from .errors import (
     NonConstantLambdaStar,
@@ -284,15 +286,7 @@ def rho_k(eq: HyperEquation, weight: PearsonWeight, k: int, s: HalfInt) -> Scala
     """rho_k(s) = rho(s+k) * prod_{i=1..k} sigma(s+i); rho_0 = rho."""
     if k < 0:
         raise ValueError("rho_k is defined for nonnegative k")
-    # rho(s+k) and the k sigma table values multiplied as integer numerators
-    # and denominators: one normalization in place of k
-    value = weight.value_at(s + k)
-    num, den = value.numerator, value.denominator
-    for twice in range(s.twice + 2, s.twice + 2 * k + 1, 2):
-        factor = eq.sigma_at(twice)
-        num *= factor.numerator
-        den *= factor.denominator
-    return Fraction(num, den)
+    return weight.value_at(s + k) * prod(sigma_of_s(eq, s + i) for i in range(1, k + 1))
 
 
 def _three_term(lat: Lattice, y: GridFunction, sig, tau, lam: Scalar) -> GridFunction:

@@ -1,23 +1,24 @@
 """Solution generators for the lattice hypergeometric equation at lambda_n.
 
 ``solve`` is the one entry point.  It checks the Pearson recurrence on the
-whole weight window, builds the weight rho where each kind reads it, and
-runs all three kinds through one evaluator (``_rodrigues``) of the
-Rodrigues formula
+whole weight window in one scan, multiplies the weight rho out from that
+scan's steps where each kind reads it, and runs all three kinds through
+one evaluator (``_rodrigues``) of the Rodrigues formula
 
     y = (1/rho) delta_{-n}^{(n)} [ Y_n C ],     Y_n(s) = rho(s) prod_{j<n} sigma(s-j),
 
 verified by attaching the exact residual of the operator L on the whole
 window.  rho is fixed by the Pearson equation up to a constant, which
-cancels in y.  The kinds are:
+cancels in the polynomial kind and scales the integral kinds by its
+inverse; for every kind rho is 1 at ``window.start``, where the scan is
+anchored.  The kinds are:
 
 * the polynomial eigenfunction (the standard formula): C = 1.  y is a
   polynomial of degree at most n in x(s), so the formula runs on the first
   n + 1 points, reading rho on 2n + 1, and their interpolant, expanded once
   over one common denominator, gives each other point by one integer Horner
   pass.  The Pearson scan still covers the whole weight window, so a
-  singular point is named as for the other kinds, and rho is multiplied
-  out from that scan's steps where it is read;
+  singular point is named as for the other kinds;
 
 * the generalized construction: C is the discrete integral of
   P(x_{-(n+1)}(t)) / (Y_n(t) sigma(t-n)) against nabla x_{-n}(t), for a
@@ -34,7 +35,9 @@ Uvarov, ch. 3): for any two solutions at lambda_n,
 
     K = sigma(s+1) rho(s+1) W(s) / delta x_0(s)             (``casoratian``)
 
-is one constant, so with K taken at the first point
+is one constant, so with K taken at the first point where delta x_0 is
+nonzero (x(s+1) = x(s) holds for at most one s, so that point is the first
+or the second, and both have their y(s+1) in the head)
 
     y(s+1) = (K delta x_0(s) / (sigma(s+1) rho(s+1)) + y1(s+1) y(s)) / y1(s),
 
@@ -45,13 +48,14 @@ denominators as ``Fraction`` adds and divided by y1(s) with the cross gcds
 ``Fraction`` divides with, and makes one ``Fraction`` per value.
 The values are those of the formula on the whole window, bit for bit.  K = 0 (n
 inadmissible, y a multiple of y1) needs no special case.  The formula runs
-on the whole window instead when the head already covers it, when the
-n-fold difference there or K at the first point divides by a zero lattice
-step, or when y1 vanishes at a point the recurrence divides by.  So a
-window where the formula has no value (a zero step inside its n-fold
-difference, which the recurrence never reads) raises the formula's own
-``DegenerateStep``, and every error names what the whole-window formula and
-its residual name.
+on the whole window instead in exactly three cases: the head covers it, its
+n-fold difference there divides by a zero lattice step
+(``_meets_zero_step``), or y1 vanishes at a point the recurrence divides
+by.  So a window where the formula has no value (a zero step inside its
+n-fold difference, which the recurrence never reads) raises the formula's
+own ``DegenerateStep``, and every error names what the whole-window formula
+and its residual name: a zero delta x_0 at the first point, which the
+formula never divides by, is met by the residual as nabla x_0 one point on.
 
 A zero residual on the whole window certifies the polynomial kind's n + 1
 formula values and their interpolant, and the integral kinds' y1, rho,
@@ -83,11 +87,11 @@ from math import gcd, prod
 from .equation import (
     HyperEquation,
     PearsonWeight,
+    _three_term,
     admissibility_violation,
     apply_L,
     lambda_n,
     pearson_steps,
-    pearson_weight,
     sigma_of_s,
     sigma_star,
     weight_from_steps,
@@ -146,9 +150,9 @@ def weight_window_for(n: int, window: Window) -> Window:
     """The weight window of a solution on ``window``: one extra point on the
     left and n + 1 on the right (one per side for the residual stencil, n
     more for the n-fold difference).  ``solve()`` checks the Pearson
-    recurrence on all of it for every kind, and builds rho where a kind
-    reads it: on the first 2n + 1 points for the polynomial stencil, on all
-    of it for the integral kinds."""
+    recurrence on all of it for every kind, and multiplies rho out where a
+    kind reads it: on the first 2n + 1 points for the polynomial stencil, on
+    all of it for the integral kinds."""
     return window.expand(1, n + 1)
 
 
@@ -197,22 +201,20 @@ def solve(eq: HyperEquation, n: int, window: Window, kind: str = "polynomial",
     it and ``P`` (n+1 coefficients, low order first) are checked before any
     arithmetic.  The integral in C starts at N, by default the first point
     read; moving N moves the second kind by a multiple of the polynomial
-    solution only.  The Pearson recurrence is checked on all of
-    ``weight_window_for(n, window)``, and rho is built where each kind reads
-    it: normalized to 1 at ``window.start`` for the integral kinds, which
-    scale as 1/rho, and at the first point it reads for the polynomial
-    kind, which does not depend on the scale of rho.  The polynomial
-    kind runs the formula on the first n + 1 points of
+    solution only.  One Pearson scan checks all of
+    ``weight_window_for(n, window)``, and rho, 1 at ``window.start``, is
+    multiplied out from its steps where each kind reads it.  The
+    polynomial kind runs the formula on the first n + 1 points of
     ``window.expand(1, 1)``, reading rho on 2n + 1 points, and extends it
     by one integer Horner pass per point; the integral kinds run it on a
     head of that window, holding N in its product window, and continue by
     the Casoratian recurrence with the polynomial kind, or run it on the
-    whole window when the head covers it, a step the formula or K divides
-    by is zero, or the polynomial kind vanishes where the recurrence
-    divides.  For every kind the residual covers all of the enlarged
-    window.  The eigenvalue is pinned to lambda_n; ``residual_lam`` lets a
-    caller verify the construction against a different spectral parameter
-    (the residual is then nonzero unless the two agree).
+    whole window in the three cases of the module docstring.  For every
+    kind the residual covers all of the enlarged window, with the
+    three-term kernel of L on ``eq`` itself.  The eigenvalue is pinned to
+    lambda_n; ``residual_lam`` lets a caller verify the construction
+    against a different spectral parameter (the residual is then nonzero
+    unless the two agree).
     """
     if kind == "polynomial":
         label, N, P = kind, None, None
@@ -227,20 +229,21 @@ def solve(eq: HyperEquation, n: int, window: Window, kind: str = "polynomial",
     else:
         raise ValueError(f"unknown solution kind {kind!r}")
     enlarged = window.expand(1, 1)
-    anchor = window.start
     lam = lambda_n(eq, n)
+    # one scan checks the whole weight window, anchored at window.start, the
+    # second point of every span that rho is multiplied out on (a one-point
+    # span, the stencil at n = 0, takes its only point)
+    weights = weight_window_for(n, window)
+    steps = pearson_steps(eq, weights, window.start)
     if kind == "polynomial":
-        # one scan checks the whole weight window; rho is multiplied out where
-        # it is read, 1 at the window's first point, one left of the anchor
-        steps = pearson_steps(eq, weight_window_for(n, window), anchor)
-        steps[:2] = [Fraction(1), 1 / steps[0]]
-        y = _polynomial_kind(eq, lambda span: weight_from_steps(steps, span, 0), n, enlarged)
+        y = _polynomial_kind(
+            eq, lambda span: weight_from_steps(steps, span, min(1, span.length - 1)), n, enlarged)
     else:
-        weight = pearson_weight(eq, weight_window_for(n, window), anchor)
         N = sum_base_for(n, window, N)
-        y = _integral_kind(eq, weight, n, enlarged, N, (1,) if P is None else P)
+        y = _integral_kind(eq, weight_from_steps(steps, weights, 1), n, enlarged, N,
+                           (1,) if P is None else P)
     res_lam = lam if residual_lam is None else residual_lam
-    residual = apply_L(eq.with_lambda(res_lam), y)
+    residual = _three_term(eq.lattice, y, eq.sigma_at, eq.tau_at, res_lam)
     return SolutionReport(
         kind=label, n=n, lam_n=lam,
         solution=y.restrict(window), residual=residual,
@@ -256,8 +259,8 @@ def _rodrigues(eq: HyperEquation, weight: PearsonWeight, n: int, window: Window,
     against nabla x_{-n}(t), and N must lie in that product window.  P is
     one ``IntegerForm`` in x, read once per point, and each integrand value
     is one normalization of the integers of P(x), Y_n and sigma.  The
-    callers pass a stencil or a head, and the whole enlarged window only as
-    a fallback."""
+    callers pass a stencil or a head, and the whole enlarged window only in
+    the cases the module docstring names."""
     lat = eq.lattice
     product = Y_n(eq, weight, n, window.expand(0, n))
     if P is not None:
@@ -329,23 +332,22 @@ def _meets_zero_step(lat: Lattice, n: int, window: Window) -> bool:
 def _integral_kind(eq: HyperEquation, weight: PearsonWeight, n: int, window: Window,
                    N: HalfInt, P: tuple) -> GridFunction:
     """``_rodrigues`` with numerator P on a head of ``window``, continued by
-    the Casoratian recurrence with the polynomial kind y1 (see the module
-    docstring); on the whole window when the head covers it, when the
-    formula there or K at the first point divides by a zero step, or when y1
-    vanishes at a point the recurrence divides by.  So every error is met
-    where the whole-window formula and its residual meet it."""
+    the Casoratian recurrence with the polynomial kind y1, with K at the
+    first point where delta x_0 is nonzero; on the whole window in the three
+    cases of the module docstring.  y1's zeros are checked before the head
+    is built."""
     lat = eq.lattice
     head = Window(window.start, max(3, window.expand(0, n).index_of(N) - n + 1))
-    first = window.start.twice
-    if (head.length >= window.length or _meets_zero_step(lat, n, window)
-            or lat.step_at(first) == 0):
+    if head.length >= window.length or _meets_zero_step(lat, n, window):
         return _rodrigues(eq, weight, n, window, N, P)
-    y = _rodrigues(eq, weight, n, head, N, P)
     y1 = _polynomial_kind(eq, lambda span: weight, n, window)
     u = y1.values
     if any(v == 0 for v in u[head.length - 1:-1]):
         return _rodrigues(eq, weight, n, window, N, P)
-    K = casoratian(eq, weight, y1, y, window.start)
+    y = _rodrigues(eq, weight, n, head, N, P)
+    # K where delta x_0 is nonzero: at the first point or else the second
+    first = window.start.twice
+    K = casoratian(eq, weight, y1, y, window.start + (lat.step_at(first) == 0))
     kn, kd = K.numerator, K.denominator
     rho = weight.rho.restrict(window).values
     values = list(y.values)

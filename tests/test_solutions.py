@@ -235,6 +235,52 @@ def test_integral_kinds_name_the_zero_step_the_whole_window_route_meets():
         assert str(err.value) == "zero step of x_0 at s=0"
 
 
+def test_solve_makes_no_copy_of_the_equation(equation, window, monkeypatch):
+    # the residual takes its lambda from solve's own arguments
+    from hyperlat import HyperEquation
+
+    def copy(self, lam):
+        raise AssertionError("solve copied the equation")
+
+    monkeypatch.setattr(HyperEquation, "with_lambda", copy)
+    for kind in ("polynomial", "second", "generalized"):
+        report = solve(equation, 3, window, kind, P=(F(1), F(-1), F(2), F(1, 3)))
+        assert report.is_exact_solution()
+        assert report.residual_lam == report.lam_n
+
+
+@pytest.mark.parametrize("lattice, coeffs, window, message", [
+    # x = s^2 + s - 3, symmetric about s = -1/2: delta x_0(-1) = 0
+    (QuadraticLattice(F(1), F(1), F(-3)), ((F(9, 4), F(-8, 5), F(-9, 2)), (F(1, 5), F(-9, 7))),
+     Window(S(0), 7), "zero step of x_0 at s=0"),
+    # q = 9/4, x = q^s + q^-s, symmetric about s = 0: delta x_0(-1/2) = 0
+    (QQuadraticLattice(F(3, 2), F(1), F(1), F(0)), ((F(1), F(0), F(1)), (F(2), F(-3))),
+     Window(HalfInt(1), 8), "zero step of x_0 at s=1/2"),
+], ids=["quadratic", "q-quadratic"])
+def test_a_zero_first_step_keeps_the_head(lattice, coeffs, window, message, monkeypatch):
+    # delta x_0 vanishes at the first point of the enlarged window, so K is
+    # taken at the second, the integral formula runs on the head only, and
+    # the residual names the zero step as the whole-window formula's does
+    from hyperlat import DegenerateStep, HyperEquation
+
+    eq = HyperEquation(lattice, *coeffs)
+    enlarged = window.expand(1, 1)
+    spans, real = [], solutions._rodrigues
+
+    def spy(eq, weight, n, window, N=None, P=None):
+        if P is not None:
+            spans.append(window)
+        return real(eq, weight, n, window, N, P)
+
+    monkeypatch.setattr(solutions, "_rodrigues", spy)
+    for kind in ("second", "generalized"):
+        spans.clear()
+        with pytest.raises(DegenerateStep) as err:
+            solve(eq, 1, window, kind, P=(F(1), F(2)))
+        assert str(err.value) == message
+        assert spans and enlarged not in spans
+
+
 def test_generalized_zero_polynomial(equation, window):
     report = solve(equation, 2, window, "generalized", P=(F(0), F(0), F(0)))
     assert report.solution.is_zero()
