@@ -2,6 +2,10 @@
 lattices: polynomial eigenfunctions via the difference Rodrigues formula,
 their second-kind companions, the generalized Rodrigues family, and the
 adjoint-equation machinery that certifies all of them with exact residuals.
+
+The identity suite (``IdentityResult``, ``identity_names``,
+``run_identity_suite``) is imported on first access, so a process that only
+solves never loads it.
 """
 
 from .equation import (
@@ -50,7 +54,6 @@ from .grid import (
     iterated_nabla,
     nabla_k,
 )
-from .identities import IdentityResult, identity_names, run_identity_suite
 from .lattice import (
     HalfInt,
     Lattice,
@@ -85,3 +88,11 @@ from .solutions import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """The identity suite's names, imported on first access (PEP 562)."""
+    if name in ("IdentityResult", "identity_names", "run_identity_suite"):
+        from . import identities
+        return getattr(identities, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

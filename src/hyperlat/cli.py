@@ -35,7 +35,6 @@ from .errors import (
     ProblemFormatError,
     SingularSummand,
 )
-from .identities import run_identity_suite
 from .numerics import format_scalar
 from .problem import ProblemSpec, parse_problem_bytes
 from .solutions import solve, sum_base_for
@@ -106,6 +105,8 @@ def _cmd_verify(args, spec: ProblemSpec) -> int:
     if spec.sum_base is not None:
         # a usage error, as for ``solve``, not a failed identity
         sum_base_for(spec.n, spec.window, spec.sum_base)
+    from .identities import run_identity_suite   # only verify needs the suite
+
     results = run_identity_suite(spec)
     failed = [r.name for r in results if not r.passed]
     summary = f"FAILED: {failed[0]}" if failed else f"ok: {len(results)} identities"

@@ -22,11 +22,19 @@ drive the polynomial eigenfunctions, and the adjoint coefficients
     lambda*   = lambda - kappa_{-1}
 
 define the adjoint operator L*, which satisfies L*[rho y] = rho L[y] for the
-Pearson weight rho.  L and L* are the same operator with different
-coefficients, evaluated in the three-term form L[y](s) = A(s) y(s+1) +
-B(s) y(s) + C(s) y(s-1), with A, B and C integers over one denominator
-per point and each value summed over one common denominator and normalized
-once (``_three_term``).  The adjoint map (sigma, tau, lambda) ->
+Pearson weight rho.  By these definitions, since nabla x_{-1}(s+1) =
+delta x_{-1}(s),
+
+    sigma(s)  + tau(s)  delta x_{-1}(s) = sigma*(s+1),
+    sigma*(s) + tau*(s) delta x_{-1}(s) = sigma(s+1).
+
+L and L* are the same operator with different coefficients, evaluated in
+the three-term form L[y](s) = A(s) y(s+1) + B(s) y(s) + C(s) y(s-1), where
+by the identity above A reads sigma* for L and sigma for L*, so L reads
+the tables of sigma and sigma* and no tau, and L* evaluates no tau*.  A, B
+and C are integers over one denominator per point, and each value is
+summed over one common denominator and normalized once (``_three_term``).
+The adjoint map (sigma, tau, lambda) ->
 (sigma*, tau*, lambda*) is written once, for any pair of coefficient
 functions, and it is an involution: ``dual_coefficients`` applies it a
 second time, to the starred coefficients, and must get back sigma, tau and
@@ -47,11 +55,13 @@ adjoint map also applies to the starred coefficients: ``dual_coefficients``
 passes sigma* in place of sigma, and in place of sigma* the one built from
 sigma* and tau*.
 
-sigma(s), tau(s) and sigma*(s) are ``lattice.FormTable`` tables, filled
-from integer forms each composed from the form of x by the formula above,
-which is written once and runs on forms as on values.  The Pearson step
-is one normalized quotient of the numerators and denominators of two
-table values, with its zero tests on integers.  rho_k is its definition,
+sigma(s), tau(s) and sigma*(s) are ``lattice.FormTable`` tables of
+reduced integer pairs, filled from integer forms each composed from the
+form of x by the formula above, which is written once and runs on forms as
+on values.  The kernels (the Pearson scan, ``_three_term``) bind a table
+once per call and read its pairs.  The Pearson step is the pair of the
+quotient of two table pairs, with its zero tests on integers, and stays a
+pair until ``weight_from_steps`` multiplies it in.  rho_k is its definition,
 rho(s+k) sigma(s+1)...sigma(s+k) in ``Fraction`` arithmetic: only
 ``verify`` reads it, and ``Y_n`` slides its own product.
 ``admissibility_violation`` scans the eigenvalues lambda_0..lambda_n in one
@@ -131,15 +141,15 @@ class HyperEquation:
 
     def sigma_at(self, twice: int) -> Scalar:
         """sigma(twice/2), from the table."""
-        return self._sigma[twice]
+        return self._sigma.fraction(twice)
 
     def tau_at(self, twice: int) -> Scalar:
         """tau(twice/2), from the table."""
-        return self._tau[twice]
+        return self._tau.fraction(twice)
 
     def sigma_star_at(self, twice: int) -> Scalar:
         """sigma*(twice/2), from the table."""
-        return self._star[twice]
+        return self._star.fraction(twice)
 
     def with_lambda(self, lam: Scalar) -> "HyperEquation":
         """The same equation at another lambda; sigma, tau and sigma* do not
@@ -246,10 +256,11 @@ def pearson_weight(eq: HyperEquation, window: Window, anchor: HalfInt) -> Pearso
 
 def weight_from_steps(steps: list, window: Window, base: int) -> PearsonWeight:
     """rho on ``window``, 1 at its point ``base``, multiplied out from the
-    first ``window.length`` steps of ``pearson_steps`` anchored there."""
+    first ``window.length`` steps of ``pearson_steps`` anchored there, each
+    normalized once as it is multiplied in."""
     values = [Fraction(1)] * window.length
     for j in (*range(base + 1, window.length), *range(base - 1, -1, -1)):
-        values[j] = values[j - 1 if j > base else j + 1] * steps[j]
+        values[j] = values[j - 1 if j > base else j + 1] * Fraction(*steps[j])
     return PearsonWeight(GridFunction(window.start, tuple(values)))
 
 
@@ -260,25 +271,27 @@ def pearson_steps(eq: HyperEquation, window: Window, anchor: HalfInt) -> list:
     sigma*(t+1) on the left (1 at the anchor).  The scan runs forward from
     the anchor, then backward, and raises PearsonSingularity at the first
     point t whose divisor vanishes, or whose dividend and so rho(t) does.
-    Each step is one normalized quotient of the numerators and
-    denominators of the sigma and sigma* table values."""
+    Each step is the integer pair (num, den) of the quotient of the sigma
+    and sigma* table pairs, not reduced; ``weight_from_steps`` normalizes
+    the ones it multiplies in."""
     if anchor not in window:
         raise OutOfWindow(f"anchor {anchor} not in window {window}")
-    steps = [Fraction(1)] * window.length
+    sigma, star = eq._sigma, eq._star
+    steps = [(1, 1)] * window.length
     base = window.index_of(anchor)
     for j in (*range(base + 1, window.length), *range(base - 1, -1, -1)):
         forward = j > base
         twice = window.start.twice + 2 * j + (0 if forward else 2)
-        sig, star = eq.sigma_at(twice), eq.sigma_star_at(twice)
-        num, den = (star, sig) if forward else (sig, star)
-        if den.numerator == 0:
+        sg, st = sigma[twice], star[twice]
+        (nn, nd), (dn, dd) = (st, sg) if forward else (sg, st)
+        if dn == 0:
             t = window.start + j
             raise PearsonSingularity(f"sigma vanishes at s={t}" if forward else
                                      f"backward Pearson step vanishes at s={t}", point=t)
-        if num.numerator == 0:
+        if nn == 0:
             t = window.start + j
             raise PearsonSingularity(f"weight vanishes at s={t}", point=t)
-        steps[j] = Fraction(num.numerator * den.denominator, num.denominator * den.numerator)
+        steps[j] = (nn * dd, nd * dn)
     return steps
 
 
@@ -289,24 +302,27 @@ def rho_k(eq: HyperEquation, weight: PearsonWeight, k: int, s: HalfInt) -> Scala
     return weight.value_at(s + k) * prod(sigma_of_s(eq, s + i) for i in range(1, k + 1))
 
 
-def _three_term(lat: Lattice, y: GridFunction, sig, tau, lam: Scalar) -> GridFunction:
+def _three_term(lat: Lattice, y: GridFunction, sig: FormTable, star: FormTable,
+                lam: Scalar) -> GridFunction:
     """sig delta_{-1} nabla_0 y + tau delta_0 y + lam y on the interior window
-    (one point lost per side); sig and tau are readers of 2s.
+    (one point lost per side), for the tables sig and star of the pair
+    (sigma, sigma*) of L or (sigma*, sigma) of L*: tau is read through
+    sig(s) + tau(s) delta x_{-1}(s) = star(s+1) (module docstring).
 
     Written out, the two divided differences give the three-term form
 
         L[y](s) = A(s) y(s+1) + B(s) y(s) + C(s) y(s-1),
-        A = (sig + tau delta x_{-1}) / (delta x_{-1} delta x_0),
+        A = star(s+1) / (delta x_{-1} delta x_0),
         C = sig / (delta x_{-1} nabla x_0),   B = lam - A - C,
 
     with coefficients far smaller than the values of y.  A, B and C are
-    formed as integers over one denominator W per point, from the
-    numerators and denominators of sig(s), tau(s), lam and the three steps,
-    with no ``Fraction`` made.  The three products are summed in integers
+    formed as integers over one denominator W per point, from the pairs of
+    sig(s), star(s+1) and the three steps and the integers of lam, with no
+    ``Fraction`` made.  The three products are summed in integers
     over the least common denominator of the three values of y, which share
     most of their factors, and each output value is one normalization of
     that sum over W times that denominator.  Every step is read first,
-    through ``Lattice.divisor``, in the order the two passes of divided
+    through ``Lattice.divisors``, in the order the two passes of divided
     differences read them (each nabla x_0, then each delta x_{-1}, left to
     right), so a zero step is named as by those passes.
     """
@@ -314,21 +330,20 @@ def _three_term(lat: Lattice, y: GridFunction, sig, tau, lam: Scalar) -> GridFun
     inner = range(len(v) - 2)
     # nabla x_0 at each output point s and one point further, since
     # nabla x_0(s + 1) = delta x_0(s); then delta x_{-1} at each s
-    nablas = [lat.divisor(first + 2 * j - 2, 0, first + 2 * j) for j in range(len(v) - 1)]
-    deltas = [lat.divisor(first + 2 * j - 1, -1, first + 2 * j) for j in inner]
+    nablas = lat.divisors(first - 2, 0, first, len(v) - 1)
+    deltas = lat.divisors(first - 1, -1, first, len(v) - 2)
     ln, ld = lam.numerator, lam.denominator
     out = []
     for j in inner:
         twice = first + 2 * j
-        sg, ta = sig(twice), tau(twice)
-        sn, sd, tn, td = sg.numerator, sg.denominator, ta.numerator, ta.denominator
-        en, ed = deltas[j].numerator, deltas[j].denominator            # delta x_{-1}
-        an, ad = nablas[j + 1].numerator, nablas[j + 1].denominator    # delta x_0
-        bn, bd = nablas[j].numerator, nablas[j].denominator            # nabla x_0
+        (sn, sd), (un, ud) = sig[twice], star[twice + 2]
+        en, ed = deltas[j]          # delta x_{-1}
+        an, ad = nablas[j + 1]      # delta x_0
+        bn, bd = nablas[j]          # nabla x_0
         # A, B and C over W = base * ld
-        base = sd * td * en * an * bn
-        a = (sn * td * ed + tn * en * sd) * ad * bn * ld
-        c = sn * ed * bd * td * an * ld
+        base = sd * ud * en * an * bn
+        a = un * sd * ed * ad * bn * ld
+        c = sn * ud * ed * bd * an * ld
         num, den = 0, 1
         for coef, value in ((a, v[j + 2]), (ln * base - a - c, v[j + 1]), (c, v[j])):
             d = value.denominator
@@ -343,7 +358,7 @@ def apply_L(eq: HyperEquation, y: GridFunction) -> GridFunction:
     """Residual of L[y] on the interior window (one point lost per side)."""
     if len(y) < 3:
         raise WindowTooSmall("apply_L needs at least three points")
-    return _three_term(eq.lattice, y, eq.sigma_at, eq.tau_at, eq.lam)
+    return _three_term(eq.lattice, y, eq._sigma, eq._star, eq.lam)
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +375,7 @@ def _adjoint_sigma(step, sig, tau, twice: int):
 def _adjoint_tau(lat: Lattice, sig, star, twice: int) -> Scalar:
     """tau*(s) = [sigma(s+1) - sigma*(s)] / delta x_{-1}(s) at s = twice/2,
     for readers sig and star (sigma*) of 2s."""
-    return (sig(twice + 2) - star(twice)) / lat.divisor(twice - 1, -1, twice)
+    return lat.quotient(sig(twice + 2) - star(twice), twice - 1, -1, twice)
 
 
 def _adjoint_lambda_shift(lat: Lattice, sig, star, twice: int) -> Scalar:
@@ -368,9 +383,9 @@ def _adjoint_lambda_shift(lat: Lattice, sig, star, twice: int) -> Scalar:
     s = twice/2, its defining expression, for readers sig and star (sigma*)
     of 2s."""
     def h(t: int) -> Scalar:
-        return (star(t) - sig(t)) / lat.divisor(t - 2, 0, t)
+        return lat.quotient(star(t) - sig(t), t - 2, 0, t)
 
-    return (h(twice + 2) - h(twice)) / lat.divisor(twice - 1, -1, twice)
+    return lat.quotient(h(twice + 2) - h(twice), twice - 1, -1, twice)
 
 
 def sigma_star(eq: HyperEquation, s: HalfInt) -> Scalar:
@@ -421,8 +436,7 @@ def apply_L_star(eq: HyperEquation, w: GridFunction) -> GridFunction:
     with lambda* checked at each output point (the residual needs its steps)."""
     if len(w) < 3:
         raise WindowTooSmall("apply_L_star needs at least three points")
-    out = _three_term(eq.lattice, w, eq.sigma_star_at, lambda t: _tau_star_at(eq, t),
-                      lambda_star(eq))
+    out = _three_term(eq.lattice, w, eq._star, eq._sigma, lambda_star(eq))
     _checked_lambda_star(eq, out.points())
     return out
 

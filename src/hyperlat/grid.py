@@ -206,14 +206,15 @@ def _passes(f: GridFunction, lat: Lattice, levels, shift: int, short: str) -> Gr
 def _quotients(pairs: list, lat: Lattice, k: int, left: int, at: int, last: bool) -> list:
     """The quotients of consecutive canonical pairs on level k: pair j, from
     the point (left + 2j)/2, divides by ``step_at(left + k + 2j)`` and sits
-    at (at + 2j)/2, the point a zero step is named at.  The gcds are those
+    at (at + 2j)/2, the point a zero step is named at; the pass reads its
+    steps through the guard ``Lattice.divisors`` first.  The gcds are those
     of ``Fraction``'s subtraction and division, so the output pairs are
     canonical too; the ``last`` pass skips the one that reduces the
     difference by a factor of the two denominators, which the ``Fraction``
     made from each output pair takes at about the same cost."""
     out = []
     na, da = pairs[0]
-    for j in range(len(pairs) - 1):
+    for j, (p, q) in enumerate(lat.divisors(left + k, k, at, len(pairs) - 1)):
         nb, db = na, da
         na, da = pairs[j + 1]
         g = gcd(da, db)
@@ -224,8 +225,6 @@ def _quotients(pairs: list, lat: Lattice, k: int, left: int, at: int, last: bool
             t = na * (db // g) - nb * da_g
             g = 1 if last else gcd(t, g)
             t, d = t // g, da_g * (db // g)
-        step = lat.divisor(left + k + 2 * j, k, at + 2 * j)
-        p, q = step.numerator, step.denominator
         g = gcd(t, p)
         if g > 1:
             t, p = t // g, p // g

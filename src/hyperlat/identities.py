@@ -420,10 +420,12 @@ def _check_sum_base_shift(ctx: _Ctx):
     poly = ctx.solve(n, ctx.window)
     a = ctx.solve(n, ctx.window, "second")
     b = ctx.solve(n, ctx.window, "second", N=ctx.window.start + 1)
-    diff = a.solution - b.solution
-    ratios = {diff.value_at(s) / poly.solution.value_at(s)
-              for s in diff.points() if poly.solution.value_at(s) != 0}
-    _ensure(len(ratios) == 1,
+    # diff = c y_n for one c: one ratio where y_n is nonzero, and zero where
+    # it vanishes (at an inadmissible n the polynomial kind may vanish on
+    # the whole window)
+    pairs = list(zip((a.solution - b.solution).values, poly.solution.values))
+    ratios = {d / y for d, y in pairs if y != 0}
+    _ensure(len(ratios) <= 1 and all(d == 0 for d, y in pairs if y == 0),
             "moving the sum base did not shift by a multiple of y_n")
 
 

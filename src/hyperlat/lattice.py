@@ -26,12 +26,13 @@ which also needs the equation's coefficients and so lives on the equation
 (``equation.HyperEquation.kappa``).
 
 Every divided difference of the library divides by a step of some x_k, and
-reads it through one guard, ``Lattice.divisor(a, k, twice)``: it returns
-``step_at(a)`` (a = 2s + k for delta x_k(s), 2s + k - 2 for nabla x_k(s)),
-and a zero step raises ``DegenerateStep`` naming k and s = twice/2.
-``delta_quotient`` and ``nabla_quotient`` divide a scalar by the guarded
-step; the integer kernels of ``grid`` and ``equation`` divide by its
-numerator and denominator.
+reads it through one guard, ``Lattice.divisors(a, k, twice, count)``: it
+returns the table pairs of ``step_at(a + 2j)`` for j < count (a = 2s + k
+for delta x_k(s), 2s + k - 2 for nabla x_k(s)), and the first zero step
+raises ``DegenerateStep`` naming k and its s = twice/2 + j.  ``quotient``
+(and ``delta_quotient`` and ``nabla_quotient``) divide a scalar by one
+guarded step; the integer kernels of ``grid`` and ``equation`` read a run
+of pairs in one call and divide by their numerators and denominators.
 
 Integer forms.  On either family x(s), its steps, and the equation's
 sigma(s), tau(s) and sigma*(s) are Laurent polynomials in one point variable
@@ -45,20 +46,24 @@ sums, products, rational scalings and the move t -> t + k
 (``Lattice.shifted``: a Taylor shift of t on the quadratic family, a scaling
 of each power of p^t on the q-family).  Each formula is written once, as a
 function of readers of 2s, and runs on forms (readers of moved forms, at
-t = 0) and on values (the tables) alike (``Lattice.composed``).  A form of
-order r (1 for x, its steps and tau, 2 for sigma and sigma*) is checked
-against its formula on values at t = -r-1 and r+1 (``Lattice.checked``; the
-form of x against the family formula ``x_k``); a mismatch is a library bug
-and raises ``AssertionError``.
+t = 0) and on ``Fraction`` values (``Fraction`` views of the tables)
+alike (``Lattice.composed``).  A form of order r (1 for x, its steps and
+tau, 2 for sigma and sigma*) is checked against its formula on values at
+t = -r-1 and r+1 (``Lattice.checked``; the form of x against the family
+formula ``x_k``); a mismatch is a library bug and raises ``AssertionError``.
 
 Each of the five functions is kept in one ``FormTable``, the only code that
 gets, fills or builds: its owner declares it once (``FormTable.declared``),
 its form is built on the first read, and each missing value is filled by
-one integer Horner pass and one normalization, so the formulas run on
-values only at the check nodes, however many points are read.  The lattice
-keeps x (``x_at``) and its steps x_at(a + 2) - x_at(a), keyed by
-a = 2s + k (``step_at``), which the guard and so every step quotient read;
-the equation keeps sigma, tau and sigma*.
+one integer Horner pass (``IntegerForm.evaluated``) and one gcd into a
+reduced pair (num, den), den > 0, with no ``Fraction`` made, so the
+formulas run on values only at the check nodes, however many points are
+read.  The lattice keeps x and its steps x(a + 2) - x(a), keyed by
+a = 2s + k, which the guard and so every step quotient read; the equation
+keeps sigma, tau and sigma*.  The kernels bind a table once per call and
+read its pairs; the public readers (``x_at``, ``step_at`` and the
+equation's ``sigma_at``, ``tau_at`` and ``sigma_star_at``) return
+``Fraction``s.
 """
 
 from __future__ import annotations
@@ -66,6 +71,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from math import gcd
 
 from .errors import DegenerateStep, LatticeError
 from .numerics import IntegerForm, Rational, Scalar, format_rational
@@ -99,18 +105,27 @@ class HalfInt:
 
 
 class FormTable(dict):
-    """The values of one function of t = 2s on a lattice, keyed by t: each
-    missing value is filled from the function's integer form ``form`` at
-    the point ``point(t)``.  The point reader is a function of t alone, so
-    a table holds no reference to its owner, and an owner and its tables
-    are freed as soon as the owner is dropped."""
+    """The values of one function of t = 2s on a lattice, keyed by t, as
+    reduced pairs (num, den) with den > 0: each missing value is filled
+    from the function's integer form ``form`` at the point ``point(t)`` by
+    one Horner pass (``IntegerForm.evaluated``) and one gcd, and no
+    ``Fraction`` is made.  ``fraction`` reads a value as a ``Fraction``.
+    The point reader is a function of t alone, so a table holds no
+    reference to its owner, and an owner and its tables are freed as soon
+    as the owner is dropped."""
 
     def __init__(self, point, form: IntegerForm):
         self.point, self.form = point, form
 
-    def __missing__(self, twice: int) -> Scalar:
-        value = self[twice] = self.form.at(*self.point(twice))
+    def __missing__(self, twice: int) -> tuple[int, int]:
+        num, den = self.form.evaluated(*self.point(twice))
+        g = gcd(num, den)
+        value = self[twice] = (num // g, den // g) if den > 0 else (-num // g, -den // g)
         return value
+
+    def fraction(self, twice: int) -> Scalar:
+        """The value at t as a ``Fraction``."""
+        return Fraction(*self[twice])
 
     class declared:
         """An owner's table, declared by the method that makes it: made on
@@ -139,9 +154,10 @@ class Lattice:
     value and mean below reads one ``FormTable`` indexed by it (``x_at``),
     built from the integer form of x written from the family's
     coefficients, and every step reads a second table indexed the same way
-    (``step_at``).  Each table is declared once (``FormTable.declared``):
-    it lives as long as the lattice, grows with the points asked for, and
-    takes no part in equality, hashing or ``repr``.
+    (``step_at``, and as pairs ``divisors``).  Each table is declared once
+    (``FormTable.declared``): it lives as long as the lattice, grows with
+    the points asked for, and takes no part in equality, hashing or
+    ``repr``.
     """
 
     def point(self, twice: int) -> tuple[int, int]:
@@ -172,7 +188,7 @@ class Lattice:
         of a point 2s, of the given order: run on readers of the tables'
         moved forms at t = 0, and checked against its run on the tables."""
         forms = [self._mover(table.form) for table in tables]
-        values = [table.__getitem__ for table in tables]
+        values = [table.fraction for table in tables]
         return self.checked(formula(*forms, 0), lambda t: formula(*values, t), order)
 
     def _mover(self, form: IntegerForm):
@@ -197,7 +213,7 @@ class Lattice:
 
     def x_at(self, twice: int) -> Scalar:
         """x(twice/2), from the table; x_k(s) is ``x_at(2s + k)``."""
-        return self._table[twice]
+        return self._table.fraction(twice)
 
     def x(self, s: HalfInt) -> Scalar:
         return self.x_at(s.twice)
@@ -209,7 +225,7 @@ class Lattice:
     def step_at(self, a: int) -> Scalar:
         """x_at(a + 2) - x_at(a), from the step table: delta x_k(s) at
         a = 2s + k, and nabla x_k(s) at a = 2s + k - 2."""
-        return self._steps[a]
+        return self._steps.fraction(a)
 
     def nu(self, mu: int) -> Scalar:
         raise NotImplementedError
@@ -227,23 +243,31 @@ class Lattice:
         return self.step_at(s.twice + k - 2)
 
     # the one zero-step guard: every step a quotient divides by is read here
-    def divisor(self, a: int, k: int, twice: int) -> Scalar:
-        """``step_at(a)``, a step of x_k taken at s = twice/2, checked before
-        anything divides by it: zero raises DegenerateStep naming s instead
-        of a bare ZeroDivisionError."""
-        step = self.step_at(a)
-        if step == 0:
-            s = HalfInt(twice)
-            raise DegenerateStep(f"zero step of x_{k} at s={s}", point=s)
-        return step
+    def divisors(self, a: int, k: int, twice: int, count: int) -> list:
+        """The pairs of ``count`` steps of x_k, ``step_at(a + 2j)`` taken at
+        s = twice/2 + j, checked before anything divides by them: the first
+        zero raises DegenerateStep naming its s instead of a bare
+        ZeroDivisionError."""
+        steps = self._steps
+        run = [steps[a + 2 * j] for j in range(count)]
+        for j, step in enumerate(run):
+            if step[0] == 0:
+                s = HalfInt(twice + 2 * j)
+                raise DegenerateStep(f"zero step of x_{k} at s={s}", point=s)
+        return run
+
+    def quotient(self, num: Scalar, a: int, k: int, twice: int) -> Scalar:
+        """num / step_at(a), a step of x_k taken at s = twice/2, through the
+        guard."""
+        return num / Fraction(*self.divisors(a, k, twice, 1)[0])
 
     def delta_quotient(self, num: Scalar, k: int, s: HalfInt) -> Scalar:
         """num / delta x_k(s), through the guard."""
-        return num / self.divisor(s.twice + k, k, s.twice)
+        return self.quotient(num, s.twice + k, k, s.twice)
 
     def nabla_quotient(self, num: Scalar, k: int, s: HalfInt) -> Scalar:
         """num / nabla x_k(s), through the guard."""
-        return num / self.divisor(s.twice + k - 2, k, s.twice)
+        return self.quotient(num, s.twice + k - 2, k, s.twice)
 
     def mean_shift_beta(self) -> Scalar:
         """The constant beta with (x(s+1)+x(s))/2 = alpha(1)*x_1(s) + beta.

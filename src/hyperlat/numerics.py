@@ -7,9 +7,12 @@ canonical form (reduced, positive denominator) after every operation.
 
 An ``IntegerForm`` keeps a Laurent polynomial in one variable as integer
 coefficients over one denominator, so that each of its values is one
-integer Horner pass and one normalization.  Forms are built by exact
-integer algebra (sums, products, rational scalings and moves of the
-variable), and interpolated in one place (``IntegerForm.through``).
+integer Horner pass (``IntegerForm.evaluated``, a numerator and a
+denominator) and one normalization: one gcd into the reduced pair that a
+``lattice.FormTable`` keeps, or the ``Fraction`` of ``IntegerForm.at``.
+Forms are built by exact integer algebra (sums, products, rational
+scalings and moves of the variable), and interpolated in one place
+(``IntegerForm.through``).
 """
 
 from __future__ import annotations
@@ -175,14 +178,19 @@ class IntegerForm:
         g = gcd(den, *coeffs)
         return cls(tuple(c // g for c in coeffs), den // g)
 
-    def at(self, a: int, b: int) -> Fraction:
-        """The value at v = a/b."""
+    def evaluated(self, a: int, b: int) -> tuple[int, int]:
+        """The value at v = a/b as integers (num, den), den != 0, not
+        reduced: one Horner pass."""
         coeffs = self.coeffs
         acc, power = coeffs[-1], 1
         for c in coeffs[-2::-1]:
             power *= b
             acc = acc * a + c * power
-        return Fraction(acc, self.den * a ** self.shift * b ** (len(coeffs) - 1 - self.shift))
+        return acc, self.den * a ** self.shift * b ** (len(coeffs) - 1 - self.shift)
+
+    def at(self, a: int, b: int) -> Fraction:
+        """The value at v = a/b."""
+        return Fraction(*self.evaluated(a, b))
 
     # ring operations: the other operand is a form, an int or a Fraction
     @staticmethod

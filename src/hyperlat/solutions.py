@@ -169,17 +169,17 @@ def sum_base_for(n: int, window: Window, N: HalfInt | None = None) -> HalfInt:
 def Y_n(eq: HyperEquation, weight: PearsonWeight, n: int, window: Window) -> GridFunction:
     """Y_n(s) = rho(s) prod_{j=0..n-1} sigma(s-j), the level-n weight product
     rho_n(s-n).  The product of sigma slides along the window on integer
-    numerators and denominators, reading sigma by 2s: each step multiplies
-    in sigma(s+1) and divides out sigma(s-n+1) exactly, with zero factors
-    counted apart, and each value is one normalization."""
+    numerators and denominators, reading the pairs of the sigma table by
+    2s: each step multiplies in sigma(s+1) and divides out sigma(s-n+1)
+    exactly, with zero factors counted apart, and each value is one
+    normalization."""
     if not weight.window.covers(window):
         raise OutOfWindow(f"weight window {weight.window} does not cover {window}")
     rho = weight.rho.restrict(window).values
     # factor i is sigma at 2s = first + 2i; point j reads factors j..j+n-1
-    first = window.start.twice - 2 * (n - 1)
-    factors = [eq.sigma_at(first + 2 * i) for i in range(window.length + n - 1)]
-    nums = [f.numerator for f in factors]
-    dens = [f.denominator for f in factors]
+    first, sigma = window.start.twice - 2 * (n - 1), eq._sigma
+    factors = [sigma[first + 2 * i] for i in range(window.length + n - 1)]
+    nums, dens = [f[0] for f in factors], [f[1] for f in factors]
     num, den, zeros = prod(v or 1 for v in nums[:n]), prod(dens[:n]), nums[:n].count(0)
     values = []
     for j, r in enumerate(rho):
@@ -243,7 +243,7 @@ def solve(eq: HyperEquation, n: int, window: Window, kind: str = "polynomial",
         y = _integral_kind(eq, weight_from_steps(steps, weights, 1), n, enlarged, N,
                            (1,) if P is None else P)
     res_lam = lam if residual_lam is None else residual_lam
-    residual = _three_term(eq.lattice, y, eq.sigma_at, eq.tau_at, res_lam)
+    residual = _three_term(eq.lattice, y, eq._sigma, eq._star, res_lam)
     return SolutionReport(
         kind=label, n=n, lam_n=lam,
         solution=y.restrict(window), residual=residual,
@@ -258,24 +258,23 @@ def _rodrigues(eq: HyperEquation, weight: PearsonWeight, n: int, window: Window,
     discrete integral from N of P(x_{-(n+1)}(t)) / (Y_n(t) sigma(t-n))
     against nabla x_{-n}(t), and N must lie in that product window.  P is
     one ``IntegerForm`` in x, read once per point, and each integrand value
-    is one normalization of the integers of P(x), Y_n and sigma.  The
+    is one normalization of the integers of P(x), Y_n and sigma, read as
+    the Horner pass of P at the pair of x and the pair of sigma.  The
     callers pass a stencil or a head, and the whole enlarged window only in
     the cases the module docstring names."""
     lat = eq.lattice
     product = Y_n(eq, weight, n, window.expand(0, n))
     if P is not None:
-        p_form = IntegerForm.of(P)
+        p_form, xs, sigma = IntegerForm.of(P), lat._table, eq._sigma
 
         def integrand(twice: int, y_n: Scalar) -> Scalar:
             # P(x) / (y_n sigma), normalized once
-            sg = eq.sigma_at(twice - 2 * n)
-            if y_n.numerator == 0 or sg.numerator == 0:
+            sn, sd = sigma[twice - 2 * n]
+            if y_n.numerator == 0 or sn == 0:
                 t = HalfInt(twice)
                 raise SingularSummand(f"sigma product vanishes at t={t}", point=t)
-            x = lat.x_at(twice - (n + 1))
-            p = p_form.at(x.numerator, x.denominator)
-            return Fraction(p.numerator * y_n.denominator * sg.denominator,
-                            p.denominator * y_n.numerator * sg.numerator)
+            pn, pd = p_form.evaluated(*xs[twice - (n + 1)])
+            return Fraction(pn * y_n.denominator * sd, pd * y_n.numerator * sn)
 
         first = product.start.twice
         g = GridFunction(product.start, tuple(integrand(first + 2 * j, v)
@@ -297,11 +296,10 @@ def _polynomial_kind(eq: HyperEquation, weight_on, n: int, window: Window) -> Gr
     if stencil == window or len(set(xs)) < len(xs):
         return _rodrigues(eq, weight_on(window.expand(0, n)), n, window)
     ys = _rodrigues(eq, weight_on(stencil.expand(0, n)), n, stencil)
-    form = IntegerForm.through(xs, ys.values)
+    form, table = IntegerForm.through(xs, ys.values), lat._table
     values = list(ys.values)
     for j in range(stencil.length, window.length):
-        x = lat.x_at(window.start.twice + 2 * j)
-        values.append(form.at(x.numerator, x.denominator))
+        values.append(form.at(*table[window.start.twice + 2 * j]))
     return GridFunction(window.start, tuple(values))
 
 
@@ -324,9 +322,9 @@ def _meets_zero_step(lat: Lattice, n: int, window: Window) -> bool:
     a + 2(len(window) + n - 2) for n >= 2, and every other one for n = 1."""
     if n == 0:
         return False
-    first = window.start.twice - n
+    first, steps = window.start.twice - n, lat._steps
     last = first + 2 * (window.length + n - 2)
-    return any(lat.step_at(a) == 0 for a in range(first, last + 1, 1 if n > 1 else 2))
+    return any(steps[a][0] == 0 for a in range(first, last + 1, 1 if n > 1 else 2))
 
 
 def _integral_kind(eq: HyperEquation, weight: PearsonWeight, n: int, window: Window,
@@ -347,20 +345,21 @@ def _integral_kind(eq: HyperEquation, weight: PearsonWeight, n: int, window: Win
     y = _rodrigues(eq, weight, n, head, N, P)
     # K where delta x_0 is nonzero: at the first point or else the second
     first = window.start.twice
-    K = casoratian(eq, weight, y1, y, window.start + (lat.step_at(first) == 0))
+    steps, sigma = lat._steps, eq._sigma
+    K = casoratian(eq, weight, y1, y, window.start + (steps[first][0] == 0))
     kn, kd = K.numerator, K.denominator
     rho = weight.rho.restrict(window).values
     values = list(y.values)
     for j in range(head.length - 1, window.length - 1):
         twice = first + 2 * j     # delta x_0(s) and sigma(s + 1) at s = twice/2
-        dx, sg, r = lat.step_at(twice), eq.sigma_at(twice + 2), rho[j + 1]
+        (dn, dd), (sn, sd), r = steps[twice], sigma[twice + 2], rho[j + 1]
         a, b, c = u[j + 1], values[j], u[j]
         # y(s+1) = (tn/td + a b) / c with tn/td = K dx / (sg r): the sum over
         # lcm(td, pd) as Fraction adds, then divided by c with the cross
         # gcds Fraction's division takes, so the one normalization left
         # works on numbers the size of the value
-        tn = kn * dx.numerator * sg.denominator * r.denominator
-        td = kd * dx.denominator * sg.numerator * r.numerator
+        tn = kn * dn * sd * r.denominator
+        td = kd * dd * sn * r.numerator
         pd = a.denominator * b.denominator
         g = gcd(td, pd)
         td_g = td // g

@@ -490,3 +490,16 @@ def test_table_columns_and_ladder():
 def test_usage_error_exits_two():
     result = run_cli("solve")       # --spec missing
     assert result.returncode == 2
+
+
+def test_the_identity_suite_is_imported_only_when_asked_for():
+    """``import hyperlat`` and the CLI module leave the identity suite
+    unloaded; its names still import from the package on first access."""
+    result = run_cli(launcher=("-c", "\n".join([
+        "import sys, hyperlat, hyperlat.cli",
+        "assert 'hyperlat.identities' not in sys.modules",
+        "from hyperlat import IdentityResult, identity_names, run_identity_suite",
+        "assert 'hyperlat.identities' in sys.modules",
+        "print(len(identity_names()))"])))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "34\n"

@@ -547,3 +547,14 @@ def test_a_singular_outcome_names_its_point(spec):
             assert str(exc).endswith(f"={exc.point}"), (kind, render_problem(spec))
         except HyperlatError:
             pass
+
+
+def test_sum_base_shift_holds_where_the_polynomial_kind_vanishes():
+    """At an inadmissible n the polynomial kind can vanish on the whole
+    window (here tau~ = 0 and sigma~ is linear, so every lambda_m is 0), and
+    moving the sum base then leaves the second kind unchanged: 0 = c y_n
+    holds, and ``verify`` reports it as passed."""
+    spec = ProblemSpec(QQuadraticLattice(F(5), F(-1), F(0), F(1)), (F(-6), F(10), F(0)),
+                       (F(0), F(0)), 1, Window(HalfInt(-7), 7), lam=F(10))
+    results = {r.name: r for r in run_identity_suite(spec)}
+    assert results["sum-base-shift"].passed, results["sum-base-shift"]

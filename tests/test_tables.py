@@ -8,6 +8,7 @@ import gc
 import weakref
 from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,7 @@ from hyperlat import (
     render_problem,
     solve,
 )
+from hyperlat.lattice import FormTable
 from hyperlat.numerics import IntegerForm
 from tests.conftest import ALL_CONFIGS, qq_b, quad_b
 
@@ -46,16 +48,18 @@ def _count(monkeypatch, owner, name, record):
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("make", ALL_CONFIGS)
 def test_solve_computes_each_value_once(make, kind, window, monkeypatch):
+    """Counted at the table fill, which the kernels reach by reading the
+    tables' pairs: each key of each table is filled once, and sigma~ and
+    tau~ run no more often than their tables are filled."""
     eq = make()
     n = 3
-    x_points, sigma_points, tau_points = [], set(), set()
+    x_points, fills = [], []
     formulas = {"sigma": 0, "tau": 0}
 
     for family in (QQuadraticLattice, QuadraticLattice):
         _count(monkeypatch, family, "x_k",
                lambda lat, k, s: x_points.append((id(lat), s.twice + k)))
-    _count(monkeypatch, HyperEquation, "sigma_at", lambda _eq, t: sigma_points.add(t))
-    _count(monkeypatch, HyperEquation, "tau_at", lambda _eq, t: tau_points.add(t))
+    _count(monkeypatch, FormTable, "__missing__", lambda table, t: fills.append((id(table), t)))
     _count(monkeypatch, HyperEquation, "sigma_tilde",
            lambda _eq, _x: formulas.__setitem__("sigma", formulas["sigma"] + 1))
     _count(monkeypatch, HyperEquation, "tau_tilde",
@@ -66,8 +70,24 @@ def test_solve_computes_each_value_once(make, kind, window, monkeypatch):
 
     assert report.is_exact_solution()
     assert x_points and len(x_points) == len(set(x_points))
+    assert fills and len(fills) == len(set(fills))
+    sigma_points = [t for table, t in fills if table == id(eq._sigma)]
+    tau_points = [t for table, t in fills if table == id(eq._tau)]
     assert 0 < formulas["sigma"] <= len(sigma_points)
     assert 0 < formulas["tau"] <= len(tau_points)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("make", ALL_CONFIGS)
+def test_solve_reads_tau_only_at_the_check_nodes(make, kind, window):
+    """The kernels read sigma and sigma* only: tau enters L through
+    sigma(s) + tau(s) delta x_{-1}(s) = sigma*(s+1).  So the tau table holds
+    only the values the form checks of sigma (at 2s = -3, 3) and sigma*
+    (tau at 2s - 2) read."""
+    eq = make()
+    n = 3
+    solve(eq, n, window, kind=kind, P=tuple(F(j + 1, 2) for j in range(n + 1)))
+    assert sorted(eq._tau) == [-5, -3, 1, 3]
 
 
 @pytest.mark.parametrize("make", ALL_CONFIGS)
@@ -168,6 +188,52 @@ def test_tables_equal_the_closed_formulas(lat, sigma_t, tau_t, points):
         assert eq.tau_at(t) == tau(t)
         assert eq.sigma_at(t) == sigma(t)
         assert eq.sigma_star_at(t) == sigma(t - 2) + tau(t - 2) * (x(t - 1) - x(t - 3))
+
+
+P_VALUES = [F(2), F(-2), F(3, 2), F(-3, 2), F(1, 3), F(-1, 3), F(-5, 4)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.none(), st.sampled_from(P_VALUES)), st.lists(small, min_size=1, max_size=5),
+       st.integers(0, 4), st.lists(st.integers(-30, 30), min_size=1, max_size=6))
+def test_table_values_are_the_reduced_pairs_of_the_form(p, coeffs, shift, points):
+    """On either family's point reader (p of either sign on the q-family),
+    a table value at any t is a reduced pair of ints with a positive
+    denominator, equal to the value ``IntegerForm.at`` gives there, also
+    for a Laurent form (shift > 0)."""
+    point = QuadraticLattice.point if p is None else QQuadraticLattice(p, F(1), F(1), F(0)).point
+    form = IntegerForm.of(coeffs, min(shift, len(coeffs) - 1))
+    table = FormTable(point, form)
+    for t in points:
+        if form.shift and point(t)[0] == 0:
+            continue   # v = 0, outside a Laurent form's domain
+        num, den = table[t]
+        assert type(num) is int and type(den) is int
+        assert den > 0 and gcd(num, den) == 1
+        assert F(num, den) == form.at(*point(t)) == table.fraction(t)
+
+
+@pytest.mark.parametrize("make", ALL_CONFIGS)
+def test_filling_a_table_makes_no_fraction(make, monkeypatch):
+    """Once its form is built and checked, a table fills each new value by
+    the Horner pass and one gcd on integers, without making a Fraction."""
+    eq = make()
+    lat = eq.lattice
+    tables = (lat._table, lat._steps, eq._tau, eq._sigma, eq._star)
+    made = []
+    real = F.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return real(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", counted)
+    for table in tables:
+        for t in range(-40, 41):
+            table[t]
+    monkeypatch.undo()
+    assert made == []
+    assert all(len(table) >= 81 for table in tables)
 
 
 @pytest.mark.parametrize("make", ALL_CONFIGS)
