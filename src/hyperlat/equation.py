@@ -60,10 +60,13 @@ reduced integer pairs, filled from integer forms each composed from the
 form of x by the formula above, which is written once and runs on forms as
 on values.  The kernels (the Pearson scan, ``_three_term``) bind a table
 once per call and read its pairs.  The Pearson step is the pair of the
-quotient of two table pairs, with its zero tests on integers, and stays a
-pair until ``weight_from_steps`` multiplies it in.  rho_k is its definition,
-rho(s+k) sigma(s+1)...sigma(s+k) in ``Fraction`` arithmetic: only
-``verify`` reads it, and ``Y_n`` slides its own product.
+quotient of two table pairs, with its zero tests on integers, and
+``weight_from_steps`` multiplies the steps out into rho as reduced pairs,
+with the cross gcds of ``Fraction``'s product.  ``solve()`` reads rho as
+those pairs only; ``pearson_weight`` is their ``Fraction`` view, the
+``PearsonWeight`` that ``verify`` and other callers read.  rho_k is its
+definition, rho(s+k) sigma(s+1)...sigma(s+k) in ``Fraction`` arithmetic:
+only ``verify`` reads it, and ``Y_n`` slides its own product.
 ``admissibility_violation`` scans the eigenvalues lambda_0..lambda_n in one
 pass on integers.
 """
@@ -112,11 +115,14 @@ class HyperEquation:
         object.__setattr__(self, "sigma_t", tuple(self.sigma_t))
         object.__setattr__(self, "tau_t", tuple(self.tau_t))
 
+    # Horner order with x on the left, so that on an integer form x each
+    # product and sum runs the form's own operator
     def sigma_tilde(self, x: Scalar) -> Scalar:
-        return self.sigma_t[0] + self.sigma_t[1] * x + self.sigma_t[2] * x * x
+        s0, s1, s2 = self.sigma_t
+        return (x * s2 + s1) * x + s0
 
     def tau_tilde(self, x: Scalar) -> Scalar:
-        return self.tau_t[0] + self.tau_t[1] * x
+        return x * self.tau_t[1] + self.tau_t[0]
 
     # the tables; each formula runs on the integer forms once and on values
     # at the two check nodes of its form (``Lattice.composed``), with x and
@@ -250,18 +256,26 @@ def pearson_weight(eq: HyperEquation, window: Window, anchor: HalfInt) -> Pearso
     Backward: the same relation inverted.  Any zero of a divisor, or a zero
     weight value, is reported as a PearsonSingularity at the offending point
     (``pearson_steps``).  Each value is its neighbour times one small step.
+    The ``Fraction`` view of the pairs of ``weight_from_steps``.
     """
-    return weight_from_steps(pearson_steps(eq, window, anchor), window, window.index_of(anchor))
+    rho = weight_from_steps(pearson_steps(eq, window, anchor), window, window.index_of(anchor))
+    return PearsonWeight(GridFunction(window.start, tuple(Fraction(*r) for r in rho)))
 
 
-def weight_from_steps(steps: list, window: Window, base: int) -> PearsonWeight:
-    """rho on ``window``, 1 at its point ``base``, multiplied out from the
-    first ``window.length`` steps of ``pearson_steps`` anchored there, each
-    normalized once as it is multiplied in."""
-    values = [Fraction(1)] * window.length
+def weight_from_steps(steps: list, window: Window, base: int) -> list:
+    """rho on ``window`` as reduced pairs (num, den), den > 0, 1 at its
+    point ``base``, multiplied out from the first ``window.length`` steps of
+    ``pearson_steps`` anchored there: each step is normalized once as it is
+    multiplied in, with the two cross gcds of ``Fraction``'s product."""
+    values = [(1, 1)] * window.length
     for j in (*range(base + 1, window.length), *range(base - 1, -1, -1)):
-        values[j] = values[j - 1 if j > base else j + 1] * Fraction(*steps[j])
-    return PearsonWeight(GridFunction(window.start, tuple(values)))
+        a, b = values[j - 1 if j > base else j + 1]
+        c, d = steps[j]
+        g = gcd(c, d) if d > 0 else -gcd(c, d)
+        c, d = c // g, d // g
+        g, h = gcd(a, d), gcd(c, b)
+        values[j] = (a // g * (c // h), b // h * (d // g))
+    return values
 
 
 def pearson_steps(eq: HyperEquation, window: Window, anchor: HalfInt) -> list:
@@ -302,6 +316,9 @@ def rho_k(eq: HyperEquation, weight: PearsonWeight, k: int, s: HalfInt) -> Scala
     return weight.value_at(s + k) * prod(sigma_of_s(eq, s + i) for i in range(1, k + 1))
 
 
+_ZERO = Fraction(0)
+
+
 def _three_term(lat: Lattice, y: GridFunction, sig: FormTable, star: FormTable,
                 lam: Scalar) -> GridFunction:
     """sig delta_{-1} nabla_0 y + tau delta_0 y + lam y on the interior window
@@ -321,7 +338,9 @@ def _three_term(lat: Lattice, y: GridFunction, sig: FormTable, star: FormTable,
     ``Fraction`` made.  The three products are summed in integers
     over the least common denominator of the three values of y, which share
     most of their factors, and each output value is one normalization of
-    that sum over W times that denominator.  Every step is read first,
+    that sum over W times that denominator, or, when the sum is 0, as at
+    every point of a certified solve, one shared ``Fraction(0)``.  Every
+    step is read first,
     through ``Lattice.divisors``, in the order the two passes of divided
     differences read them (each nabla x_0, then each delta x_{-1}, left to
     right), so a zero step is named as by those passes.
@@ -350,7 +369,7 @@ def _three_term(lat: Lattice, y: GridFunction, sig: FormTable, star: FormTable,
             g = gcd(den, d)
             num = num * (d // g) + coef * value.numerator * (den // g)
             den *= d // g
-        out.append(Fraction(num, den * base * ld))
+        out.append(Fraction(num, den * base * ld) if num else _ZERO)
     return GridFunction(y.start + 1, tuple(out))
 
 

@@ -19,12 +19,17 @@ bookkeeping is the main thing the tests police.  A zero step is named at the
 point its quotient sits at: s - 1 by ``delta_k`` and s by ``nabla_k`` for the
 same step x_k(s) - x_k(s-1).
 
-The four difference operators share one kernel on integers: each value is
-carried as its (numerator, denominator) pair from the first pass to the
-last, reduced by the gcds ``Fraction`` takes, and one ``Fraction`` is made
-per output value.  No common denominator is carried across the window: on
-q-lattices the lcm of the weight's denominators and the step numerators
-grows with the window, and that was slower than reducing each quotient.
+The four difference operators share one kernel on integers (``_passes``):
+it takes the values as reduced (numerator, denominator) pairs, carries each
+pair from the first pass to the last, reduced by the gcds ``Fraction``
+takes, and makes one ``Fraction`` per output value.  The Rodrigues
+evaluator hands it its pairs directly, with the pairs of the weight rho,
+and the kernel divides each last-pass value by its rho pair with the cross
+gcds of ``Fraction``'s division before it makes that ``Fraction``; the
+public operators are views that read a ``GridFunction``'s values as pairs.
+No common denominator is carried across the window: on q-lattices the lcm
+of the weight's denominators and the step numerators grows with the
+window, and that was slower than reducing each quotient.
 
 Arithmetic between two grid functions needs one window (the same start and
 length) and works value by value; to combine functions on different windows,
@@ -167,39 +172,52 @@ class GridFunction:
 
 def delta_k(lat: Lattice, k: int, f: GridFunction) -> GridFunction:
     """Forward divided difference; window loses its right endpoint."""
-    return _passes(f, lat, (k,), 0, "delta_k needs at least two points")
+    return _passes(f.start.twice, pairs_of(f), lat, (k,), 0, "delta_k needs at least two points")
 
 
 def nabla_k(lat: Lattice, k: int, f: GridFunction) -> GridFunction:
     """Backward divided difference: the forward quotients placed one point
     right, so the window loses its left endpoint."""
-    return _passes(f, lat, (k,), 1, "nabla_k needs at least two points")
+    return _passes(f.start.twice, pairs_of(f), lat, (k,), 1, "nabla_k needs at least two points")
 
 
 def iterated_delta(lat: Lattice, k: int, n: int, f: GridFunction) -> GridFunction:
     """delta_{k+n-1} ... delta_{k+1} delta_k f (innermost first); n = 0 is f."""
-    return _passes(f, lat, range(k, k + n), 0,
+    return _passes(f.start.twice, pairs_of(f), lat, range(k, k + n), 0,
                    f"iterated delta of order {n} needs {n + 1} points")
 
 
 def iterated_nabla(lat: Lattice, k: int, n: int, f: GridFunction) -> GridFunction:
     """nabla_{k-n+1} ... nabla_{k-1} nabla_k f (innermost first); n = 0 is f."""
-    return _passes(f, lat, range(k, k - n, -1), 1,
+    return _passes(f.start.twice, pairs_of(f), lat, range(k, k - n, -1), 1,
                    f"iterated nabla of order {n} needs {n + 1} points")
 
 
-def _passes(f: GridFunction, lat: Lattice, levels, shift: int, short: str) -> GridFunction:
+def pairs_of(f: GridFunction) -> list:
+    """f's values as reduced pairs (num, den), den > 0."""
+    return [(v.numerator, v.denominator) for v in f.values]
+
+
+def _passes(left: int, pairs: list, lat: Lattice, levels, shift: int, short: str,
+            rho: list | None = None) -> GridFunction:
     """One divided-difference pass per level, innermost first, each placing
-    its quotients ``shift`` points right of the left point of their pair.
-    Values stay (num, den) pairs and points integers 2s to the last pass."""
-    if len(f) < len(levels) + 1:
+    its quotients ``shift`` points right of the left point of their pair,
+    over the reduced pairs of the values at 2s = left, left + 2, ...
+    Values stay (num, den) pairs and points integers 2s to the last pass.
+    With ``rho``, reduced pairs from the first output point on, each output
+    value is divided by the pair at its own index, with the two cross gcds ``Fraction``'s
+    division takes; then one ``Fraction`` is made per output value."""
+    if len(pairs) < len(levels) + 1:
         raise WindowTooSmall(short)
-    if not levels:
-        return f
-    left, pairs = f.start.twice, [(v.numerator, v.denominator) for v in f.values]
     for k in levels:
         pairs = _quotients(pairs, lat, k, left, left + 2 * shift, k == levels[-1])
         left += 2 * shift
+    if rho is not None:
+        out = []
+        for (t, d), (rn, rd) in zip(pairs, rho):
+            g, h = gcd(t, rn), gcd(d, rd)
+            out.append(Fraction(t // g * (rd // h), d // h * (rn // g)))
+        return GridFunction(HalfInt(left), tuple(out))
     return GridFunction(HalfInt(left), tuple(Fraction(num, den) for num, den in pairs))
 
 

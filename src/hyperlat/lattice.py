@@ -176,9 +176,12 @@ class Lattice:
 
     def checked(self, form: IntegerForm, formula, order: int) -> IntegerForm:
         """``form``, once it equals ``formula``, a callable of t = 2s, at one
-        node past each end of t = -order..order."""
+        node past each end of t = -order..order; the form's integers are
+        compared with the formula's value by cross-multiplication."""
         for t in (-order - 1, order + 1):
-            if form.at(*self.point(t)) != formula(t):
+            num, den = form.evaluated(*self.point(t))
+            value = formula(t)
+            if num * value.denominator != den * value.numerator:
                 raise AssertionError(f"integer form of order {order} disagrees with "
                                      f"its formula at 2s={t}")
         return form

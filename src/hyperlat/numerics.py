@@ -148,16 +148,18 @@ class IntegerForm:
 
     @classmethod
     def through(cls, vs: list, ys) -> "IntegerForm":
-        """The interpolant of the samples y at pairwise distinct rational v.
-        With v_i = u_i / q over a common denominator q, the Newton divided
-        differences in u = q v run on integer numerators with one
-        denominator per column: column j multiplies each numerator by the
-        lcm of the column's gaps u_i - u_{i-j} over its own gap, and the
-        denominator by that lcm.  Nested multiplication by u - u_i gives
-        integer coefficients in u, the k-th times q^k the one in v, and one
-        gcd reduces them."""
-        q = lcm(*(v.denominator for v in vs))
-        us = [v.numerator * (q // v.denominator) for v in vs]
+        """The interpolant of the samples y at pairwise distinct rational v,
+        each a ``Fraction`` or an integer pair (num, den), den > 0, as the
+        lattice tables keep them.  With v_i = u_i / q over a common
+        denominator q, the Newton divided differences in u = q v run on
+        integer numerators with one denominator per column: column j
+        multiplies each numerator by the lcm of the column's gaps
+        u_i - u_{i-j} over its own gap, and the denominator by that lcm.
+        Nested multiplication by u - u_i gives integer coefficients in u,
+        the k-th times q^k the one in v, and one gcd reduces them."""
+        vs = [v if isinstance(v, tuple) else (v.numerator, v.denominator) for v in vs]
+        q = lcm(*(d for _, d in vs))
+        us = [a * (q // d) for a, d in vs]
         den = lcm(*(y.denominator for y in ys))
         col = [y.numerator * (den // y.denominator) for y in ys]
         dens = [den]

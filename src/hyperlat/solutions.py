@@ -11,7 +11,14 @@ verified by attaching the exact residual of the operator L on the whole
 window.  rho is fixed by the Pearson equation up to a constant, which
 cancels in the polynomial kind and scales the integral kinds by its
 inverse; for every kind rho is 1 at ``window.start``, where the scan is
-anchored.  The kinds are:
+anchored.  rho and Y_n stay reduced integer pairs through the evaluator:
+Y_n C is a pair times a ``Fraction``, the n-fold difference runs on pairs
+and divides its last pass by the rho pairs (``grid._passes``), and the
+Casoratian recurrence and its K read the rho pairs, so ``solve()`` makes
+a ``Fraction`` only for a value it returns or for a value of C, K or the
+integrand, and never from a pair already reduced.  ``Y_n``,
+``casoratian`` and the ``PearsonWeight`` of ``pearson_weight`` are the
+``Fraction`` views for other callers.  The kinds are:
 
 * the polynomial eigenfunction (the standard formula): C = 1.  y is a
   polynomial of degree at most n in x(s), so the formula runs on the first
@@ -104,7 +111,7 @@ from .errors import (
     SingularSummand,
     WindowTooSmall,
 )
-from .grid import GridFunction, Window, cumulative_nabla_sum, iterated_delta
+from .grid import GridFunction, Window, _passes, cumulative_nabla_sum, pairs_of
 from .lattice import HalfInt, Lattice
 from .numerics import IntegerForm, Scalar, format_scalar
 
@@ -168,28 +175,38 @@ def sum_base_for(n: int, window: Window, N: HalfInt | None = None) -> HalfInt:
 
 def Y_n(eq: HyperEquation, weight: PearsonWeight, n: int, window: Window) -> GridFunction:
     """Y_n(s) = rho(s) prod_{j=0..n-1} sigma(s-j), the level-n weight product
-    rho_n(s-n).  The product of sigma slides along the window on integer
-    numerators and denominators, reading the pairs of the sigma table by
-    2s: each step multiplies in sigma(s+1) and divides out sigma(s-n+1)
-    exactly, with zero factors counted apart, and each value is one
-    normalization."""
+    rho_n(s-n): the ``Fraction`` view of ``_weight_product``."""
     if not weight.window.covers(window):
         raise OutOfWindow(f"weight window {weight.window} does not cover {window}")
-    rho = weight.rho.restrict(window).values
+    rho = pairs_of(weight.rho.restrict(window))
+    values = _weight_product(eq, rho, n, window)
+    return GridFunction(window.start, tuple(Fraction(*v) for v in values))
+
+
+def _weight_product(eq: HyperEquation, rho: list, n: int, window: Window) -> list:
+    """Y_n on ``window`` as reduced pairs, from the reduced pairs ``rho`` of
+    rho on it.  The product of sigma slides along the window on integer
+    numerators and denominators, reading the pairs of the sigma table by
+    2s: each step multiplies in sigma(s+1) and divides out sigma(s-n+1)
+    exactly, with zero factors counted apart, and each value is one gcd."""
     # factor i is sigma at 2s = first + 2i; point j reads factors j..j+n-1
     first, sigma = window.start.twice - 2 * (n - 1), eq._sigma
     factors = [sigma[first + 2 * i] for i in range(window.length + n - 1)]
     nums, dens = [f[0] for f in factors], [f[1] for f in factors]
     num, den, zeros = prod(v or 1 for v in nums[:n]), prod(dens[:n]), nums[:n].count(0)
     values = []
-    for j, r in enumerate(rho):
-        values.append(Fraction(0) if zeros else
-                      Fraction(r.numerator * num, r.denominator * den))
+    for j, (rn, rd) in enumerate(rho):
+        if zeros:
+            values.append((0, 1))
+        else:
+            a, b = rn * num, rd * den
+            g = gcd(a, b)
+            values.append((a // g, b // g))
         if j + n < len(factors):   # factor j + n comes in, factor j goes out
             num = num * (nums[j + n] or 1) // (nums[j] or 1)
             den = den * dens[j + n] // dens[j]
             zeros += (nums[j + n] == 0) - (nums[j] == 0)
-    return GridFunction(window.start, tuple(values))
+    return values
 
 
 def solve(eq: HyperEquation, n: int, window: Window, kind: str = "polynomial",
@@ -251,36 +268,45 @@ def solve(eq: HyperEquation, n: int, window: Window, kind: str = "polynomial",
         sum_base=N, poly=P)
 
 
-def _rodrigues(eq: HyperEquation, weight: PearsonWeight, n: int, window: Window,
+def _rodrigues(eq: HyperEquation, weight: list, n: int, window: Window,
                N: HalfInt | None = None, P: tuple | None = None) -> GridFunction:
     """(1/rho) delta_{-n}^{(n)} [Y_n C] on ``window``, reading rho and
-    sigma on ``window.expand(0, n)``.  C = 1 without P; with it, C is the
-    discrete integral from N of P(x_{-(n+1)}(t)) / (Y_n(t) sigma(t-n))
+    sigma on ``window.expand(0, n)``, where ``weight`` holds the reduced
+    pairs of rho from ``window.start`` on.  C = 1 without P; with it, C is
+    the discrete integral from N of P(x_{-(n+1)}(t)) / (Y_n(t) sigma(t-n))
     against nabla x_{-n}(t), and N must lie in that product window.  P is
     one ``IntegerForm`` in x, read once per point, and each integrand value
     is one normalization of the integers of P(x), Y_n and sigma, read as
-    the Horner pass of P at the pair of x and the pair of sigma.  The
-    callers pass a stencil or a head, and the whole enlarged window only in
-    the cases the module docstring names."""
+    the Horner pass of P at the pair of x and the pair of sigma.  Y_n stays
+    pairs, Y_n C is a pair times a ``Fraction`` with the cross gcds of
+    ``Fraction``'s product, and the n-fold difference divides by rho in its
+    last pass (``grid._passes``), so one ``Fraction`` is made per output
+    value.  The callers pass a stencil or a head, and the whole enlarged
+    window only in the cases the module docstring names."""
     lat = eq.lattice
-    product = Y_n(eq, weight, n, window.expand(0, n))
+    span = window.expand(0, n)
+    product = _weight_product(eq, weight[:span.length], n, span)
     if P is not None:
         p_form, xs, sigma = IntegerForm.of(P), lat._table, eq._sigma
 
-        def integrand(twice: int, y_n: Scalar) -> Scalar:
-            # P(x) / (y_n sigma), normalized once
+        def integrand(twice: int, yn: int, yd: int) -> Scalar:
+            # P(x) / (Y_n sigma), normalized once
             sn, sd = sigma[twice - 2 * n]
-            if y_n.numerator == 0 or sn == 0:
+            if yn == 0 or sn == 0:
                 t = HalfInt(twice)
                 raise SingularSummand(f"sigma product vanishes at t={t}", point=t)
             pn, pd = p_form.evaluated(*xs[twice - (n + 1)])
-            return Fraction(pn * y_n.denominator * sd, pd * y_n.numerator * sn)
+            return Fraction(pn * yd * sd, pd * yn * sn)
 
-        first = product.start.twice
-        g = GridFunction(product.start, tuple(integrand(first + 2 * j, v)
-                                              for j, v in enumerate(product.values)))
-        product = product * cumulative_nabla_sum(lat, -n, g, N)
-    return iterated_delta(lat, -n, n, product) / weight.rho.restrict(window)
+        first = span.start.twice
+        C = cumulative_nabla_sum(lat, -n, GridFunction(span.start, tuple(
+            integrand(first + 2 * j, *v) for j, v in enumerate(product))), N).values
+        for j, ((yn, yd), c) in enumerate(zip(product, C)):
+            cn, cd = c.numerator, c.denominator
+            g, h = gcd(yn, cd), gcd(cn, yd)
+            product[j] = (yn // g * (cn // h), yd // h * (cd // g))
+    return _passes(span.start.twice, product, lat, range(-n, 0), 0,
+                   f"iterated delta of order {n} needs {n + 1} points", weight)
 
 
 def _polynomial_kind(eq: HyperEquation, weight_on, n: int, window: Window) -> GridFunction:
@@ -290,16 +316,16 @@ def _polynomial_kind(eq: HyperEquation, weight_on, n: int, window: Window) -> Gr
     one integer Horner pass, sum C_k a^k b^(d-k), normalized once by D b^d.
     On the whole window if those points are all of it or two of them share
     x(s)."""
-    lat = eq.lattice
+    table, first = eq.lattice._table, window.start.twice
     stencil = Window(window.start, min(n + 1, window.length))
-    xs = [lat.x(s) for s in stencil.points()]
+    xs = [table[first + 2 * j] for j in range(stencil.length)]
     if stencil == window or len(set(xs)) < len(xs):
         return _rodrigues(eq, weight_on(window.expand(0, n)), n, window)
     ys = _rodrigues(eq, weight_on(stencil.expand(0, n)), n, stencil)
-    form, table = IntegerForm.through(xs, ys.values), lat._table
+    form = IntegerForm.through(xs, ys.values)
     values = list(ys.values)
     for j in range(stencil.length, window.length):
-        values.append(form.at(*table[window.start.twice + 2 * j]))
+        values.append(form.at(*table[first + 2 * j]))
     return GridFunction(window.start, tuple(values))
 
 
@@ -309,9 +335,19 @@ def casoratian(eq: HyperEquation, weight: PearsonWeight, y1: GridFunction,
     with the Casoratian W(s) = y1(s) y(s+1) - y1(s+1) y(s).  For two
     solutions of L y = 0 it is one constant, nonzero exactly when they are
     independent."""
+    r = weight.value_at(s + 1)
+    return _casoratian(eq, (r.numerator, r.denominator), y1, y, s)
+
+
+def _casoratian(eq: HyperEquation, rho: tuple, y1: GridFunction, y: GridFunction,
+                s: HalfInt) -> Scalar:
+    """``casoratian`` with the pair ``rho`` of rho(s+1): the integers of
+    sigma(s+1), rho(s+1), W(s) and the guarded step, normalized once."""
     t = s + 1
     w = y1.value_at(s) * y.value_at(t) - y1.value_at(t) * y.value_at(s)
-    return eq.lattice.delta_quotient(sigma_of_s(eq, t) * weight.value_at(t) * w, 0, s)
+    (sn, sd), (rn, rd) = eq._sigma[t.twice], rho
+    (dn, dd), = eq.lattice.divisors(s.twice, 0, s.twice, 1)
+    return Fraction(sn * rn * w.numerator * dd, sd * rd * w.denominator * dn)
 
 
 def _meets_zero_step(lat: Lattice, n: int, window: Window) -> bool:
@@ -327,7 +363,7 @@ def _meets_zero_step(lat: Lattice, n: int, window: Window) -> bool:
     return any(steps[a][0] == 0 for a in range(first, last + 1, 1 if n > 1 else 2))
 
 
-def _integral_kind(eq: HyperEquation, weight: PearsonWeight, n: int, window: Window,
+def _integral_kind(eq: HyperEquation, weight: list, n: int, window: Window,
                    N: HalfInt, P: tuple) -> GridFunction:
     """``_rodrigues`` with numerator P on a head of ``window``, continued by
     the Casoratian recurrence with the polynomial kind y1, with K at the
@@ -346,20 +382,20 @@ def _integral_kind(eq: HyperEquation, weight: PearsonWeight, n: int, window: Win
     # K where delta x_0 is nonzero: at the first point or else the second
     first = window.start.twice
     steps, sigma = lat._steps, eq._sigma
-    K = casoratian(eq, weight, y1, y, window.start + (steps[first][0] == 0))
+    i = int(steps[first][0] == 0)
+    K = _casoratian(eq, weight[i + 1], y1, y, window.start + i)
     kn, kd = K.numerator, K.denominator
-    rho = weight.rho.restrict(window).values
     values = list(y.values)
     for j in range(head.length - 1, window.length - 1):
         twice = first + 2 * j     # delta x_0(s) and sigma(s + 1) at s = twice/2
-        (dn, dd), (sn, sd), r = steps[twice], sigma[twice + 2], rho[j + 1]
+        (dn, dd), (sn, sd), (rn, rd) = steps[twice], sigma[twice + 2], weight[j + 1]
         a, b, c = u[j + 1], values[j], u[j]
         # y(s+1) = (tn/td + a b) / c with tn/td = K dx / (sg r): the sum over
         # lcm(td, pd) as Fraction adds, then divided by c with the cross
         # gcds Fraction's division takes, so the one normalization left
         # works on numbers the size of the value
-        tn = kn * dn * sd * r.denominator
-        td = kd * dd * sn * r.numerator
+        tn = kn * dn * sd * rd
+        td = kd * dd * sn * rn
         pd = a.denominator * b.denominator
         g = gcd(td, pd)
         td_g = td // g

@@ -1,20 +1,20 @@
 """The integer kernels against the ``Fraction`` arithmetic they replace.
 
-The n-fold differences (``grid``), the interpolation (``IntegerForm.through``),
-the algebra of integer forms, the three-term residual (``apply_L``,
-``apply_L_star``), the weight product ``Y_n``, the integrand and the
-Casoratian recurrence of the integral kinds, and the eigenvalue scan of
-``admissibility_violation`` run on integer numerators and denominators, and
-the discrete integral and the adjoint map read steps and coefficients by the
-integer 2s.  Each property compares one
-of them with a reference written here in plain ``Fraction`` arithmetic on
-half-integer points, with its own zero-step guard on steps taken from the
-family formula ``x_k``, and sigma, tau and sigma* written from sigma~ and
-tau~: values must be equal, and so must the class, text and point of any
-exception.  Lattices
-come from both families and all four classes (general, q-linear, ct2 = 0 and
-linear), with p of either sign, and half of them are symmetric about a
-centre that the window often straddles, so a zero step falls inside it.
+The n-fold differences (``grid``) and their division by rho, the
+interpolation (``IntegerForm.through``), the algebra of integer forms, the
+three-term residual (``apply_L``, ``apply_L_star``), the weight rho, the
+weight product ``Y_n``, the integrand and the Casoratian recurrence of the
+integral kinds, and the eigenvalue scan of ``admissibility_violation`` run
+on integer numerators and denominators, and the discrete integral and the
+adjoint map read steps and coefficients by the integer 2s.  Each property
+compares one of them with a reference written here in plain ``Fraction``
+arithmetic on half-integer points, with its own zero-step guard on steps
+taken from the family formula ``x_k``, and sigma, tau and sigma* written
+from sigma~ and tau~: values must be equal, and so must the class, text and
+point of any exception.  Lattices come from both families and all four
+classes (general, q-linear, ct2 = 0 and linear), with p of either sign, and
+half of them are symmetric about a centre that the window often straddles,
+so a zero step falls inside it.
 """
 
 from fractions import Fraction as F
@@ -60,7 +60,8 @@ from hyperlat import (
     tau_of_s,
     tau_star,
 )
-from hyperlat.equation import lambda_star_at
+from hyperlat.equation import lambda_star_at, pearson_steps, weight_from_steps
+from hyperlat.grid import _passes
 from hyperlat.numerics import IntegerForm
 from hyperlat.solutions import sum_base_for
 
@@ -200,6 +201,29 @@ def test_differences_equal_the_fraction_passes(lattice_start, k, n, length, data
     )
     for fn, args, levels, forward, short in cases:
         assert outcome(fn, *args) == outcome(ref_passes, lat, levels, f, forward, short), fn
+
+
+@settings(max_examples=150, deadline=None)
+@given(lattices_and_starts(), st.integers(-3, 3), st.integers(0, 5), st.integers(1, 9), st.data())
+def test_the_pair_passes_divide_by_rho_as_the_fraction_quotient(lattice_start, k, n, length,
+                                                                data):
+    """The kernel the Rodrigues evaluator runs: the passes on reduced pairs,
+    each output divided by the rho pair at its index, against the public
+    difference divided by rho as grid functions."""
+    lat, start = lattice_start
+    f = GridFunction(start, data.draw(grid_values(length)))
+    rho = [v or F(1) for v in data.draw(grid_values(max(1, length - n)))]
+    values, pairs = [(v.numerator, v.denominator) for v in f.values], [
+        (v.numerator, v.denominator) for v in rho]
+    for fn, levels, shift, name in ((iterated_delta, range(k, k + n), 0, "delta"),
+                                    (iterated_nabla, range(k, k - n, -1), 1, "nabla")):
+        def expected():
+            out = fn(lat, k, n, f)
+            return out / GridFunction(out.start, rho)
+
+        short = f"iterated {name} of order {n} needs {n + 1} points"
+        got = outcome(_passes, f.start.twice, values, lat, levels, shift, short, pairs)
+        assert got == outcome(expected), fn
 
 
 # ---------------------------------------------------------------------------
@@ -432,6 +456,34 @@ def ref_Y_n(eq, rho, n, window):
         return value
 
     return GridFunction.sample(window, product)
+
+
+@st.composite
+def weight_problems(draw):
+    """An equation on either family, a window of 1..16 points and a point
+    of it to anchor the Pearson scan at."""
+    lat, start = draw(lattices_and_starts())
+    eq = HyperEquation(lat, draw(st.tuples(small, small, small)), draw(st.tuples(small, small)))
+    window = Window(start, draw(st.integers(1, 16)))
+    return eq, window, draw(st.integers(0, window.length - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(weight_problems())
+def test_weight_pairs_equal_the_fraction_product_of_the_steps(problem):
+    eq, window, base = problem
+    try:
+        steps = pearson_steps(eq, window, window.start + base)
+    except HyperlatError:
+        return
+    rho = weight_from_steps(steps, window, base)
+    expected = [F(1)] * window.length
+    for j in (*range(base + 1, window.length), *range(base - 1, -1, -1)):
+        expected[j] = expected[j - 1 if j > base else j + 1] * F(*steps[j])
+    for (num, den), value in zip(rho, expected, strict=True):
+        assert type(num) is int and type(den) is int
+        assert den > 0 and gcd(num, den) == 1
+        assert (num, den) == (value.numerator, value.denominator)
 
 
 def with_sigma_zero_at(eq, s):

@@ -368,6 +368,25 @@ def test_solve_dispatch_and_report_json(equation, window):
         solve(equation, 2, window, kind="nonsense")
 
 
+def test_solve_makes_and_reads_no_pearson_weight(equation, window, monkeypatch):
+    # solve() keeps rho as reduced pairs: with the weight's Fraction view
+    # unusable, every kind still returns the same values
+    problems = [(n, kind, P) for n in range(5) for kind, P in (
+        ("polynomial", None), ("second", None),
+        ("generalized", tuple(F(3 - j, j + 1) for j in range(n + 1))))]
+    before = [solve(equation, n, window, kind, P=P) for n, kind, P in problems]
+
+    def unusable(*args):
+        raise AssertionError("solve() used the Fraction view of the weight")
+
+    monkeypatch.setattr(PearsonWeight, "rho", property(unusable), raising=False)
+    monkeypatch.setattr(PearsonWeight, "value_at", unusable)
+    fresh = type(equation)(equation.lattice, equation.sigma_t, equation.tau_t)
+    for (n, kind, P), report in zip(problems, before):
+        again = solve(fresh, n, window, kind, P=P)
+        assert (again.solution, again.residual) == (report.solution, report.residual)
+
+
 def test_verify_solves_each_distinct_problem_once(monkeypatch):
     calls, weights, scans = [], [], []
     real_solve = solutions.solve
