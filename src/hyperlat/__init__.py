@@ -5,7 +5,8 @@ adjoint-equation machinery that certifies all of them with exact residuals.
 
 The identity suite (``IdentityResult``, ``identity_names``,
 ``run_identity_suite``) is imported on first access, so a process that only
-solves never loads it.
+solves never loads it; ``__all__`` names it too, so ``from hyperlat import *``
+imports it.
 """
 
 from .equation import (
@@ -88,6 +89,34 @@ from .solutions import (
 )
 
 __version__ = "0.1.0"
+
+__all__ = [
+    # equation
+    "AdjointCoefficients", "HyperEquation", "PearsonWeight", "adjoint_coeffs",
+    "admissibility_violation", "apply_L", "apply_L_star", "dual_coefficients", "hat_mu_n",
+    "hat_tau_k", "lambda_n", "lambda_star", "mu_k", "pearson_weight", "rho_k", "sigma_of_s",
+    "sigma_star", "tau_k", "tau_of_s", "tau_star",
+    # errors
+    "DegenerateAbscissae", "DegenerateStep", "DivisionByZero", "HyperlatError",
+    "LatticeError", "NonConstantLambdaStar", "OracleDimensionError", "OutOfWindow",
+    "PearsonSingularity", "ProblemFormatError", "RationalParseError", "SingularSummand",
+    "WindowTooSmall",
+    # grid
+    "GridFunction", "Window", "cumulative_nabla_sum", "delta_k", "iterated_delta",
+    "iterated_nabla", "nabla_k",
+    # lattice
+    "HalfInt", "Lattice", "QQuadraticLattice", "QuadraticLattice",
+    # numerics
+    "Rational", "Scalar", "format_rational", "format_scalar", "parse_rational",
+    # problem
+    "ParseDiagnostic", "ProblemSpec", "parse_problem", "parse_problem_bytes",
+    "parse_problem_with_diagnostics", "render_problem",
+    # solutions
+    "SolutionReport", "Y_n", "brute_force_polynomial_oracle", "casoratian", "gamma_ell_eta",
+    "nullspace", "polynomial_coefficients", "solve", "weight_window_for",
+    # identities, imported on first access
+    "IdentityResult", "identity_names", "run_identity_suite",
+]
 
 
 def __getattr__(name: str):

@@ -22,8 +22,6 @@ and passes both to ``_emit``, the only code that reads ``--format`` and
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import json
 import sys
 
 from . import equation as eqn
@@ -75,6 +73,7 @@ def _emit(args, lines, document) -> None:
     ``lines()`` (CSV or text) or ``document()`` (JSON), and write it to
     ``--out`` or standard output."""
     if args.format == "json":
+        import json   # only JSON output needs it
         text = json.dumps(document(), indent=2) + "\n"
     else:
         text = "\n".join(lines()) + "\n"
@@ -112,7 +111,7 @@ def _cmd_verify(args, spec: ProblemSpec) -> int:
     summary = f"FAILED: {failed[0]}" if failed else f"ok: {len(results)} identities"
     _emit(args, lambda: [f"PASS {r.name}" if r.passed else f"FAIL {r.name}: {r.detail}"
                          for r in results] + [summary],
-          lambda: [dataclasses.asdict(r) for r in results])
+          lambda: [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results])
     return EXIT_FAILED if failed else EXIT_OK
 
 

@@ -73,7 +73,6 @@ pass on integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd, prod
 
@@ -85,11 +84,10 @@ from .errors import (
 )
 from .grid import GridFunction, Window
 from .lattice import FormTable, HalfInt, Lattice
-from .numerics import Scalar, format_rational
+from .numerics import Record, Scalar, format_rational
 
 
-@dataclass(frozen=True)
-class HyperEquation:
+class HyperEquation(Record):
     """Coefficients sigma_t = (sigma~(0), sigma~'(0), sigma~''/2) and
     tau_t = (tau~(0), tau~'), with the spectral parameter ``lam``.
 
@@ -98,22 +96,24 @@ class HyperEquation:
     declared once (``FormTable.declared``), and made on its first read with
     its integer form composed from the lattice's tables
     (``Lattice.composed``).  The tables live as long as the equation (and
-    the copies ``with_lambda`` makes, which share the tables made so far)
-    and take no part in equality, hashing or ``repr``.
+    the copies ``with_lambda`` makes, which share the tables made so far).
+    The fields are ``lattice``, ``sigma_t``, ``tau_t`` and ``lam``; the
+    tables are not fields, so they take no part in equality, hashing or
+    ``repr`` (``numerics.Record``).
     """
 
-    lattice: Lattice
-    sigma_t: tuple
-    tau_t: tuple
-    lam: Scalar = Fraction(0)
+    _fields = ("lattice", "sigma_t", "tau_t", "lam")
 
-    def __post_init__(self):
-        if len(self.sigma_t) != 3:
+    def __init__(self, lattice: Lattice, sigma_t: tuple, tau_t: tuple,
+                 lam: Scalar = Fraction(0)):
+        if len(sigma_t) != 3:
             raise ValueError("sigma_t must have exactly three coefficients")
-        if len(self.tau_t) != 2:
+        if len(tau_t) != 2:
             raise ValueError("tau_t must have exactly two coefficients")
-        object.__setattr__(self, "sigma_t", tuple(self.sigma_t))
-        object.__setattr__(self, "tau_t", tuple(self.tau_t))
+        object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "sigma_t", tuple(sigma_t))
+        object.__setattr__(self, "tau_t", tuple(tau_t))
+        object.__setattr__(self, "lam", lam)
 
     # Horner order with x on the left, so that on an integer form x each
     # product and sum runs the form's own operator
@@ -158,9 +158,10 @@ class HyperEquation:
         return self._star.fraction(twice)
 
     def with_lambda(self, lam: Scalar) -> "HyperEquation":
-        """The same equation at another lambda; sigma, tau and sigma* do not
-        depend on lambda, so the copy shares the tables made so far."""
-        other = replace(self, lam=lam)
+        """The same equation at another lambda, built by the constructor;
+        sigma, tau and sigma* do not depend on lambda, so the copy shares
+        the tables made so far."""
+        other = self.__class__(self.lattice, self.sigma_t, self.tau_t, lam)
         for name, table in vars(self).items():
             if isinstance(table, FormTable):
                 object.__setattr__(other, name, table)
@@ -171,11 +172,13 @@ class HyperEquation:
         return lat.alpha(mu - 1) * self.tau_t[1] + lat.nu(mu - 1) * self.sigma_t[2]
 
 
-@dataclass(frozen=True)
-class PearsonWeight:
+class PearsonWeight(Record):
     """rho on a window, normalized to 1 at the anchor it was built from."""
 
-    rho: GridFunction
+    _fields = ("rho",)
+
+    def __init__(self, rho: GridFunction):
+        object.__setattr__(self, "rho", rho)
 
     @property
     def window(self) -> Window:
@@ -185,11 +188,15 @@ class PearsonWeight:
         return self.rho.value_at(s)
 
 
-@dataclass(frozen=True)
-class AdjointCoefficients:
-    sigma_star: GridFunction
-    tau_star: GridFunction
-    lambda_star: Scalar
+class AdjointCoefficients(Record):
+    """sigma* and tau* on a window, and the constant lambda*."""
+
+    _fields = ("sigma_star", "tau_star", "lambda_star")
+
+    def __init__(self, sigma_star: GridFunction, tau_star: GridFunction, lambda_star: Scalar):
+        object.__setattr__(self, "sigma_star", sigma_star)
+        object.__setattr__(self, "tau_star", tau_star)
+        object.__setattr__(self, "lambda_star", lambda_star)
 
 
 def sigma_of_s(eq: HyperEquation, s: HalfInt) -> Scalar:

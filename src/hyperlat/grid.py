@@ -39,26 +39,25 @@ restrict them to a common one first.  A scalar multiplies from the left.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from collections.abc import Callable, Iterator
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Iterator
 
 from .errors import OutOfWindow, WindowTooSmall
 from .lattice import HalfInt, Lattice
-from .numerics import Scalar
+from .numerics import Record, Scalar
 
 
-@dataclass(frozen=True)
-class Window:
+class Window(Record):
     """A contiguous run of unit-step half-integer points."""
 
-    start: HalfInt
-    length: int
+    _fields = ("start", "length")
 
-    def __post_init__(self):
-        if self.length < 1:
+    def __init__(self, start: HalfInt, length: int):
+        if length < 1:
             raise WindowTooSmall("window length must be at least 1")
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "length", length)
 
     @classmethod
     def span(cls, start: HalfInt, end: HalfInt) -> "Window":
@@ -98,17 +97,17 @@ class Window:
         return f"{self.start}..{self.end}"
 
 
-@dataclass(frozen=True)
-class GridFunction:
+class GridFunction(Record):
     """Values of a function on a window; value j belongs to start + j."""
 
-    start: HalfInt
-    values: tuple
+    _fields = ("start", "values")
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
-        if len(self.values) < 1:
+    def __init__(self, start: HalfInt, values: tuple):
+        values = tuple(values)
+        if not values:
             raise WindowTooSmall("a grid function needs at least one value")
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "values", values)
 
     @classmethod
     def sample(cls, window: Window, fn: Callable[[HalfInt], Scalar]) -> "GridFunction":

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import equation as eqn
@@ -32,15 +31,19 @@ from .grid import (
     iterated_nabla,
     nabla_k,
 )
-from .numerics import Scalar, format_rational
+from .numerics import Record, Scalar, format_rational
 from .problem import ProblemSpec
 
 
-@dataclass(frozen=True)
-class IdentityResult:
-    name: str
-    passed: bool
-    detail: str = ""
+class IdentityResult(Record):
+    """One named check: passed, or the reason it did not in ``detail``."""
+
+    _fields = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str = ""):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "detail", detail)
 
 
 class _CheckFailed(Exception):
@@ -57,12 +60,13 @@ def _ensure_zero(value: Scalar, message: str) -> None:
         raise _CheckFailed(f"{message} (off by {format_rational(value)})")
 
 
-@dataclass
 class _Ctx:
-    spec: ProblemSpec
-    eq: eqn.HyperEquation
-    rng: random.Random
-    _memo: dict = field(default_factory=dict, repr=False)
+    """What the checks of one suite run share: the spec, its equation, one
+    random stream and the memo of ``_once``."""
+
+    def __init__(self, spec: ProblemSpec, eq: eqn.HyperEquation, rng: random.Random):
+        self.spec, self.eq, self.rng = spec, eq, rng
+        self._memo = {}
 
     @property
     def lat(self):

@@ -68,24 +68,37 @@ equation's ``sigma_at``, ``tau_at`` and ``sigma_star_at``) return
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import gcd
 
 from .errors import DegenerateStep, LatticeError
-from .numerics import IntegerForm, Rational, Scalar, format_rational
+from .numerics import IntegerForm, Rational, Record, Scalar, format_rational
 
 
-@dataclass(frozen=True, order=True)
-class HalfInt:
-    """An exact half-integer s, stored as ``twice`` = 2s.
+class HalfInt(Record):
+    """An exact half-integer s, stored as ``twice`` = 2s, and ordered by it.
 
     Closed under unit steps (s + j for integer j); a half step s + k/2 is
     ``HalfInt(s.twice + k)``.  That is all the lattice calculus needs.
     """
 
-    twice: int
+    _fields = ("twice",)
+
+    def __init__(self, twice: int):
+        object.__setattr__(self, "twice", twice)
+
+    def __lt__(self, other):
+        return self.twice < other.twice if other.__class__ is self.__class__ else NotImplemented
+
+    def __le__(self, other):
+        return self.twice <= other.twice if other.__class__ is self.__class__ else NotImplemented
+
+    def __gt__(self, other):
+        return self.twice > other.twice if other.__class__ is self.__class__ else NotImplemented
+
+    def __ge__(self, other):
+        return self.twice >= other.twice if other.__class__ is self.__class__ else NotImplemented
 
     @classmethod
     def from_int(cls, value: int) -> "HalfInt":
@@ -129,8 +142,10 @@ class FormTable(dict):
 
     class declared:
         """An owner's table, declared by the method that makes it: made on
-        the first read of the attribute and then stored on the owner, even
-        a frozen one, by ``object.__setattr__``.  Unlike
+        the first read of the attribute and then stored on the owner by
+        ``object.__setattr__``, past the frozen ``__setattr__`` of a
+        ``numerics.Record``.  It is not one of the owner's ``_fields``, so it
+        takes no part in equality, hashing or ``repr``.  Unlike
         ``functools.cached_property`` it leaves the owner's ``__dict__``
         alone: materializing it makes every other attribute read of the
         owner slower."""
@@ -146,8 +161,7 @@ class FormTable(dict):
             return table
 
 
-@dataclass(frozen=True)
-class Lattice:
+class Lattice(Record):
     """Common interface of the two families.  Instances are immutable.
 
     x_k(s) depends on k and s only through the integer 2s + k, so every
@@ -288,24 +302,23 @@ def _power_point(num: int, den: int, t: int) -> tuple[int, int]:
     return (num ** t, den ** t) if t >= 0 else (den ** -t, num ** -t)
 
 
-@dataclass(frozen=True)
 class QQuadraticLattice(Lattice):
     """x(s) = c1*q^s + c2*q^(-s) + c3 with q = p^2."""
 
-    p: Rational
-    c1: Rational
-    c2: Rational
-    c3: Rational
+    _fields = ("p", "c1", "c2", "c3")
 
-    def __post_init__(self):
-        if self.p == 0 or self.p == 1 or self.p == -1:
+    def __init__(self, p: Rational, c1: Rational, c2: Rational, c3: Rational):
+        if p == 0 or p == 1 or p == -1:
             raise LatticeError("p must not be 0, 1, or -1")
-        if self.c1 == 0 and self.c2 == 0:
+        if c1 == 0 and c2 == 0:
             raise LatticeError(
                 "q-quadratic lattice needs c1 or c2 nonzero (x(s) is constant)")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "c1", c1)
+        object.__setattr__(self, "c2", c2)
+        object.__setattr__(self, "c3", c3)
         # the point reader holds the integers of p, not the lattice
-        object.__setattr__(self, "point", partial(_power_point, self.p.numerator,
-                                                  self.p.denominator))
+        object.__setattr__(self, "point", partial(_power_point, p.numerator, p.denominator))
 
     def written_x(self) -> IntegerForm:
         """c2 (p^t)^-1 + c3 + c1 p^t."""
@@ -329,18 +342,18 @@ class QQuadraticLattice(Lattice):
         return (pm + 1 / pm) / 2
 
 
-@dataclass(frozen=True)
 class QuadraticLattice(Lattice):
     """x(s) = ct1*s^2 + ct2*s + ct3."""
 
-    ct1: Rational
-    ct2: Rational
-    ct3: Rational
+    _fields = ("ct1", "ct2", "ct3")
 
-    def __post_init__(self):
-        if self.ct1 == 0 and self.ct2 == 0:
+    def __init__(self, ct1: Rational, ct2: Rational, ct3: Rational):
+        if ct1 == 0 and ct2 == 0:
             raise LatticeError(
                 "quadratic lattice needs ct1 or ct2 nonzero (x(s) is constant)")
+        object.__setattr__(self, "ct1", ct1)
+        object.__setattr__(self, "ct2", ct2)
+        object.__setattr__(self, "ct3", ct3)
 
     @staticmethod
     def point(twice: int) -> tuple[int, int]:

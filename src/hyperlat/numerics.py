@@ -13,6 +13,11 @@ denominator) and one normalization: one gcd into the reduced pair that a
 Forms are built by exact integer algebra (sums, products, rational
 scalings and moves of the variable), and interpolated in one place
 (``IntegerForm.through``).
+
+``Record`` is the base of the library's immutable value classes (points,
+windows, grid functions, lattices, equations, reports): equality, hashing,
+``repr`` and the frozen attributes are written once on it, and each class
+writes its own constructor, so importing the library generates no code.
 """
 
 from __future__ import annotations
@@ -99,6 +104,47 @@ def format_rational(value: Rational) -> str:
 
 #: The name the CLI and callers outside the library format values through.
 format_scalar = format_rational
+
+
+class Record:
+    """The base of the library's immutable value classes.
+
+    A subclass names its fields in ``_fields``, in the order of its
+    ``__init__``'s parameters, and its ``__init__`` checks its arguments and
+    sets each field with ``object.__setattr__``.  Records of one class are
+    equal when their fields are, and a record never equals an object of
+    another class; the hash is that of the tuple of fields, and the repr
+    ``Name(field=value, ...)``.  Assigning or deleting an attribute raises
+    ``dataclasses.FrozenInstanceError``.  What an owner stores beside its
+    fields through ``object.__setattr__`` (the tables of
+    ``lattice.FormTable.declared``) takes no part in equality, hashing or
+    the repr.  No code is generated: a process that only solves never
+    imports ``dataclasses``."""
+
+    _fields: tuple = ()
+
+    def _astuple(self) -> tuple:
+        return tuple(map(self.__getattribute__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 class IntegerForm:

@@ -25,7 +25,6 @@ arbitrary input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .equation import HyperEquation, lambda_n
@@ -37,7 +36,7 @@ from .errors import (
 )
 from .grid import Window
 from .lattice import HalfInt, Lattice, QQuadraticLattice, QuadraticLattice
-from .numerics import Rational, format_rational, parse_rational
+from .numerics import Rational, Record, format_rational, parse_rational
 
 MAX_N = 16
 MIN_WINDOW_MARGIN = 5  # window length must be at least n + this
@@ -50,26 +49,36 @@ _FAMILIES = {
 }
 
 
-@dataclass(frozen=True)
-class ParseDiagnostic:
-    line: int
-    column: int
-    message: str
+class ParseDiagnostic(Record):
+    """One error of a problem file, at a 1-based line and column."""
+
+    _fields = ("line", "column", "message")
+
+    def __init__(self, line: int, column: int, message: str):
+        object.__setattr__(self, "line", line)
+        object.__setattr__(self, "column", column)
+        object.__setattr__(self, "message", message)
 
     def __str__(self) -> str:
         return f"{self.line}:{self.column}: error: {self.message}"
 
 
-@dataclass(frozen=True)
-class ProblemSpec:
-    lattice: Lattice
-    sigma_t: tuple
-    tau_t: tuple
-    n: int
-    window: Window
-    lam: Rational | None = None
-    sum_base: HalfInt | None = None
-    poly_p: tuple | None = None
+class ProblemSpec(Record):
+    """A parsed problem file; the keys that a file may leave out are None."""
+
+    _fields = ("lattice", "sigma_t", "tau_t", "n", "window", "lam", "sum_base", "poly_p")
+
+    def __init__(self, lattice: Lattice, sigma_t: tuple, tau_t: tuple, n: int, window: Window,
+                 lam: Rational | None = None, sum_base: HalfInt | None = None,
+                 poly_p: tuple | None = None):
+        object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "sigma_t", sigma_t)
+        object.__setattr__(self, "tau_t", tau_t)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "window", window)
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "sum_base", sum_base)
+        object.__setattr__(self, "poly_p", poly_p)
 
     def equation(self) -> HyperEquation:
         """Build the equation, with lambda defaulted to lambda_n when the
@@ -86,11 +95,13 @@ _IDENT_CONT = _IDENT_START | set("0123456789")
 _NUM_START = set("-0123456789")
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str   # ident | num | eq | comma | dotdot
-    text: str
-    column: int  # 1-based
+class _Token(Record):
+    _fields = ("kind", "text", "column")
+
+    def __init__(self, kind: str, text: str, column: int):
+        object.__setattr__(self, "kind", kind)    # ident | num | eq | comma | dotdot
+        object.__setattr__(self, "text", text)
+        object.__setattr__(self, "column", column)  # 1-based
 
 
 def _tokenize_line(line: str, lineno: int, diagnostics: list) -> list[_Token] | None:

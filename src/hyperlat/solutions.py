@@ -87,7 +87,6 @@ comparison with it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
 
@@ -113,22 +112,34 @@ from .errors import (
 )
 from .grid import GridFunction, Window, _passes, cumulative_nabla_sum, pairs_of
 from .lattice import HalfInt, Lattice
-from .numerics import IntegerForm, Scalar, format_scalar
+from .numerics import IntegerForm, Record, Scalar, format_scalar
 
 
-@dataclass(frozen=True)
-class SolutionReport:
+class SolutionReport(Record):
     """A generated solution bundled with its residual verification."""
 
-    kind: str                      # polynomial | second_kind | generalized
-    n: int
-    lam_n: Scalar                  # the eigenvalue lambda_n used to build it
-    solution: GridFunction
-    residual: GridFunction         # L over window.expand(1, 1), on the solution window
-    residual_lam: Scalar           # lambda the residual was evaluated with
-    inadmissible_m: int | None     # first m < n with lambda_m = lambda_n
-    sum_base: HalfInt | None = None
-    poly: tuple | None = None
+    _fields = ("kind", "n", "lam_n", "solution", "residual", "residual_lam",
+               "inadmissible_m", "sum_base", "poly")
+
+    def __init__(self,
+                 kind: str,                   # polynomial | second_kind | generalized
+                 n: int,
+                 lam_n: Scalar,               # the eigenvalue lambda_n used to build it
+                 solution: GridFunction,
+                 residual: GridFunction,      # L over window.expand(1, 1), on the solution window
+                 residual_lam: Scalar,        # lambda the residual was evaluated with
+                 inadmissible_m: int | None,  # first m < n with lambda_m = lambda_n
+                 sum_base: HalfInt | None = None,
+                 poly: tuple | None = None):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "lam_n", lam_n)
+        object.__setattr__(self, "solution", solution)
+        object.__setattr__(self, "residual", residual)
+        object.__setattr__(self, "residual_lam", residual_lam)
+        object.__setattr__(self, "inadmissible_m", inadmissible_m)
+        object.__setattr__(self, "sum_base", sum_base)
+        object.__setattr__(self, "poly", poly)
 
     def residual_max_abs(self) -> Scalar:
         return self.residual.max_abs()

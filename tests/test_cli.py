@@ -503,3 +503,37 @@ def test_the_identity_suite_is_imported_only_when_asked_for():
         "print(len(identity_names()))"])))
     assert result.returncode == 0, result.stderr
     assert result.stdout == "34\n"
+
+
+def test_star_import_brings_every_public_name():
+    """``__all__`` is every public name of the package, the identity suite's
+    included, which ``from hyperlat import *`` imports; a plain import
+    still leaves the suite unloaded."""
+    result = run_cli(launcher=("-c", "\n".join([
+        "import sys, types, hyperlat",
+        "assert 'hyperlat.identities' not in sys.modules",
+        "public = {name for name, value in vars(hyperlat).items()",
+        "          if not name.startswith('_') and not isinstance(value, types.ModuleType)}",
+        "lazy = {'IdentityResult', 'identity_names', 'run_identity_suite'}",
+        "assert sorted(hyperlat.__all__) == sorted(public | lazy), hyperlat.__all__",
+        "from hyperlat import *",
+        "print(run_identity_suite.__module__, solve.__module__)"])))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "hyperlat.identities hyperlat.solutions\n"
+
+
+def test_a_solve_process_imports_no_code_generation_or_json():
+    """Under ``python -S`` (no ``site``, which may preload modules), a CSV
+    solve through the CLI leaves ``dataclasses`` (and the ``inspect``
+    behind it), ``json`` and ``typing`` unimported."""
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", "\n".join([
+            "import sys",
+            "import hyperlat.cli",
+            "code = hyperlat.cli.main(['solve', '--spec', 'demos/quadratic.spec'])",
+            "names = ('dataclasses', 'inspect', 'json', 'typing')",
+            "print(code, [name for name in names if name in sys.modules], file=sys.stderr)"])],
+        capture_output=True, text=True, cwd=REPO,
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")})
+    assert result.stderr == "0 []\n"
+    assert result.stdout == (GOLDEN / "solve_quadratic.csv").read_text()
