@@ -69,13 +69,14 @@ equation's ``sigma_at``, ``tau_at`` and ``sigma_star_at``) return
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
+from functools import partial, total_ordering
 from math import gcd
 
 from .errors import DegenerateStep, LatticeError
 from .numerics import IntegerForm, Rational, Record, Scalar, format_rational
 
 
+@total_ordering
 class HalfInt(Record):
     """An exact half-integer s, stored as ``twice`` = 2s, and ordered by it.
 
@@ -90,15 +91,6 @@ class HalfInt(Record):
 
     def __lt__(self, other):
         return self.twice < other.twice if other.__class__ is self.__class__ else NotImplemented
-
-    def __le__(self, other):
-        return self.twice <= other.twice if other.__class__ is self.__class__ else NotImplemented
-
-    def __gt__(self, other):
-        return self.twice > other.twice if other.__class__ is self.__class__ else NotImplemented
-
-    def __ge__(self, other):
-        return self.twice >= other.twice if other.__class__ is self.__class__ else NotImplemented
 
     @classmethod
     def from_int(cls, value: int) -> "HalfInt":
