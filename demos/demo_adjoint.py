@@ -8,7 +8,9 @@ closed forms through the ladder machinery:
     tau*(s)  = -tau_{-2}(s+1)
     lambda*  = lambda - kappa_{-1}
 
-and applying the starred construction twice returns the original equation.
+L* is again an equation of hypergeometric type on the same lattice, with
+sigma~* of degree <= 2 and tau~* of slope -kappa_{-3} in x(s), and the
+adjoint of the adjoint is the original equation.
 """
 
 import random
@@ -23,12 +25,10 @@ from hyperlat import (
     adjoint_coeffs,
     apply_L,
     apply_L_star,
-    dual_coefficients,
     pearson_weight,
-    sigma_of_s,
     tau_k,
-    tau_of_s,
 )
+from hyperlat.equation import adjoint
 
 lattice = QQuadraticLattice(F(3, 2), F(1), F(1), F(0))   # q = 9/4
 equation = HyperEquation(lattice, (F(1), F(0), F(1)), (F(2), F(-3)), lam=F(5, 2))
@@ -52,10 +52,9 @@ lhs = apply_L_star(equation, weight.rho * y)
 rhs = weight.rho.restrict(lhs.window) * apply_L(equation, y)
 print("L*[rho y] == rho L[y] pointwise:", (lhs - rhs).is_zero())
 
-# duality: the starred coefficients reconstruct the original equation
-s = HalfInt.from_int(6)
-sig, tau, lam = dual_coefficients(equation, s)
-print("dual reconstruction returns (sigma, tau, lambda):",
-      sig == sigma_of_s(equation, s),
-      tau == tau_of_s(equation, s),
-      lam == equation.lam)
+# the adjoint as an equation (sigma~*, tau~*, lambda*), and its adjoint
+star = adjoint(equation)
+print("sigma~*(x) coefficients (1, x, x^2):", ", ".join(map(str, star.sigma_t)))
+print("tau~*(x) coefficients (1, x):", ", ".join(map(str, star.tau_t)),
+      f"with slope -kappa_-3 = {-equation.kappa(-3)}")
+print("the adjoint of the adjoint is the equation:", adjoint(star) == equation)

@@ -18,42 +18,40 @@ The level-k ladder coefficients
 drive the polynomial eigenfunctions, and the adjoint coefficients
 
     sigma*(s) = sigma(s-1) + tau(s-1) nabla x_{-1}(s)
-    tau*(s)   = [sigma(s+1) - sigma(s-1) - tau(s-1) nabla x_{-1}(s)] / delta x_{-1}(s)
+    tau*(s)   = [sigma(s+1) - sigma*(s)] / delta x_{-1}(s)
     lambda*   = lambda - kappa_{-1}
 
-define the adjoint operator L*, which satisfies L*[rho y] = rho L[y] for the
-Pearson weight rho.  By these definitions, since nabla x_{-1}(s+1) =
-delta x_{-1}(s),
+define the adjoint operator L*, with L*[rho y] = rho L[y] for the Pearson
+weight rho.  As nabla x_{-1}(s+1) = delta x_{-1}(s), sigma(s) + tau(s)
+delta x_{-1}(s) = sigma*(s+1), so the three-term form L[y](s) =
+A(s) y(s+1) + B(s) y(s) + C(s) y(s-1) reads the tables of sigma and sigma*
+and no tau, and L* is the same form with the two tables swapped.  A, B and
+C are integers over one denominator per point, and each value is summed
+over one common denominator and normalized once (``_three_term``).
 
-    sigma(s)  + tau(s)  delta x_{-1}(s) = sigma*(s+1),
-    sigma*(s) + tau*(s) delta x_{-1}(s) = sigma(s+1).
-
-L and L* are the same operator with different coefficients, evaluated in
-the three-term form L[y](s) = A(s) y(s+1) + B(s) y(s) + C(s) y(s-1), where
-by the identity above A reads sigma* for L and sigma for L*, so L reads
-the tables of sigma and sigma* and no tau, and L* evaluates no tau*.  A, B
-and C are integers over one denominator per point, and each value is
-summed over one common denominator and normalized once (``_three_term``).
-The adjoint map (sigma, tau, lambda) ->
-(sigma*, tau*, lambda*) is written once, for any pair of coefficient
-functions, and it is an involution: ``dual_coefficients`` applies it a
-second time, to the starred coefficients, and must get back sigma, tau and
-lambda.  ``lambda_star`` is the closed form above, checked against its
-defining expression (``lambda_star_at``) wherever it is used: on the window
-of ``adjoint_coeffs``, the output of ``apply_L_star`` and the point of
-``dual_coefficients``.  hat_mu_n is lambda* at lambda = lambda_n.  The
-weight itself is fixed only up to scale by
+L* is again an equation of hypergeometric type on the lattice (NSU ch. 3):
+``adjoint(eq)`` builds it once, on first use, as the ``HyperEquation``
+(sigma~*, tau~*, lambda*), where tau~* is the line of slope -kappa_{-3}
+through tau* at the first of three nodes of distinct x and nonzero
+delta x_{-1}, and sigma~* is interpolated there (``IntegerForm.through``)
+from sigma~*(x(s)) = sigma*(s) + tau*(s) nabla x_1(s) / 2, which is
+[sigma*(s) + sigma(s+1)] / 2.  Its sigma and sigma* forms must equal the
+sigma* and sigma forms on the whole lattice (else ``AssertionError``, a
+library bug, as in ``Lattice.checked``), and it then shares those tables.
+Every adjoint quantity reads it: ``tau_star`` its tau behind the step
+guard, ``apply_L_star`` its ``apply_L``, and ``dual_coefficients`` the
+adjoint of the adjoint, built from the adjoint's tables, which must be the
+equation.  The closed form ``lambda_star`` is checked against its defining
+expression (``lambda_star_at``) wherever L* is applied (``adjoint_coeffs``,
+``apply_L_star``); hat_mu_n is lambda* at lambda = lambda_n.  The weight is
+fixed only up to scale by
 
     delta_{-1}[sigma rho] = tau rho,  i.e.  rho(s+1) / rho(s) = sigma*(s+1) / sigma(s+1),
 
-and is normalized here to rho(anchor) = 1.  sigma* is written out once
-(``_adjoint_sigma``).  For the equation's own coefficients it is the closed
-formula of the sigma* table, which tau_k = [sigma*(s+k+1) - sigma(s)] /
-nabla x_{k+1}(s), the Pearson step, tau* and lambda* read.  tau* and
-lambda* are written for readers of 2s of sigma and sigma*, since the
-adjoint map also applies to the starred coefficients: ``dual_coefficients``
-passes sigma* in place of sigma, and in place of sigma* the one built from
-sigma* and tau*.
+normalized here to rho(anchor) = 1, and the adjoint's weight is a constant
+times 1/rho.  sigma* is written once (``_adjoint_sigma``), as the formula
+of its table, which tau_k = [sigma*(s+k+1) - sigma(s)] / nabla x_{k+1}(s),
+the Pearson step and lambda* read.
 
 sigma(s), tau(s) and sigma*(s) are ``lattice.FormTable`` tables of
 reduced integer pairs, filled from integer forms each composed from the
@@ -76,15 +74,10 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, prod
 
-from .errors import (
-    NonConstantLambdaStar,
-    OutOfWindow,
-    PearsonSingularity,
-    WindowTooSmall,
-)
+from .errors import NonConstantLambdaStar, OutOfWindow, PearsonSingularity, WindowTooSmall
 from .grid import GridFunction, Window
 from .lattice import FormTable, HalfInt, Lattice
-from .numerics import Record, Scalar, format_rational
+from .numerics import IntegerForm, Record, Scalar, format_rational
 
 
 class HyperEquation(Record):
@@ -92,14 +85,14 @@ class HyperEquation(Record):
     tau_t = (tau~(0), tau~'), with the spectral parameter ``lam``.
 
     sigma(s), tau(s) and sigma*(s) are kept in tables indexed by 2s, like
-    the lattice values they are made of (``lattice.FormTable``): each is
-    declared once (``FormTable.declared``), and made on its first read with
-    its integer form composed from the lattice's tables
-    (``Lattice.composed``).  The tables live as long as the equation (and
-    the copies ``with_lambda`` makes, which share the tables made so far).
-    The fields are ``lattice``, ``sigma_t``, ``tau_t`` and ``lam``; the
-    tables are not fields, so they take no part in equality, hashing or
-    ``repr`` (``numerics.Record``).
+    the lattice values they are made of (``lattice.FormTable``), and the
+    adjoint equation beside them: each is declared once
+    (``FormTable.declared``) and made on its first read, a table from its
+    integer form composed from the lattice's tables (``Lattice.composed``).
+    They live as long as the equation; a ``with_lambda`` copy shares the
+    tables made so far, but not the adjoint.  None is a field (``lattice``,
+    ``sigma_t``, ``tau_t``, ``lam``), so they take no part in equality,
+    hashing or ``repr`` (``numerics.Record``).
     """
 
     _fields = ("lattice", "sigma_t", "tau_t", "lam")
@@ -144,6 +137,26 @@ class HyperEquation(Record):
         lat = self.lattice
         return FormTable(lat.point, lat.composed(
             _adjoint_sigma, 2, lat._steps, self._sigma, self._tau))
+
+    @FormTable.declared
+    def _adjoint(self) -> "HyperEquation":
+        """L*, made as the module docstring says."""
+        lat, sigma, star = self.lattice, self._sigma, self._star
+        x, steps, nodes = lat._table, lat._steps, []
+        for t in range(7):  # x has a value at two t, a zero step at one t, at most
+            if len(nodes) < 3 and steps[t - 1][0] and x[t] not in [x[u] for u in nodes]:
+                nodes.append(t)
+        form = IntegerForm.through([x[t] for t in nodes],
+                                   [(star.fraction(t) + sigma.fraction(t + 2)) / 2 for t in nodes])
+        t, slope = nodes[0], -self.kappa(-3)
+        tau = (sigma.fraction(t + 2) - star.fraction(t)) / lat.step_at(t - 1)
+        coeffs = [Fraction(c, form.den) for c in form.coeffs] + [_ZERO] * (3 - len(form.coeffs))
+        other = self.__class__(lat, coeffs, (tau - slope * lat.x_at(t), slope), lambda_star(self))
+        if other._sigma.form != star.form or other._star.form != sigma.form:
+            raise AssertionError("the adjoint's sigma and sigma* forms are not sigma* and sigma")
+        object.__setattr__(other, "_sigma", star)
+        object.__setattr__(other, "_star", sigma)
+        return other
 
     def sigma_at(self, twice: int) -> Scalar:
         """sigma(twice/2), from the table."""
@@ -398,37 +411,27 @@ def _adjoint_sigma(step, sig, tau, twice: int):
     return sig(twice - 2) + tau(twice - 2) * step(twice - 3)
 
 
-def _adjoint_tau(lat: Lattice, sig, star, twice: int) -> Scalar:
-    """tau*(s) = [sigma(s+1) - sigma*(s)] / delta x_{-1}(s) at s = twice/2,
-    for readers sig and star (sigma*) of 2s."""
-    return lat.quotient(sig(twice + 2) - star(twice), twice - 1, -1, twice)
-
-
-def _adjoint_lambda_shift(lat: Lattice, sig, star, twice: int) -> Scalar:
-    """lambda - lambda* = delta_{-1}([sigma*(s) - sigma(s)] / nabla x(s)) at
-    s = twice/2, its defining expression, for readers sig and star (sigma*)
-    of 2s."""
-    def h(t: int) -> Scalar:
-        return lat.quotient(star(t) - sig(t), t - 2, 0, t)
-
-    return lat.quotient(h(twice + 2) - h(twice), twice - 1, -1, twice)
+def adjoint(eq: HyperEquation) -> HyperEquation:
+    """L*, the equation (sigma~*, tau~*, lambda*), built once (module docstring)."""
+    return eq._adjoint
 
 
 def sigma_star(eq: HyperEquation, s: HalfInt) -> Scalar:
     return eq.sigma_star_at(s.twice)
 
 
-def _tau_star_at(eq: HyperEquation, twice: int) -> Scalar:
-    return _adjoint_tau(eq.lattice, eq.sigma_at, eq.sigma_star_at, twice)
-
-
 def tau_star(eq: HyperEquation, s: HalfInt) -> Scalar:
-    return _tau_star_at(eq, s.twice)
+    """tau*(s): the adjoint's tau, once delta x_{-1}(s) is checked nonzero."""
+    eq.lattice.divisors(s.twice - 1, -1, s.twice, 1)
+    return adjoint(eq).tau_at(s.twice)
 
 
 def lambda_star_at(eq: HyperEquation, s: HalfInt) -> Scalar:
-    """lambda* from its defining difference expression, evaluated at s."""
-    return eq.lam - _adjoint_lambda_shift(eq.lattice, eq.sigma_at, eq.sigma_star_at, s.twice)
+    """lambda* from its defining difference expression at s,
+    lambda - delta_{-1}([sigma*(s) - sigma(s)] / nabla x(s))."""
+    lat, t = eq.lattice, s.twice
+    h = [lat.quotient(eq.sigma_star_at(u) - eq.sigma_at(u), u - 2, 0, u) for u in (t + 2, t)]
+    return eq.lam - lat.quotient(h[0] - h[1], t - 1, -1, t)
 
 
 def lambda_star(eq: HyperEquation) -> Scalar:
@@ -459,26 +462,19 @@ def adjoint_coeffs(eq: HyperEquation, window: Window) -> AdjointCoefficients:
 
 def apply_L_star(eq: HyperEquation, w: GridFunction) -> GridFunction:
     """Residual of L*[w] = sigma* delta_{-1} nabla_0 w + tau* delta_0 w + lambda* w,
-    with lambda* checked at each output point (the residual needs its steps)."""
+    the adjoint's ``apply_L``, with lambda* checked at each output point."""
     if len(w) < 3:
         raise WindowTooSmall("apply_L_star needs at least three points")
-    out = _three_term(eq.lattice, w, eq._star, eq._sigma, lambda_star(eq))
+    out = apply_L(adjoint(eq), w)
     _checked_lambda_star(eq, out.points())
     return out
 
 
 def dual_coefficients(eq: HyperEquation, s: HalfInt):
-    """Reconstruct (sigma(s), tau(s), lambda) by applying the adjoint map to
-    (sigma*, tau*, lambda*); the map is an involution, so this must give back
-    the originals.  lambda* is checked at s after the starred shift."""
-    lat, sig = eq.lattice, eq.sigma_star_at
-
-    def star_star(t: int) -> Scalar:
-        return _adjoint_sigma(lat.step_at, sig, lambda u: _tau_star_at(eq, u), t)
-
-    t = s.twice
-    return (star_star(t), _adjoint_tau(lat, sig, star_star, t),
-            -_adjoint_lambda_shift(lat, sig, star_star, t) + _checked_lambda_star(eq, (s,)))
+    """(sigma(s), tau(s), lambda) of the adjoint of the adjoint, which is
+    built from the adjoint's own tables and must be eq again."""
+    back = adjoint(adjoint(eq))
+    return back.sigma_at(s.twice), back.tau_at(s.twice), back.lam
 
 
 # ---------------------------------------------------------------------------

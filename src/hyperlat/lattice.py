@@ -133,14 +133,14 @@ class FormTable(dict):
         return Fraction(*self[twice])
 
     class declared:
-        """An owner's table, declared by the method that makes it: made on
-        the first read of the attribute and then stored on the owner by
-        ``object.__setattr__``, past the frozen ``__setattr__`` of a
-        ``numerics.Record``.  It is not one of the owner's ``_fields``, so it
-        takes no part in equality, hashing or ``repr``.  Unlike
-        ``functools.cached_property`` it leaves the owner's ``__dict__``
-        alone: materializing it makes every other attribute read of the
-        owner slower."""
+        """An owner's table (or the equation's adjoint), declared by the
+        method that makes it: made on the first read of the attribute and
+        then stored on the owner by ``object.__setattr__``, past the frozen
+        ``__setattr__`` of a ``numerics.Record``.  It is not one of the
+        owner's ``_fields``, so it takes no part in equality, hashing or
+        ``repr``.  Unlike ``functools.cached_property`` it leaves the owner's
+        ``__dict__`` alone: materializing it makes every other attribute
+        read of the owner slower."""
 
         def __init__(self, make):
             self.make, self.name = make, make.__name__

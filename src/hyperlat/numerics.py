@@ -163,7 +163,8 @@ class IntegerForm:
     divide by a rational, and move the variable: ``translated(k)`` is the
     form of f(v + k) and ``dilated(r)`` that of f(r v).  Each result is
     reduced once, on integers, and its span ends at its outermost nonzero
-    coefficients, or at v^0.
+    coefficients, or at v^0.  So two forms are equal (``==``) exactly when
+    they are one Laurent polynomial.
     """
 
     __slots__ = ("coeffs", "den", "shift")
@@ -202,7 +203,8 @@ class IntegerForm:
         multiplies each numerator by the lcm of the column's gaps
         u_i - u_{i-j} over its own gap, and the denominator by that lcm.
         Nested multiplication by u - u_i gives integer coefficients in u,
-        the k-th times q^k the one in v, and one gcd reduces them."""
+        the k-th times q^k the one in v, and ``reduced`` makes them the one
+        form: zero top coefficients dropped, one gcd."""
         vs = [v if isinstance(v, tuple) else (v.numerator, v.denominator) for v in vs]
         q = lcm(*(d for _, d in vs))
         us = [a * (q // d) for a, d in vs]
@@ -222,9 +224,12 @@ class IntegerForm:
             u = us[i]
             coeffs = [col[i] * (den // dens[i]) - u * coeffs[0],
                       *(a - u * b for a, b in zip(coeffs, coeffs[1:])), coeffs[-1]]
-        coeffs = [c * q ** k for k, c in enumerate(coeffs)]
-        g = gcd(den, *coeffs)
-        return cls(tuple(c // g for c in coeffs), den // g)
+        return cls.reduced([c * q ** k for k, c in enumerate(coeffs)], den)
+
+    def __eq__(self, other):
+        if isinstance(other, IntegerForm):
+            return (self.coeffs, self.den, self.shift) == (other.coeffs, other.den, other.shift)
+        return NotImplemented
 
     def evaluated(self, a: int, b: int) -> tuple[int, int]:
         """The value at v = a/b as integers (num, den), den != 0, not

@@ -531,10 +531,10 @@ def brute_force_polynomial_oracle(eq: HyperEquation, n: int) -> list:
 
 
 def polynomial_coefficients(lat: Lattice, f: GridFunction, degree: int) -> list:
-    """Monomial coefficients in x(s) (low order first) of the interpolant
-    through the first degree+1 samples: the Newton form of the polynomial
-    kind, expanded by nested multiplication.  Repeated abscissae are an
-    error."""
+    """The degree+1 monomial coefficients in x(s) (low order first) of the
+    interpolant through the first degree+1 samples: the Newton form of the
+    polynomial kind, expanded by nested multiplication.  Repeated abscissae
+    are an error."""
     if len(f) < degree + 1:
         raise WindowTooSmall(f"need {degree + 1} samples for degree {degree}")
     samples = list(f.items())[:degree + 1]
@@ -542,4 +542,5 @@ def polynomial_coefficients(lat: Lattice, f: GridFunction, degree: int) -> list:
     if len(set(xs)) != len(xs):
         raise DegenerateAbscissae("repeated x-values in interpolation samples")
     form = IntegerForm.through(xs, [v for _, v in samples])
-    return [Fraction(c, form.den) for c in form.coeffs]
+    coeffs = [Fraction(c, form.den) for c in form.coeffs]
+    return coeffs + [Fraction(0)] * (degree + 1 - len(coeffs))

@@ -4,11 +4,14 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperlat import (
     GridFunction,
     HalfInt,
     HyperEquation,
+    HyperlatError,
     NonConstantLambdaStar,
     QuadraticLattice,
     Window,
@@ -35,6 +38,7 @@ from hyperlat import (
 from hyperlat import cli
 from hyperlat import equation as eqn
 from tests.conftest import quad_a
+from tests.test_kernels import lattices_and_starts, small
 
 S = HalfInt.from_int
 
@@ -217,9 +221,9 @@ def test_lambda_star_is_checked_where_it_is_used(equation, wrong_kappa_minus_one
     with pytest.raises(NonConstantLambdaStar) as exc:
         apply_L_star(equation, w)
     assert _named_point(exc.value) in points - {str(window.start), str(window.end)}
-    with pytest.raises(NonConstantLambdaStar) as exc:
-        dual_coefficients(equation, S(5))
-    assert _named_point(exc.value) == "5"
+    # the adjoint of the adjoint takes the wrong kappa_{-1} off twice
+    assert dual_coefficients(equation, S(5))[2] == equation.lam - F(2, 7)
+    assert eqn.adjoint(eqn.adjoint(equation)) != equation
 
 
 def test_wrong_lambda_star_fails_adjoint_and_verify(wrong_kappa_minus_one, capsys):
@@ -231,3 +235,47 @@ def test_wrong_lambda_star_fails_adjoint_and_verify(wrong_kappa_minus_one, capsy
     for name in ("lambda-star-closed-form", "hat-mu-is-lambda-star"):
         assert not results[name].passed
         assert results[name].detail.startswith("NonConstantLambdaStar: ")
+
+
+@settings(max_examples=100, deadline=None)
+@given(lattices_and_starts(), st.tuples(small, small, small), st.tuples(small, small), small)
+def test_the_adjoint_is_an_equation_of_the_same_type(lattice_start, sigma_t, tau_t, lam):
+    """On both families, symmetric lattices included, L* is the equation
+    (sigma~*, tau~*, lambda*) on the same lattice: sigma~* (degree <= 2) and
+    tau~* (degree <= 1) give sigma*(s) + tau*(s) nabla x_1(s)/2 and tau*(s),
+    written here from x_k, on a span around the window, zero steps
+    included; tau~*' = -kappa_{-3} and lambda* = lambda - kappa_{-1}; an
+    equation built afresh from those coefficients has the sigma form of
+    sigma* and the sigma* form of sigma; the adjoint of the adjoint is the
+    equation; and its weight times rho is constant."""
+    lat, start = lattice_start
+    eq = HyperEquation(lat, sigma_t, tau_t, lam)
+    adj = eqn.adjoint(eq)
+    x = lambda t: lat.x_k(0, HalfInt(t))
+    sigma = lambda t: eq.sigma_tilde(x(t)) - eq.tau_tilde(x(t)) * (x(t + 1) - x(t - 1)) / 2
+    star = lambda t: sigma(t - 2) + eq.tau_tilde(x(t - 2)) * (x(t - 1) - x(t - 3))
+    assert len(adj.sigma_t) == 3 and len(adj.tau_t) == 2
+    for t in range(start.twice - 9, start.twice + 10):
+        assert adj.sigma_tilde(x(t)) == (star(t) + sigma(t + 2)) / 2
+        step = x(t + 1) - x(t - 1)
+        if step:
+            assert adj.tau_tilde(x(t)) == (sigma(t + 2) - star(t)) / step
+    assert adj.tau_t[1] == -eq.kappa(-3) and adj.lam == eq.lam - eq.kappa(-1)
+    fresh = HyperEquation(lat, adj.sigma_t, adj.tau_t, adj.lam)
+    assert fresh._sigma.form == eq._star.form and fresh._star.form == eq._sigma.form
+    assert eqn.adjoint(adj) == eq
+    window = Window(start, 8)
+    try:
+        product = pearson_weight(eq, window, start).rho * pearson_weight(fresh, window, start).rho
+    except HyperlatError:
+        return
+    assert set(product.values) == {1}
+
+
+def test_a_with_lambda_copy_has_its_own_adjoint(equation):
+    eq = equation.with_lambda(F(7, 3))
+    first = eqn.adjoint(eq)
+    copy = eq.with_lambda(F(-5, 2))
+    assert eqn.adjoint(eq) is first
+    assert eqn.adjoint(copy) is not first
+    assert eqn.adjoint(copy).lam == F(-5, 2) - eq.kappa(-1)

@@ -89,8 +89,6 @@ DEGENERATE_QUAD_FAILURES = [
     ("degree-lowering", 0, -1),
     ("adjoint-product", 0, 0),
     ("lambda-star-closed-form", 0, 0),
-    ("dual-reconstruction", 0, 0),
-    ("sigma-star-degree", 0, -1),
     ("hat-tau-constancy", 0, 0),
     ("weight-product-ladder", -2, 0),
     ("y1-is-tau", 0, 0),
@@ -299,11 +297,13 @@ def test_verify_names_degenerate_points(tmp_path):
     assert result.returncode == 1
     failed = {entry["name"]: entry["detail"]
               for entry in json.loads(result.stdout) if not entry["passed"]}
-    assert len(failed) == 26
+    # the adjoint is built on the whole lattice: dual-reconstruction and
+    # sigma-star-degree divide by no step, so they pass here
+    assert len(failed) == 24
     for detail in failed.values():
         assert re.fullmatch(r"DegenerateStep: zero step of x_-?\d+ at s=-?\d+", detail)
     assert failed["mu-closed-form"] == "DegenerateStep: zero step of x_0 at s=-1"
-    assert failed["dual-reconstruction"] == "DegenerateStep: zero step of x_0 at s=0"
+    assert "dual-reconstruction" not in failed and "sigma-star-degree" not in failed
     # the first point each check meets, in the order the formulas evaluate
     assert failed == {
         name: f"DegenerateStep: zero step of x_{k} at s={s}"

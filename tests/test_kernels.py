@@ -150,7 +150,8 @@ def ref_passes(lat, levels, f, forward, short):
 
 def ref_through(vs, ys):
     """Newton divided differences in Fraction, expanded by nested
-    multiplication and cleared to integers over their lcm."""
+    multiplication, cleared to integers over their lcm and cut after the
+    top nonzero coefficient."""
     c = list(ys)
     for j in range(1, len(vs)):
         for i in range(len(vs) - 1, j - 1, -1):
@@ -159,6 +160,8 @@ def ref_through(vs, ys):
     for vi, ci in zip(reversed(vs[:-1]), reversed(c[:-1])):
         coeffs = [ci - vi * coeffs[0],
                   *(a - vi * b for a, b in zip(coeffs, coeffs[1:])), coeffs[-1]]
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
     den = lcm(*(x.denominator for x in coeffs))
     return tuple(x.numerator * (den // x.denominator) for x in coeffs), den
 
@@ -252,6 +255,16 @@ def test_integer_form_equals_the_fraction_interpolant(vs, data):
     form = IntegerForm.through(vs, ys)
     assert (form.coeffs, form.den, form.shift) == (*ref_through(vs, ys), 0)
     assert all(type(c) is int for c in form.coeffs) and type(form.den) is int
+
+
+@settings(max_examples=50, deadline=None)
+@given(interpolation_nodes().filter(lambda vs: len(vs) > 1), small, small)
+def test_through_samples_on_a_line_is_the_form_of_that_line(vs, a, b):
+    """The one form of a + b v, with no zero coefficient above its degree,
+    from any two or more samples: at v = 0, 1, 2 the samples 1, 2, 3 give the form
+    of 1 + v, not (1, 1, 0)."""
+    assert IntegerForm.through(vs, [a + b * v for v in vs]) == IntegerForm.of((a, b))
+    assert IntegerForm.through([F(0), F(1), F(2)], [F(1), F(2), F(3)]).coeffs == (1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +411,11 @@ def test_adjoint_map_equals_the_fraction_form(problem):
     for s in window.points():
         assert outcome(tau_star, eq, s) == outcome(ref_tau_star, eq, s)
         assert outcome(lambda_star_at, eq, s) == outcome(ref_lambda_star_at, eq, s)
-        assert outcome(dual_coefficients, eq, s) == outcome(ref_dual, eq, s)
+        expected = outcome(ref_dual, eq, s)
+        if expected[0] == "DegenerateStep":
+            # the adjoint of the adjoint is an equation: it has a value at s
+            expected = (sigma_of_s(eq, s), tau_of_s(eq, s), eq.lam)
+        assert outcome(dual_coefficients, eq, s) == expected
 
 
 # ---------------------------------------------------------------------------

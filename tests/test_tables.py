@@ -25,6 +25,7 @@ from hyperlat import (
     render_problem,
     solve,
 )
+from hyperlat.equation import adjoint
 from hyperlat.lattice import FormTable
 from hyperlat.numerics import IntegerForm
 from tests.conftest import ALL_CONFIGS, qq_b, quad_b
@@ -83,11 +84,12 @@ def test_solve_reads_tau_only_at_the_check_nodes(make, kind, window):
     """The kernels read sigma and sigma* only: tau enters L through
     sigma(s) + tau(s) delta x_{-1}(s) = sigma*(s+1).  So the tau table holds
     only the values the form checks of sigma (at 2s = -3, 3) and sigma*
-    (tau at 2s - 2) read."""
+    (tau at 2s - 2) read, and no adjoint equation is built."""
     eq = make()
     n = 3
     solve(eq, n, window, kind=kind, P=tuple(F(j + 1, 2) for j in range(n + 1)))
     assert sorted(eq._tau) == [-5, -3, 1, 3]
+    assert "_adjoint" not in vars(eq)
 
 
 @pytest.mark.parametrize("make", ALL_CONFIGS)
@@ -340,9 +342,10 @@ def test_composed_forms_equal_the_closed_formulas_far_from_the_nodes(lat, sigma_
 @pytest.mark.parametrize("make", [quad_b, qq_b], ids=["quadratic", "q-quadratic"])
 def test_a_lattice_and_an_equation_die_with_their_last_reference(make, window):
     """No table refers back to its owner: with the cycle collector off, a
-    lattice, an equation and its ``with_lambda`` copy are freed as soon as
-    the last reference is dropped, after a solve of every kind, so dropping
-    an object frees its tables."""
+    lattice, an equation, its ``with_lambda`` copy and the adjoint and
+    double adjoint of both are freed as soon as the last reference is
+    dropped, after a solve of every kind, so dropping an object frees its
+    tables."""
     n = 3
     P = tuple(F(j + 1, 2) for j in range(n + 1))
     gc.collect()
@@ -353,8 +356,11 @@ def test_a_lattice_and_an_equation_die_with_their_last_reference(make, window):
             assert solve(eq, n, window, kind=kind, P=P).is_exact_solution()
         copy = eq.with_lambda(F(5, 7))
         assert copy.sigma_star_at(41) == eq.sigma_star_at(41)
-        refs = [weakref.ref(obj) for obj in (eq, eq.lattice, copy)]
-        del eq, copy
-        assert [ref() for ref in refs] == [None, None, None]
+        adjoints = [adjoint(e) for e in (eq, copy)]
+        adjoints += [adjoint(a) for a in adjoints]
+        assert adjoints[2] == eq and adjoints[3] == copy
+        refs = [weakref.ref(obj) for obj in (eq, eq.lattice, copy, *adjoints)]
+        del eq, copy, adjoints
+        assert [ref() for ref in refs] == [None] * 7
     finally:
         gc.enable()
