@@ -41,8 +41,9 @@ library bug, as in ``Lattice.checked``), and it then shares those tables.
 Every adjoint quantity reads it: ``tau_star`` its tau behind the step
 guard, ``apply_L_star`` its ``apply_L``, and ``dual_coefficients`` the
 adjoint of the adjoint, built from the adjoint's tables, which must be the
-equation.  The closed form ``lambda_star`` is checked against its defining
-expression (``lambda_star_at``) wherever L* is applied (``adjoint_coeffs``,
+equation: its lambda is checked against lambda.  The closed form
+``lambda_star`` is checked against its defining expression
+(``lambda_star_at``) wherever L* is applied (``adjoint_coeffs``,
 ``apply_L_star``); hat_mu_n is lambda* at lambda = lambda_n.  The weight is
 fixed only up to scale by
 
@@ -74,7 +75,12 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, prod
 
-from .errors import NonConstantLambdaStar, OutOfWindow, PearsonSingularity, WindowTooSmall
+from .errors import (
+    NonConstantLambdaStar,
+    OutOfWindow,
+    PearsonSingularity,
+    WindowTooSmall,
+)
 from .grid import GridFunction, Window
 from .lattice import FormTable, HalfInt, Lattice
 from .numerics import IntegerForm, Record, Scalar, format_rational
@@ -472,8 +478,13 @@ def apply_L_star(eq: HyperEquation, w: GridFunction) -> GridFunction:
 
 def dual_coefficients(eq: HyperEquation, s: HalfInt):
     """(sigma(s), tau(s), lambda) of the adjoint of the adjoint, which is
-    built from the adjoint's own tables and must be eq again."""
+    built from the adjoint's own tables and must be eq again.  Its lambda,
+    lambda* - kappa*_{-1}, is checked against eq's, with s named."""
     back = adjoint(adjoint(eq))
+    if back.lam != eq.lam:
+        raise NonConstantLambdaStar(
+            f"lambda* mismatch: the adjoint of the adjoint has lambda "
+            f"{format_rational(back.lam)}, not {format_rational(eq.lam)}, at s={s}")
     return back.sigma_at(s.twice), back.tau_at(s.twice), back.lam
 
 

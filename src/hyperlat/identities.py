@@ -9,7 +9,8 @@ construction, and the residuals of all three solution families.  The CLI
 ``verify`` command prints one PASS/FAIL line per identity.
 
 Checks run independently; a failure (including an exception at a singular
-point) fails only its own identity and carries the reason in the detail
+point, or the ``AssertionError`` of a form check that disagrees, a library
+bug) fails only its own identity and carries the reason in the detail
 field.  A Casoratian that vanishes because n is inadmissible is reported with
 the order m < n that has lambda_m = lambda_n.
 """
@@ -547,7 +548,7 @@ def run_identity_suite(spec: ProblemSpec) -> list[IdentityResult]:
             check(ctx)
         except _CheckFailed as exc:
             results.append(IdentityResult(name, False, str(exc)))
-        except (HyperlatError, ZeroDivisionError) as exc:
+        except (HyperlatError, ZeroDivisionError, AssertionError) as exc:
             results.append(IdentityResult(name, False, f"{type(exc).__name__}: {exc}"))
         else:
             results.append(IdentityResult(name, True))

@@ -221,9 +221,9 @@ def test_lambda_star_is_checked_where_it_is_used(equation, wrong_kappa_minus_one
     with pytest.raises(NonConstantLambdaStar) as exc:
         apply_L_star(equation, w)
     assert _named_point(exc.value) in points - {str(window.start), str(window.end)}
-    # the adjoint of the adjoint takes the wrong kappa_{-1} off twice
-    assert dual_coefficients(equation, S(5))[2] == equation.lam - F(2, 7)
-    assert eqn.adjoint(eqn.adjoint(equation)) != equation
+    with pytest.raises(NonConstantLambdaStar) as exc:
+        dual_coefficients(equation, S(5))
+    assert _named_point(exc.value) == "5"
 
 
 def test_wrong_lambda_star_fails_adjoint_and_verify(wrong_kappa_minus_one, capsys):
@@ -235,6 +235,23 @@ def test_wrong_lambda_star_fails_adjoint_and_verify(wrong_kappa_minus_one, capsy
     for name in ("lambda-star-closed-form", "hat-mu-is-lambda-star"):
         assert not results[name].passed
         assert results[name].detail.startswith("NonConstantLambdaStar: ")
+
+
+def test_a_broken_adjoint_fails_its_identities_without_a_traceback(monkeypatch, capsys):
+    """With the slope of tau~* off (kappa_{-3} off by 1/5), the adjoint's
+    form check raises AssertionError; verify prints it as a FAIL line of
+    each identity that builds the adjoint and runs the others."""
+    kappa = HyperEquation.kappa
+    monkeypatch.setattr(HyperEquation, "kappa",
+                        lambda eq, mu: kappa(eq, mu) + (F(1, 5) if mu == -3 else 0))
+    assert cli.main(["verify", "--spec", str(DEMOS / "quadratic.spec")]) == 1
+    out, err = capsys.readouterr()
+    assert "Traceback" not in out + err
+    lines = {line.split()[1].rstrip(":"): line for line in out.splitlines()[:-1]}
+    assert len(lines) == 34
+    for name in ("sigma-star-degree", "dual-reconstruction"):
+        assert lines[name].startswith(f"FAIL {name}: AssertionError: ")
+    assert lines["suslov-alpha-sum"] == "PASS suslov-alpha-sum"
 
 
 @settings(max_examples=100, deadline=None)
