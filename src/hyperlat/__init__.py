@@ -4,27 +4,27 @@ their second-kind companions, the generalized Rodrigues family, and the
 adjoint-equation machinery that certifies all of them with exact residuals.
 
 The identity suite (``IdentityResult``, ``identity_names``,
-``run_identity_suite``) is imported on first access, so a process that only
-solves never loads it; ``__all__`` names it too, so ``from hyperlat import *``
-imports it.
+``run_identity_suite``) and the references it reads (the ``Fraction`` views
+``PearsonWeight``, ``pearson_weight``, ``rho_k``, ``Y_n`` and
+``casoratian``, ``gamma_ell_eta``, and the brute-force oracle
+``brute_force_polynomial_oracle``, ``nullspace`` and
+``polynomial_coefficients``) live in ``identities``, imported on first
+access, so a process that only solves never loads it; ``__all__`` names
+them too, so ``from hyperlat import *`` imports it.
 """
 
 from .equation import (
     AdjointCoefficients,
     HyperEquation,
-    PearsonWeight,
     adjoint_coeffs,
     admissibility_violation,
     apply_L,
     apply_L_star,
-    dual_coefficients,
     hat_mu_n,
     hat_tau_k,
     lambda_n,
     lambda_star,
     mu_k,
-    pearson_weight,
-    rho_k,
     sigma_of_s,
     sigma_star,
     tau_k,
@@ -74,28 +74,26 @@ from .problem import (
     parse_problem,
     parse_problem_bytes,
     parse_problem_with_diagnostics,
-    render_problem,
 )
 from .solutions import (
     SolutionReport,
-    Y_n,
-    brute_force_polynomial_oracle,
-    casoratian,
-    gamma_ell_eta,
-    nullspace,
-    polynomial_coefficients,
     solve,
     weight_window_for,
 )
 
 __version__ = "0.1.0"
 
+_IDENTITIES = (
+    "IdentityResult", "identity_names", "run_identity_suite",
+    "PearsonWeight", "pearson_weight", "rho_k", "Y_n", "casoratian", "gamma_ell_eta",
+    "brute_force_polynomial_oracle", "nullspace", "polynomial_coefficients",
+)
+
 __all__ = [
     # equation
-    "AdjointCoefficients", "HyperEquation", "PearsonWeight", "adjoint_coeffs",
-    "admissibility_violation", "apply_L", "apply_L_star", "dual_coefficients", "hat_mu_n",
-    "hat_tau_k", "lambda_n", "lambda_star", "mu_k", "pearson_weight", "rho_k", "sigma_of_s",
-    "sigma_star", "tau_k", "tau_of_s", "tau_star",
+    "AdjointCoefficients", "HyperEquation", "adjoint_coeffs", "admissibility_violation",
+    "apply_L", "apply_L_star", "hat_mu_n", "hat_tau_k", "lambda_n", "lambda_star", "mu_k",
+    "sigma_of_s", "sigma_star", "tau_k", "tau_of_s", "tau_star",
     # errors
     "DegenerateAbscissae", "DegenerateStep", "DivisionByZero", "HyperlatError",
     "LatticeError", "NonConstantLambdaStar", "OracleDimensionError", "OutOfWindow",
@@ -110,18 +108,17 @@ __all__ = [
     "Rational", "Scalar", "format_rational", "format_scalar", "parse_rational",
     # problem
     "ParseDiagnostic", "ProblemSpec", "parse_problem", "parse_problem_bytes",
-    "parse_problem_with_diagnostics", "render_problem",
+    "parse_problem_with_diagnostics",
     # solutions
-    "SolutionReport", "Y_n", "brute_force_polynomial_oracle", "casoratian", "gamma_ell_eta",
-    "nullspace", "polynomial_coefficients", "solve", "weight_window_for",
+    "SolutionReport", "solve", "weight_window_for",
     # identities, imported on first access
-    "IdentityResult", "identity_names", "run_identity_suite",
+    *_IDENTITIES,
 ]
 
 
 def __getattr__(name: str):
-    """The identity suite's names, imported on first access (PEP 562)."""
-    if name in ("IdentityResult", "identity_names", "run_identity_suite"):
+    """The names of ``identities``, imported on first access (PEP 562)."""
+    if name in _IDENTITIES:
         from . import identities
         return getattr(identities, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

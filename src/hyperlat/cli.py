@@ -7,11 +7,12 @@ Four subcommands, each reading one problem file (see ``problem``):
     adjoint  tabulate sigma*, tau* on the window plus the lambda* scalars
     table    tabulate the coefficient ladder nu, alpha, kappa, lambda_k, hat_mu_k
 
-Exit codes: 0 success, 1 identity/residual failure, 2 usage or parse error,
-3 singularity (Pearson zero, singular summand, degenerate step).  Arithmetic
-is exact, so a residual passes only when it is literally zero; no flag
-relaxes that.  Output is CSV by default, JSON with ``--format json``;
-identical inputs produce byte identical output.
+Exit codes: 0 success, 1 identity/residual failure (a form check that
+disagrees included), 2 usage or parse error, 3 singularity (Pearson zero,
+singular summand, degenerate step).  Arithmetic is exact, so a residual
+passes only when it is literally zero; no flag relaxes that.  Output is CSV
+by default, JSON with ``--format json``; identical inputs produce byte
+identical output.
 
 ``main`` loads the problem file once and hands it to the command.  Each
 command builds its text and its JSON once, each as a zero-argument builder,
@@ -171,7 +172,8 @@ def main(argv=None) -> int:
     except _SINGULAR as exc:
         print(f"singularity: {exc}", file=sys.stderr)
         return EXIT_SINGULAR
-    except NonConstantLambdaStar as exc:
+    except (NonConstantLambdaStar, AssertionError) as exc:
+        # an AssertionError is a form check that disagrees (a library bug)
         print(f"identity failure: {exc}", file=sys.stderr)
         return EXIT_FAILED
     except HyperlatError as exc:

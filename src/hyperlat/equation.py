@@ -39,13 +39,12 @@ from sigma~*(x(s)) = sigma*(s) + tau*(s) nabla x_1(s) / 2, which is
 sigma* and sigma forms on the whole lattice (else ``AssertionError``, a
 library bug, as in ``Lattice.checked``), and it then shares those tables.
 Every adjoint quantity reads it: ``tau_star`` its tau behind the step
-guard, ``apply_L_star`` its ``apply_L``, and ``dual_coefficients`` the
-adjoint of the adjoint, built from the adjoint's tables, which must be the
-equation: its lambda is checked against lambda.  The closed form
-``lambda_star`` is checked against its defining expression
-(``lambda_star_at``) wherever L* is applied (``adjoint_coeffs``,
-``apply_L_star``); hat_mu_n is lambda* at lambda = lambda_n.  The weight is
-fixed only up to scale by
+guard, ``apply_L_star`` its ``apply_L``; ``verify`` checks that the adjoint
+of the adjoint, built from the adjoint's tables, is the equation, its
+lambda included.  The closed form ``lambda_star`` is checked against its
+defining expression (``lambda_star_at``) wherever L* is applied
+(``adjoint_coeffs``, ``apply_L_star``); hat_mu_n is lambda* at lambda =
+lambda_n.  The weight is fixed only up to scale by
 
     delta_{-1}[sigma rho] = tau rho,  i.e.  rho(s+1) / rho(s) = sigma*(s+1) / sigma(s+1),
 
@@ -62,18 +61,16 @@ once per call and read its pairs.  The Pearson step is the pair of the
 quotient of two table pairs, with its zero tests on integers, and
 ``weight_from_steps`` multiplies the steps out into rho as reduced pairs,
 with the cross gcds of ``Fraction``'s product.  ``solve()`` reads rho as
-those pairs only; ``pearson_weight`` is their ``Fraction`` view, the
-``PearsonWeight`` that ``verify`` and other callers read.  rho_k is its
-definition, rho(s+k) sigma(s+1)...sigma(s+k) in ``Fraction`` arithmetic:
-only ``verify`` reads it, and ``Y_n`` slides its own product.
-``admissibility_violation`` scans the eigenvalues lambda_0..lambda_n in one
-pass on integers.
+those pairs only; rho in ``Fraction`` values (``pearson_weight``) and
+rho_k = rho(s+k) sigma(s+1)...sigma(s+k) are ``verify``'s, in
+``identities``.  ``admissibility_violation`` scans the eigenvalues
+lambda_0..lambda_n in one pass on integers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd
 
 from .errors import (
     NonConstantLambdaStar,
@@ -191,22 +188,6 @@ class HyperEquation(Record):
         return lat.alpha(mu - 1) * self.tau_t[1] + lat.nu(mu - 1) * self.sigma_t[2]
 
 
-class PearsonWeight(Record):
-    """rho on a window, normalized to 1 at the anchor it was built from."""
-
-    _fields = ("rho",)
-
-    def __init__(self, rho: GridFunction):
-        object.__setattr__(self, "rho", rho)
-
-    @property
-    def window(self) -> Window:
-        return self.rho.window
-
-    def value_at(self, s: HalfInt) -> Scalar:
-        return self.rho.value_at(s)
-
-
 class AdjointCoefficients(Record):
     """sigma* and tau* on a window, and the constant lambda*."""
 
@@ -275,19 +256,6 @@ def admissibility_violation(eq: HyperEquation, n: int) -> int | None:
     return m if m < n else None
 
 
-def pearson_weight(eq: HyperEquation, window: Window, anchor: HalfInt) -> PearsonWeight:
-    """Solve delta_{-1}[sigma rho] = tau rho on the window, rho(anchor) = 1.
-
-    Forward:  rho(s+1) = rho(s) sigma*(s+1) / sigma(s+1)
-    Backward: the same relation inverted.  Any zero of a divisor, or a zero
-    weight value, is reported as a PearsonSingularity at the offending point
-    (``pearson_steps``).  Each value is its neighbour times one small step.
-    The ``Fraction`` view of the pairs of ``weight_from_steps``.
-    """
-    rho = weight_from_steps(pearson_steps(eq, window, anchor), window, window.index_of(anchor))
-    return PearsonWeight(GridFunction(window.start, tuple(Fraction(*r) for r in rho)))
-
-
 def weight_from_steps(steps: list, window: Window, base: int) -> list:
     """rho on ``window`` as reduced pairs (num, den), den > 0, 1 at its
     point ``base``, multiplied out from the first ``window.length`` steps of
@@ -333,13 +301,6 @@ def pearson_steps(eq: HyperEquation, window: Window, anchor: HalfInt) -> list:
             raise PearsonSingularity(f"weight vanishes at s={t}", point=t)
         steps[j] = (nn * dd, nd * dn)
     return steps
-
-
-def rho_k(eq: HyperEquation, weight: PearsonWeight, k: int, s: HalfInt) -> Scalar:
-    """rho_k(s) = rho(s+k) * prod_{i=1..k} sigma(s+i); rho_0 = rho."""
-    if k < 0:
-        raise ValueError("rho_k is defined for nonnegative k")
-    return weight.value_at(s + k) * prod(sigma_of_s(eq, s + i) for i in range(1, k + 1))
 
 
 _ZERO = Fraction(0)
@@ -474,18 +435,6 @@ def apply_L_star(eq: HyperEquation, w: GridFunction) -> GridFunction:
     out = apply_L(adjoint(eq), w)
     _checked_lambda_star(eq, out.points())
     return out
-
-
-def dual_coefficients(eq: HyperEquation, s: HalfInt):
-    """(sigma(s), tau(s), lambda) of the adjoint of the adjoint, which is
-    built from the adjoint's own tables and must be eq again.  Its lambda,
-    lambda* - kappa*_{-1}, is checked against eq's, with s named."""
-    back = adjoint(adjoint(eq))
-    if back.lam != eq.lam:
-        raise NonConstantLambdaStar(
-            f"lambda* mismatch: the adjoint of the adjoint has lambda "
-            f"{format_rational(back.lam)}, not {format_rational(eq.lam)}, at s={s}")
-    return back.sigma_at(s.twice), back.tau_at(s.twice), back.lam
 
 
 # ---------------------------------------------------------------------------

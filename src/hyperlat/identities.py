@@ -13,6 +13,17 @@ point, or the ``AssertionError`` of a form check that disagrees, a library
 bug) fails only its own identity and carries the reason in the detail
 field.  A Casoratian that vanishes because n is inadmissible is reported with
 the order m < n that has lambda_m = lambda_n.
+
+The references the checks read live here too, so a process that only
+solves never compiles them: the weight rho (``pearson_weight``), rho_k and
+Y_n in ``Fraction`` values, each multiplied out from its definition by
+products of a large value and a small factor; the Casoratian constant
+(``casoratian``); the exactness auxiliaries ``gamma_ell_eta`` of the
+generalized construction; and a brute-force oracle that recovers the
+polynomial kind by exact null-space extraction from samples of L applied
+to the monomial basis, sharing no code path with the Rodrigues route
+(``polynomial_coefficients`` expands the polynomial kind into that basis
+for comparison).
 """
 
 from __future__ import annotations
@@ -23,7 +34,14 @@ from fractions import Fraction
 
 from . import equation as eqn
 from . import solutions as sol
-from .errors import HyperlatError
+from .errors import (
+    DegenerateAbscissae,
+    DegenerateStep,
+    HyperlatError,
+    OracleDimensionError,
+    OutOfWindow,
+    WindowTooSmall,
+)
 from .grid import (
     GridFunction,
     Window,
@@ -33,7 +51,8 @@ from .grid import (
     iterated_nabla,
     nabla_k,
 )
-from .numerics import Record, Scalar, format_rational
+from .lattice import HalfInt, Lattice
+from .numerics import IntegerForm, Record, Scalar, format_rational
 from .problem import ProblemSpec
 
 
@@ -60,6 +79,201 @@ def _ensure(cond: bool, message: str) -> None:
 def _ensure_zero(value: Scalar, message: str) -> None:
     if value != 0:
         raise _CheckFailed(f"{message} (off by {format_rational(value)})")
+
+
+# --- Fraction references for the solve kernels ------------------------------
+
+
+class PearsonWeight(Record):
+    """rho on a window, normalized to 1 at the anchor it was built from."""
+
+    _fields = ("rho",)
+
+    def __init__(self, rho: GridFunction):
+        object.__setattr__(self, "rho", rho)
+
+    @property
+    def window(self) -> Window:
+        return self.rho.window
+
+    def value_at(self, s: HalfInt) -> Scalar:
+        return self.rho.value_at(s)
+
+
+def pearson_weight(eq: eqn.HyperEquation, window: Window, anchor: HalfInt) -> PearsonWeight:
+    """Solve delta_{-1}[sigma rho] = tau rho on the window, rho(anchor) = 1.
+
+    Forward:  rho(s+1) = rho(s) sigma*(s+1) / sigma(s+1)
+    Backward: the same relation inverted.  Any zero of a divisor, or a zero
+    weight value, is reported as a PearsonSingularity at the offending point
+    (``equation.pearson_steps``).  Each value is its neighbour times one
+    small step, a ``Fraction`` product.
+    """
+    steps = eqn.pearson_steps(eq, window, anchor)
+    base = window.index_of(anchor)
+    values = [Fraction(1)] * window.length
+    for j in (*range(base + 1, window.length), *range(base - 1, -1, -1)):
+        values[j] = values[j - 1 if j > base else j + 1] * Fraction(*steps[j])
+    return PearsonWeight(GridFunction(window.start, tuple(values)))
+
+
+def rho_k(eq: eqn.HyperEquation, weight: PearsonWeight, k: int, s: HalfInt) -> Scalar:
+    """rho_k(s) = rho(s+k) * prod_{i=1..k} sigma(s+i); rho_0 = rho."""
+    if k < 0:
+        raise ValueError("rho_k is defined for nonnegative k")
+    return weight.value_at(s + k) * math.prod(eqn.sigma_of_s(eq, s + i) for i in range(1, k + 1))
+
+
+def Y_n(eq: eqn.HyperEquation, weight: PearsonWeight, n: int, window: Window) -> GridFunction:
+    """Y_n(s) = rho(s) prod_{j=0..n-1} sigma(s-j), the level-n weight product
+    rho_n(s-n), from its definition; the solve's kernel is
+    ``solutions._weight_product``."""
+    if not weight.window.covers(window):
+        raise OutOfWindow(f"weight window {weight.window} does not cover {window}")
+    return GridFunction(window.start, tuple(
+        weight.value_at(s) * math.prod(eqn.sigma_of_s(eq, s - j) for j in range(n))
+        for s in window.points()))
+
+
+def casoratian(eq: eqn.HyperEquation, weight: PearsonWeight, y1: GridFunction,
+               y: GridFunction, s: HalfInt) -> Scalar:
+    """K(s) = sigma(s+1) rho(s+1) W(s) / delta x_0(s) for two grid functions,
+    with the Casoratian W(s) = y1(s) y(s+1) - y1(s+1) y(s).  For two
+    solutions of L y = 0 it is one constant, nonzero exactly when they are
+    independent."""
+    r = weight.value_at(s + 1)
+    return sol._casoratian(eq, (r.numerator, r.denominator), y1, y, s)
+
+
+# --- exactness auxiliaries of the generalized construction ------------------
+
+
+def gamma_ell_eta(eq: eqn.HyperEquation, n: int, s: HalfInt) -> tuple[Scalar, Scalar, Scalar]:
+    """The exactness auxiliaries of the generalized construction:
+
+        gamma(s,n) = [sigma(s-n+1) - sigma*(s)] / delta x_{-(n+1)}(s)
+        ell(s,n)   = [sigma(s-n)   - sigma*(s)] / nabla x_{-n}(s)
+        eta(n)     = delta_{-(n+1)} ell(s,n)    (independent of s)
+
+    gamma satisfies
+        ell(s+1,n) delta x_{-n}(s) / delta x_{-(n+1)}(s) + delta_{-(n+1)} sigma*(s) = gamma(s,n),
+    and eta(n) equals the eigenvalue of the first-order pair (it is
+    -kappa_{2n-1} in closed form).
+    """
+    lat = eq.lattice
+
+    def ell_at(t: HalfInt) -> Scalar:
+        return lat.nabla_quotient(eqn.sigma_of_s(eq, t - n) - eqn.sigma_star(eq, t), -n, t)
+
+    gamma = lat.delta_quotient(eqn.sigma_of_s(eq, s - n + 1) - eqn.sigma_star(eq, s), -(n + 1), s)
+    ell = ell_at(s)
+    eta = lat.delta_quotient(ell_at(s + 1) - ell, -(n + 1), s)
+    return gamma, ell, eta
+
+
+# --- independent polynomial oracle ------------------------------------------
+
+
+def _row_reduce(rows: list[list]) -> tuple[list[list], list[int]]:
+    """In-place fraction Gaussian elimination; returns (matrix, pivot columns)."""
+    pivots = []
+    r = 0
+    cols = len(rows[0]) if rows else 0
+    for c in range(cols):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = rows[r][c]
+        rows[r] = [v / inv for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                factor = rows[i][c]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+def nullspace(rows: list[list]) -> list[list]:
+    """Exact null-space basis of a rational matrix (reduced row echelon)."""
+    if not rows:
+        return []
+    matrix = [list(row) for row in rows]
+    matrix, pivots = _row_reduce(matrix)
+    cols = len(matrix[0])
+    free = [c for c in range(cols) if c not in pivots]
+    basis = []
+    for fc in free:
+        vec = [Fraction(0)] * cols
+        vec[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -matrix[r][fc]
+        basis.append(vec)
+    return basis
+
+
+def brute_force_polynomial_oracle(eq: eqn.HyperEquation, n: int) -> list:
+    """Coefficients (monomial basis of x(s), low order first) of the nonzero
+    polynomial solution at lambda_n, found without the Rodrigues machinery.
+
+    L is applied to each monomial x(s)^j on a sample grid; the residuals at
+    n+2 points give an (n+2) x (n+1) linear system whose null space must be
+    exactly one-dimensional.  Sample points are required to have pairwise
+    distinct x-values so the system is honest.
+    """
+    lat = eq.lattice
+    eq_n = eq.with_lambda(eqn.lambda_n(eq, n))
+    candidates = [HalfInt.from_int(v) for v in (1, 2, 3, 4)] + [HalfInt(3), HalfInt(5)]
+    last_error: Exception | None = None
+    for start in candidates:
+        grid = Window(start - 1, n + 4)   # residual points: start .. start+n+1
+        xs = [lat.x(s) for s in grid.points()]
+        if len({lat.x(start + i) for i in range(n + 2)}) != n + 2:
+            last_error = DegenerateAbscissae(f"repeated x-values from {start}")
+            continue
+        try:
+            rows = None
+            for j in range(n + 1):
+                mono = GridFunction(grid.start, tuple(x ** j for x in xs))
+                res = eqn.apply_L(eq_n, mono)
+                if rows is None:
+                    rows = [[None] * (n + 1) for _ in range(len(res))]
+                for i, v in enumerate(res.values):
+                    rows[i][j] = v
+        except DegenerateStep as exc:
+            last_error = exc
+            continue
+        basis = nullspace(rows)
+        if len(basis) != 1:
+            raise OracleDimensionError(
+                f"null space has dimension {len(basis)}, expected 1 "
+                f"(lambda_{n} inadmissible, or a bug)")
+        vec = basis[0]
+        lead = next(v for v in reversed(vec) if v != 0)
+        return [v / lead for v in vec]
+    raise last_error if last_error else OracleDimensionError("no usable sample grid")
+
+
+def polynomial_coefficients(lat: Lattice, f: GridFunction, degree: int) -> list:
+    """The degree+1 monomial coefficients in x(s) (low order first) of the
+    interpolant through the first degree+1 samples: the Newton form of the
+    polynomial kind, expanded by nested multiplication.  Repeated abscissae
+    are an error."""
+    if len(f) < degree + 1:
+        raise WindowTooSmall(f"need {degree + 1} samples for degree {degree}")
+    samples = list(f.items())[:degree + 1]
+    xs = [lat.x(s) for s, _ in samples]
+    if len(set(xs)) != len(xs):
+        raise DegenerateAbscissae("repeated x-values in interpolation samples")
+    form = IntegerForm.through(xs, [v for _, v in samples])
+    coeffs = [Fraction(c, form.den) for c in form.coeffs]
+    return coeffs + [Fraction(0)] * (degree + 1 - len(coeffs))
+
+
+# --- the suite ---------------------------------------------------------------
 
 
 class _Ctx:
@@ -96,11 +310,11 @@ class _Ctx:
         return self._once(("solve", n, window, kind, tuple(sorted(options.items()))),
                           lambda: sol.solve(self.eq, n, window, kind, **options))
 
-    def weight(self, n: int | None = None) -> eqn.PearsonWeight:
+    def weight(self, n: int | None = None) -> PearsonWeight:
         # solve()'s rule for the window enlarged by one point per side: on the
         # shortest window adjoint-product reads 7 points of the n = 0 weight.
         n = self.n if n is None else n
-        return self._once(("weight", n), lambda: eqn.pearson_weight(
+        return self._once(("weight", n), lambda: pearson_weight(
             self.eq, sol.weight_window_for(n, self.window.expand(1, 1)), self.window.start))
 
     def random_grid(self, window: Window, nonzero: bool = False) -> GridFunction:
@@ -194,7 +408,7 @@ def _check_rho_k_pearson(ctx: _Ctx):
     weight = ctx.weight(ctx.n + 3)
     base = ctx.window
     for k in range(1, 4):
-        grid = GridFunction.sample(base, lambda s, k=k: eqn.rho_k(eq, weight, k, s))
+        grid = GridFunction.sample(base, lambda s, k=k: rho_k(eq, weight, k, s))
         sigma_grid = GridFunction.sample(base, lambda s: eqn.sigma_of_s(eq, s))
         lhs = delta_k(ctx.lat, k - 1, sigma_grid * grid)
         for s in lhs.points():
@@ -361,7 +575,7 @@ def _check_second_kind_residual(ctx: _Ctx):
     # independence: the Casoratian constant K with the polynomial kind is
     # one nonzero value on the window (rho is anchored where solve() anchors it)
     poly = ctx.solve(ctx.n, ctx.window).solution
-    ks = {sol.casoratian(ctx.eq, ctx.weight(), poly, report.solution, s)
+    ks = {casoratian(ctx.eq, ctx.weight(), poly, report.solution, s)
           for s in list(ctx.window.points())[:-1]}
     _ensure(len(ks) == 1, "Casoratian not constant")
     k = ks.pop()
@@ -392,7 +606,7 @@ def _check_rodrigues_paths(ctx: _Ctx):
     report = ctx.solve(n, window)
     # backward route: rho_n(s) differenced n times at level n, then /rho
     rho_n = GridFunction.sample(
-        window.expand(n, 0), lambda s: eqn.rho_k(eq, weight, n, s))
+        window.expand(n, 0), lambda s: rho_k(eq, weight, n, s))
     back = iterated_nabla(lat, n, n, rho_n) / weight.rho.restrict(window)
     _ensure((back - report.solution).is_zero(),
             "nabla-path Rodrigues differs from the delta path")
@@ -437,8 +651,8 @@ def _check_oracle_agreement(ctx: _Ctx):
     n = min(ctx.n, 4)
     eq = ctx.eq
     report = ctx.solve(n, ctx.window)
-    mine = sol.polynomial_coefficients(ctx.lat, report.solution, n)
-    oracle = sol.brute_force_polynomial_oracle(eq, n)
+    mine = polynomial_coefficients(ctx.lat, report.solution, n)
+    oracle = brute_force_polynomial_oracle(eq, n)
     scale = next((a / b for a, b in zip(mine, oracle) if b != 0), None)
     _ensure(scale is not None and scale != 0, "no usable scale between routes")
     for a, b in zip(mine, oracle):
@@ -449,7 +663,7 @@ def _check_yn_first_order(ctx: _Ctx):
     eq, lat, n = ctx.eq, ctx.lat, max(ctx.n, 1)
     weight = ctx.weight()
     window = Window(ctx.window.start, 6)
-    product = sol.Y_n(eq, weight, n, window)
+    product = Y_n(eq, weight, n, window)
     grad = nabla_k(lat, -n, product)
     for s in grad.points():
         p0 = lat.nabla_quotient(eqn.sigma_star(eq, s) - eqn.sigma_of_s(eq, s - n), -n, s)
@@ -461,8 +675,8 @@ def _check_yn_first_order(ctx: _Ctx):
 def _check_ell_gamma(ctx: _Ctx):
     eq, lat, n = ctx.eq, ctx.lat, max(ctx.n, 1)
     for s in list(ctx.window.points())[:5]:
-        gamma, _ell, _eta = sol.gamma_ell_eta(eq, n, s)
-        _, ell_next, _ = sol.gamma_ell_eta(eq, n, s + 1)
+        gamma, _ell, _eta = gamma_ell_eta(eq, n, s)
+        _, ell_next, _ = gamma_ell_eta(eq, n, s + 1)
         dsig = lat.delta_quotient(eqn.sigma_star(eq, s + 1) - eqn.sigma_star(eq, s), -(n + 1), s)
         lhs = lat.delta_quotient(ell_next * lat.delta_x(-n, s), -(n + 1), s) + dsig
         _ensure_zero(lhs - gamma, f"ell/gamma consistency fails at s={s}")
@@ -470,7 +684,7 @@ def _check_ell_gamma(ctx: _Ctx):
 
 def _check_eta_constant(ctx: _Ctx):
     eq, n = ctx.eq, max(ctx.n, 1)
-    etas = {sol.gamma_ell_eta(eq, n, s)[2] for s in list(ctx.window.points())[:5]}
+    etas = {gamma_ell_eta(eq, n, s)[2] for s in list(ctx.window.points())[:5]}
     _ensure(len(etas) == 1, "eta varies with s")
     _ensure_zero(etas.pop() + eq.kappa(2 * n - 1), "eta != -kappa_{2n-1}")
 
@@ -479,10 +693,10 @@ def _check_homogeneous_solution(ctx: _Ctx):
     eq, lat, n = ctx.eq, ctx.lat, max(ctx.n, 1)
     weight = ctx.weight()
     window = Window(ctx.window.start, 6)
-    v = sol.Y_n(eq, weight, n, window)
+    v = Y_n(eq, weight, n, window)
     grad = nabla_k(lat, -n, v)
     for s in grad.points():
-        _gamma, ell, _eta = sol.gamma_ell_eta(eq, n, s)
+        _gamma, ell, _eta = gamma_ell_eta(eq, n, s)
         _ensure_zero(eqn.sigma_star(eq, s) * grad.value_at(s) + ell * v.value_at(s),
                      f"homogeneous first-order equation fails at s={s}")
 
@@ -493,7 +707,7 @@ def _check_ladder_kills_weight_product(ctx: _Ctx):
     eq_n = eq.with_lambda(eqn.lambda_n(eq, n))
     weight = ctx.weight()
     window = Window(ctx.window.start, 6 + n)
-    w = iterated_delta(lat, -n, n, sol.Y_n(eq_n, weight, n, window))
+    w = iterated_delta(lat, -n, n, Y_n(eq_n, weight, n, window))
     _ensure(eqn.apply_L_star(eq_n, w).is_zero(),
             "delta^(n) Y_n does not solve the adjoint equation")
 

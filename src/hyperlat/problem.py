@@ -36,7 +36,7 @@ from .errors import (
 )
 from .grid import Window
 from .lattice import HalfInt, Lattice, QQuadraticLattice, QuadraticLattice
-from .numerics import Rational, Record, format_rational, parse_rational
+from .numerics import Rational, Record, parse_rational
 
 MAX_N = 16
 MIN_WINDOW_MARGIN = 5  # window length must be at least n + this
@@ -410,26 +410,3 @@ def parse_problem_bytes(data: bytes) -> ProblemSpec:
             1, 1, f"input is not valid UTF-8 ({exc.reason} at byte {exc.start})")])
     return parse_problem(text)
 
-
-# ---------------------------------------------------------------------------
-# rendering
-
-
-def render_problem(spec: ProblemSpec) -> str:
-    """Canonical text form; parse_problem(render_problem(s)) == s."""
-    lat = spec.lattice
-    name, keys = next((name, keys) for name, (cls, keys) in _FAMILIES.items()
-                      if isinstance(lat, cls))
-    out = [f"lattice = {name}"]
-    out += [f"{key} = {format_rational(getattr(lat, key))}" for key in keys]
-    out.append("sigma = " + ", ".join(format_rational(c) for c in spec.sigma_t))
-    out.append("tau = " + ", ".join(format_rational(c) for c in spec.tau_t))
-    if spec.lam is not None:
-        out.append(f"lambda = {format_rational(spec.lam)}")
-    out.append(f"n = {spec.n}")
-    out.append(f"window = {spec.window.start}..{spec.window.end}")
-    if spec.sum_base is not None:
-        out.append(f"sum_base = {spec.sum_base}")
-    if spec.poly_p is not None:
-        out.append("P = " + ", ".join(format_rational(c) for c in spec.poly_p))
-    return "\n".join(out) + "\n"

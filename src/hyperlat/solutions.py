@@ -16,9 +16,10 @@ Y_n C is a pair times a ``Fraction``, the n-fold difference runs on pairs
 and divides its last pass by the rho pairs (``grid._passes``), and the
 Casoratian recurrence and its K read the rho pairs, so ``solve()`` makes
 a ``Fraction`` only for a value it returns or for a value of C, K or the
-integrand, and never from a pair already reduced.  ``Y_n``,
-``casoratian`` and the ``PearsonWeight`` of ``pearson_weight`` are the
-``Fraction`` views for other callers.  The kinds are:
+integrand, and never from a pair already reduced.  ``verify``'s
+``Fraction`` references for rho, Y_n and K (``pearson_weight``, ``Y_n``,
+``casoratian``) live in ``identities``, which only ``verify`` imports.  The
+kinds are:
 
 * the polynomial eigenfunction (the standard formula): C = 1.  y is a
   polynomial of degree at most n in x(s), so the formula runs on the first
@@ -40,7 +41,7 @@ the Casoratian W(s) = y1(s) y(s+1) - y1(s+1) y(s) with the polynomial kind
 y1, a discrete Liouville-Ostrogradsky identity (Nikiforov, Suslov and
 Uvarov, ch. 3): for any two solutions at lambda_n,
 
-    K = sigma(s+1) rho(s+1) W(s) / delta x_0(s)             (``casoratian``)
+    K = sigma(s+1) rho(s+1) W(s) / delta x_0(s)             (``_casoratian``)
 
 is one constant, so with K taken at the first point where delta x_0 is
 nonzero (x(s+1) = x(s) holds for at most one s, so that point is the first
@@ -78,11 +79,9 @@ lattice families x repeats only in mirror pairs about one centre c, and L
 divides by a zero step there (``nabla_0`` when c lies between grid points,
 ``delta_{-1}`` when it is one), so the residual raises ``DegenerateStep``.
 
-A brute-force oracle recovers the polynomial solution independently, by exact
-null-space extraction from samples of L applied to the monomial basis; it
-shares no code path with the Rodrigues route.  ``polynomial_coefficients``
-expands the Newton form of the polynomial kind into the monomial basis, for
-comparison with it.
+``verify``'s brute-force oracle, which recovers the polynomial kind by exact
+null-space extraction and shares no code path with this module, lives in
+``identities`` with those references.
 """
 
 from __future__ import annotations
@@ -92,25 +91,15 @@ from math import gcd, prod
 
 from .equation import (
     HyperEquation,
-    PearsonWeight,
     _three_term,
     admissibility_violation,
-    apply_L,
     lambda_n,
     pearson_steps,
-    sigma_of_s,
-    sigma_star,
+    sigma_of_s,  # not called here: the traced benchmark wraps solutions.sigma_of_s
     weight_from_steps,
 )
-from .errors import (
-    DegenerateAbscissae,
-    DegenerateStep,
-    OracleDimensionError,
-    OutOfWindow,
-    SingularSummand,
-    WindowTooSmall,
-)
-from .grid import GridFunction, Window, _passes, cumulative_nabla_sum, pairs_of
+from .errors import OutOfWindow, SingularSummand
+from .grid import GridFunction, Window, _passes, cumulative_nabla_sum
 from .lattice import HalfInt, Lattice
 from .numerics import IntegerForm, Record, Scalar, format_scalar
 
@@ -182,16 +171,6 @@ def sum_base_for(n: int, window: Window, N: HalfInt | None = None) -> HalfInt:
     if N not in y_window:
         raise OutOfWindow(f"sum base {N} must lie in {y_window}")
     return N
-
-
-def Y_n(eq: HyperEquation, weight: PearsonWeight, n: int, window: Window) -> GridFunction:
-    """Y_n(s) = rho(s) prod_{j=0..n-1} sigma(s-j), the level-n weight product
-    rho_n(s-n): the ``Fraction`` view of ``_weight_product``."""
-    if not weight.window.covers(window):
-        raise OutOfWindow(f"weight window {weight.window} does not cover {window}")
-    rho = pairs_of(weight.rho.restrict(window))
-    values = _weight_product(eq, rho, n, window)
-    return GridFunction(window.start, tuple(Fraction(*v) for v in values))
 
 
 def _weight_product(eq: HyperEquation, rho: list, n: int, window: Window) -> list:
@@ -340,20 +319,12 @@ def _polynomial_kind(eq: HyperEquation, weight_on, n: int, window: Window) -> Gr
     return GridFunction(window.start, tuple(values))
 
 
-def casoratian(eq: HyperEquation, weight: PearsonWeight, y1: GridFunction,
-               y: GridFunction, s: HalfInt) -> Scalar:
-    """K(s) = sigma(s+1) rho(s+1) W(s) / delta x_0(s) for two grid functions,
-    with the Casoratian W(s) = y1(s) y(s+1) - y1(s+1) y(s).  For two
-    solutions of L y = 0 it is one constant, nonzero exactly when they are
-    independent."""
-    r = weight.value_at(s + 1)
-    return _casoratian(eq, (r.numerator, r.denominator), y1, y, s)
-
-
 def _casoratian(eq: HyperEquation, rho: tuple, y1: GridFunction, y: GridFunction,
                 s: HalfInt) -> Scalar:
-    """``casoratian`` with the pair ``rho`` of rho(s+1): the integers of
-    sigma(s+1), rho(s+1), W(s) and the guarded step, normalized once."""
+    """K(s) = sigma(s+1) rho(s+1) W(s) / delta x_0(s), with the Casoratian
+    W(s) = y1(s) y(s+1) - y1(s+1) y(s) and the pair ``rho`` of rho(s+1): the
+    integers of sigma(s+1), rho(s+1), W(s) and the guarded step, normalized
+    once."""
     t = s + 1
     w = y1.value_at(s) * y.value_at(t) - y1.value_at(t) * y.value_at(s)
     (sn, sd), (rn, rd) = eq._sigma[t.twice], rho
@@ -415,132 +386,3 @@ def _integral_kind(eq: HyperEquation, weight: list, n: int, window: Window,
         values.append(Fraction(sn // h * (c.denominator // k), sd // k * (c.numerator // h)))
     return GridFunction(window.start, tuple(values))
 
-
-# ---------------------------------------------------------------------------
-# exactness auxiliaries of the generalized construction
-
-
-def gamma_ell_eta(eq: HyperEquation, n: int, s: HalfInt) -> tuple[Scalar, Scalar, Scalar]:
-    """The exactness auxiliaries of the generalized construction:
-
-        gamma(s,n) = [sigma(s-n+1) - sigma*(s)] / delta x_{-(n+1)}(s)
-        ell(s,n)   = [sigma(s-n)   - sigma*(s)] / nabla x_{-n}(s)
-        eta(n)     = delta_{-(n+1)} ell(s,n)    (independent of s)
-
-    gamma satisfies
-        ell(s+1,n) delta x_{-n}(s) / delta x_{-(n+1)}(s) + delta_{-(n+1)} sigma*(s) = gamma(s,n),
-    and eta(n) equals the eigenvalue of the first-order pair (it is
-    -kappa_{2n-1} in closed form).
-    """
-    lat = eq.lattice
-
-    def ell_at(t: HalfInt) -> Scalar:
-        return lat.nabla_quotient(sigma_of_s(eq, t - n) - sigma_star(eq, t), -n, t)
-
-    gamma = lat.delta_quotient(sigma_of_s(eq, s - n + 1) - sigma_star(eq, s), -(n + 1), s)
-    ell = ell_at(s)
-    eta = lat.delta_quotient(ell_at(s + 1) - ell, -(n + 1), s)
-    return gamma, ell, eta
-
-
-# ---------------------------------------------------------------------------
-# independent polynomial oracle
-
-
-def _row_reduce(rows: list[list]) -> tuple[list[list], list[int]]:
-    """In-place fraction Gaussian elimination; returns (matrix, pivot columns)."""
-    pivots = []
-    r = 0
-    cols = len(rows[0]) if rows else 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][c]
-        rows[r] = [v / inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                factor = rows[i][c]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
-
-
-def nullspace(rows: list[list]) -> list[list]:
-    """Exact null-space basis of a rational matrix (reduced row echelon)."""
-    if not rows:
-        return []
-    matrix = [list(row) for row in rows]
-    matrix, pivots = _row_reduce(matrix)
-    cols = len(matrix[0])
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * cols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -matrix[r][fc]
-        basis.append(vec)
-    return basis
-
-
-def brute_force_polynomial_oracle(eq: HyperEquation, n: int) -> list:
-    """Coefficients (monomial basis of x(s), low order first) of the nonzero
-    polynomial solution at lambda_n, found without the Rodrigues machinery.
-
-    L is applied to each monomial x(s)^j on a sample grid; the residuals at
-    n+2 points give an (n+2) x (n+1) linear system whose null space must be
-    exactly one-dimensional.  Sample points are required to have pairwise
-    distinct x-values so the system is honest.
-    """
-    lat = eq.lattice
-    eq_n = eq.with_lambda(lambda_n(eq, n))
-    candidates = [HalfInt.from_int(v) for v in (1, 2, 3, 4)] + [HalfInt(3), HalfInt(5)]
-    last_error: Exception | None = None
-    for start in candidates:
-        grid = Window(start - 1, n + 4)   # residual points: start .. start+n+1
-        xs = [lat.x(s) for s in grid.points()]
-        if len({lat.x(start + i) for i in range(n + 2)}) != n + 2:
-            last_error = DegenerateAbscissae(f"repeated x-values from {start}")
-            continue
-        try:
-            rows = None
-            for j in range(n + 1):
-                mono = GridFunction(grid.start, tuple(x ** j for x in xs))
-                res = apply_L(eq_n, mono)
-                if rows is None:
-                    rows = [[None] * (n + 1) for _ in range(len(res))]
-                for i, v in enumerate(res.values):
-                    rows[i][j] = v
-        except DegenerateStep as exc:
-            last_error = exc
-            continue
-        basis = nullspace(rows)
-        if len(basis) != 1:
-            raise OracleDimensionError(
-                f"null space has dimension {len(basis)}, expected 1 "
-                f"(lambda_{n} inadmissible, or a bug)")
-        vec = basis[0]
-        lead = next(v for v in reversed(vec) if v != 0)
-        return [v / lead for v in vec]
-    raise last_error if last_error else OracleDimensionError("no usable sample grid")
-
-
-def polynomial_coefficients(lat: Lattice, f: GridFunction, degree: int) -> list:
-    """The degree+1 monomial coefficients in x(s) (low order first) of the
-    interpolant through the first degree+1 samples: the Newton form of the
-    polynomial kind, expanded by nested multiplication.  Repeated abscissae
-    are an error."""
-    if len(f) < degree + 1:
-        raise WindowTooSmall(f"need {degree + 1} samples for degree {degree}")
-    samples = list(f.items())[:degree + 1]
-    xs = [lat.x(s) for s, _ in samples]
-    if len(set(xs)) != len(xs):
-        raise DegenerateAbscissae("repeated x-values in interpolation samples")
-    form = IntegerForm.through(xs, [v for _, v in samples])
-    coeffs = [Fraction(c, form.den) for c in form.coeffs]
-    return coeffs + [Fraction(0)] * (degree + 1 - len(coeffs))

@@ -25,7 +25,6 @@ from hyperlat import (
     brute_force_polynomial_oracle,
     cumulative_nabla_sum,
     delta_k,
-    dual_coefficients,
     hat_mu_n,
     iterated_delta,
     lambda_n,
@@ -36,15 +35,15 @@ from hyperlat import (
     parse_problem_with_diagnostics,
     pearson_weight,
     polynomial_coefficients,
-    render_problem,
     sigma_of_s,
     solve,
     tau_k,
     tau_star,
 )
+from hyperlat.equation import adjoint
 from tests.conftest import qq_a, qq_b, quad_a, quad_b
 from tests.test_cli import DEMO_CALLS, GOLDEN_CALLS, run_cli, run_cli_once
-from tests.test_problem import DIAGNOSTIC_CORPUS
+from tests.test_problem import DIAGNOSTIC_CORPUS, render_problem
 
 REPO = Path(__file__).resolve().parent.parent
 WINDOW = Window(HalfInt.from_int(4), 12)
@@ -157,11 +156,11 @@ def test_criterion_6_adjoint_suite():
             for spot in window.points():
                 assert coeffs.tau_star.value_at(spot) == -tau_k(eq, -2, spot + 1)
             assert coeffs.lambda_star == eq.lam - eq.kappa(-1)
+            back = adjoint(adjoint(eq))
+            assert back == eq
             for spot in list(window.points())[:4]:
-                sig, tau, lam = dual_coefficients(eq, spot)
-                assert sig == sigma_of_s(eq, spot)
-                assert tau == eq.tau_tilde(lat.x(spot))
-                assert lam == eq.lam
+                assert back.sigma_at(spot.twice) == sigma_of_s(eq, spot)
+                assert back.tau_at(spot.twice) == eq.tau_tilde(lat.x(spot))
             tilde_star = GridFunction.sample(
                 window,
                 lambda t: sigma_of_s(eq, t + 1)

@@ -19,7 +19,6 @@ from hyperlat import (
     apply_L,
     apply_L_star,
     delta_k,
-    dual_coefficients,
     hat_mu_n,
     hat_tau_k,
     iterated_delta,
@@ -108,12 +107,12 @@ def test_rewritten_adjoint_stencil(equation):
 
 def test_dual_reconstruction(equation):
     eq = equation.with_lambda(F(11, 7))
+    back = eqn.adjoint(eqn.adjoint(eq))
+    assert back == eq
     for twice in range(6, 16, 2):
         s = HalfInt(twice)
-        sig, tau, lam = dual_coefficients(eq, s)
-        assert sig == sigma_of_s(eq, s)
-        assert tau == tau_of_s(eq, s)
-        assert lam == eq.lam
+        assert back.sigma_at(twice) == sigma_of_s(eq, s)
+        assert back.tau_at(twice) == tau_of_s(eq, s)
 
 
 def test_adjoint_sigma_tilde_star_is_quadratic(equation):
@@ -221,9 +220,8 @@ def test_lambda_star_is_checked_where_it_is_used(equation, wrong_kappa_minus_one
     with pytest.raises(NonConstantLambdaStar) as exc:
         apply_L_star(equation, w)
     assert _named_point(exc.value) in points - {str(window.start), str(window.end)}
-    with pytest.raises(NonConstantLambdaStar) as exc:
-        dual_coefficients(equation, S(5))
-    assert _named_point(exc.value) == "5"
+    # lambda** is off by 2/7, so the double adjoint is not the equation
+    assert eqn.adjoint(eqn.adjoint(equation)).lam == equation.lam - F(2, 7)
 
 
 def test_wrong_lambda_star_fails_adjoint_and_verify(wrong_kappa_minus_one, capsys):
@@ -235,6 +233,8 @@ def test_wrong_lambda_star_fails_adjoint_and_verify(wrong_kappa_minus_one, capsy
     for name in ("lambda-star-closed-form", "hat-mu-is-lambda-star"):
         assert not results[name].passed
         assert results[name].detail.startswith("NonConstantLambdaStar: ")
+    # the double adjoint's lambda is off, so it is not the equation
+    assert results["dual-reconstruction"].detail == "the adjoint of the adjoint is not L"
 
 
 def test_a_broken_adjoint_fails_its_identities_without_a_traceback(monkeypatch, capsys):
@@ -252,6 +252,20 @@ def test_a_broken_adjoint_fails_its_identities_without_a_traceback(monkeypatch, 
     for name in ("sigma-star-degree", "dual-reconstruction"):
         assert lines[name].startswith(f"FAIL {name}: AssertionError: ")
     assert lines["suslov-alpha-sum"] == "PASS suslov-alpha-sum"
+
+
+def test_a_broken_adjoint_ends_the_adjoint_command_in_one_line(monkeypatch, capsys):
+    """With the slope of tau~* off, the adjoint's form check raises
+    AssertionError; ``hyperlat adjoint`` prints one ``identity failure``
+    line, no output and no traceback, and exits 1."""
+    kappa = HyperEquation.kappa
+    monkeypatch.setattr(HyperEquation, "kappa",
+                        lambda eq, mu: kappa(eq, mu) + (F(1, 5) if mu == -3 else 0))
+    assert cli.main(["adjoint", "--spec", str(DEMOS / "quadratic.spec")]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("identity failure: the adjoint's sigma and sigma* forms "
+                   "are not sigma* and sigma\n")
 
 
 @settings(max_examples=100, deadline=None)

@@ -505,21 +505,45 @@ def test_the_identity_suite_is_imported_only_when_asked_for():
     assert result.stdout == "34\n"
 
 
+def test_solve_adjoint_and_table_never_load_the_identity_suite():
+    """One process runs ``cli.main`` for every solve kind, ``adjoint`` and
+    ``table`` call on the demo specs (CSV and JSON): afterwards
+    ``hyperlat.identities`` is still unloaded, and neither solve module
+    holds verify's oracle, views or the deleted dual."""
+    calls = [call for call in DEMO_CALLS.values() if call[0] != "verify"]
+    result = run_cli(launcher=("-c", "\n".join([
+        "import contextlib, io, sys",
+        "import hyperlat.cli, hyperlat.equation as eqn, hyperlat.solutions as sol",
+        f"for argv in {calls!r}:",
+        "    with contextlib.redirect_stdout(io.StringIO()):",
+        "        assert hyperlat.cli.main(list(argv)) == 0, argv",
+        "names = ('brute_force_polynomial_oracle', 'nullspace', 'polynomial_coefficients',",
+        "         'gamma_ell_eta', 'Y_n', 'casoratian', 'PearsonWeight', 'pearson_weight',",
+        "         'rho_k', 'dual_coefficients')",
+        "print('hyperlat.identities' in sys.modules,",
+        "      [name for name in names if hasattr(sol, name) or hasattr(eqn, name)])"])))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False []\n"
+
+
 def test_star_import_brings_every_public_name():
-    """``__all__`` is every public name of the package, the identity suite's
-    included, which ``from hyperlat import *`` imports; a plain import
-    still leaves the suite unloaded."""
+    """``__all__`` is every public name of the package, those of the
+    identity suite and its references included, which ``from hyperlat
+    import *`` imports; a plain import still leaves the suite unloaded."""
     result = run_cli(launcher=("-c", "\n".join([
         "import sys, types, hyperlat",
         "assert 'hyperlat.identities' not in sys.modules",
         "public = {name for name, value in vars(hyperlat).items()",
         "          if not name.startswith('_') and not isinstance(value, types.ModuleType)}",
-        "lazy = {'IdentityResult', 'identity_names', 'run_identity_suite'}",
+        "lazy = {'IdentityResult', 'identity_names', 'run_identity_suite',",
+        "        'PearsonWeight', 'pearson_weight', 'rho_k', 'Y_n', 'casoratian',",
+        "        'gamma_ell_eta', 'brute_force_polynomial_oracle', 'nullspace',",
+        "        'polynomial_coefficients'}",
         "assert sorted(hyperlat.__all__) == sorted(public | lazy), hyperlat.__all__",
         "from hyperlat import *",
-        "print(run_identity_suite.__module__, solve.__module__)"])))
+        "print(run_identity_suite.__module__, Y_n.__module__, solve.__module__)"])))
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "hyperlat.identities hyperlat.solutions\n"
+    assert result.stdout == "hyperlat.identities hyperlat.identities hyperlat.solutions\n"
 
 
 def test_a_solve_process_imports_no_code_generation_or_json():

@@ -23,8 +23,8 @@ import tempfile
 from pathlib import Path
 
 from hyperlat.cli import main
-from hyperlat.problem import render_problem
 from tests.test_acceptance import _random_spec
+from tests.test_problem import render_problem
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "differential_2026.txt"
 SPECS = 150

@@ -13,9 +13,10 @@ from hyperlat import (
     Window,
     parse_problem,
     parse_problem_bytes,
+    format_rational,
     parse_problem_with_diagnostics,
-    render_problem,
 )
+from hyperlat.problem import _FAMILIES
 
 MINIMAL_QUADRATIC = """\
 # a comment line
@@ -217,6 +218,27 @@ def test_invalid_utf8_is_diagnosed():
 
 # ---------------------------------------------------------------------------
 # generated round-trip property
+
+
+def render_problem(spec: ProblemSpec) -> str:
+    """Canonical text form; parse_problem(render_problem(s)) == s."""
+    lat = spec.lattice
+    name, keys = next((name, keys) for name, (cls, keys) in _FAMILIES.items()
+                      if isinstance(lat, cls))
+    out = [f"lattice = {name}"]
+    out += [f"{key} = {format_rational(getattr(lat, key))}" for key in keys]
+    out.append("sigma = " + ", ".join(format_rational(c) for c in spec.sigma_t))
+    out.append("tau = " + ", ".join(format_rational(c) for c in spec.tau_t))
+    if spec.lam is not None:
+        out.append(f"lambda = {format_rational(spec.lam)}")
+    out.append(f"n = {spec.n}")
+    out.append(f"window = {spec.window.start}..{spec.window.end}")
+    if spec.sum_base is not None:
+        out.append(f"sum_base = {spec.sum_base}")
+    if spec.poly_p is not None:
+        out.append("P = " + ", ".join(format_rational(c) for c in spec.poly_p))
+    return "\n".join(out) + "\n"
+
 
 small_rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 nonzero_rationals = small_rationals.filter(lambda v: v != 0)

@@ -6,8 +6,8 @@ Each property must hold wherever the library raises no HyperlatError (a
 zero lattice step, a Pearson singularity or a vanishing summand ends the
 example instead):
 
-* the adjoint map is an involution: ``dual_coefficients`` gives back
-  (sigma(s), tau(s), lambda);
+* the adjoint map is an involution: ``adjoint(adjoint(eq))`` is the
+  equation and reads (sigma(s), tau(s)) on its tables;
 * L*[rho y] = rho L[y] for the Pearson weight rho;
 * the second-kind and generalized solutions of ``solve()`` equal, bit for
   bit, a reference built here from the definition over the whole window,
@@ -81,13 +81,11 @@ from hyperlat import (
     apply_L_star,
     casoratian,
     delta_k,
-    dual_coefficients,
     iterated_delta,
     lambda_n,
     lambda_star,
     nabla_k,
     pearson_weight,
-    render_problem,
     run_identity_suite,
     sigma_of_s,
     sigma_star,
@@ -97,8 +95,9 @@ from hyperlat import (
     weight_window_for,
 )
 from hyperlat import cli
-from hyperlat.equation import _checked_lambda_star
+from hyperlat.equation import _checked_lambda_star, adjoint
 from tests.conftest import qq_b, quad_a
+from tests.test_problem import render_problem
 
 # A failing example is reported as drawn: shrinking one took minutes, since
 # every step reruns exact arithmetic on large rationals.
@@ -165,13 +164,12 @@ def centred_problems(draw):
 
 @settings(max_examples=60, deadline=None, phases=NO_SHRINK)
 @given(equations, windows(0))
-def test_dual_coefficients_invert_the_adjoint_map(eq, window):
+def test_the_adjoint_of_the_adjoint_is_the_equation(eq, window):
+    back = adjoint(adjoint(eq))
+    assert back == eq
     for s in window.points():
-        try:
-            dual = dual_coefficients(eq, s)
-        except HyperlatError:
-            continue
-        assert dual == (sigma_of_s(eq, s), tau_of_s(eq, s), eq.lam)
+        assert back.sigma_at(s.twice) == sigma_of_s(eq, s)
+        assert back.tau_at(s.twice) == tau_of_s(eq, s)
 
 
 @settings(max_examples=60, deadline=None, phases=NO_SHRINK)

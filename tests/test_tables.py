@@ -22,13 +22,14 @@ from hyperlat import (
     QuadraticLattice,
     Window,
     parse_problem,
-    render_problem,
     solve,
 )
+from hyperlat import cli
 from hyperlat.equation import adjoint
 from hyperlat.lattice import FormTable
 from hyperlat.numerics import IntegerForm
 from tests.conftest import ALL_CONFIGS, qq_b, quad_b
+from tests.test_problem import render_problem
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 KINDS = ("polynomial", "second", "generalized")
@@ -297,6 +298,19 @@ def test_a_sign_flip_of_the_constant_in_x_k_raises(family, lattice, monkeypatch)
     monkeypatch.setattr(family, "x_k", lambda lat, k, s: real(lat, k, s) - 2 * constant)
     with pytest.raises(AssertionError, match="order 1 disagrees with its formula at 2s=-2"):
         lattice.x_at(7)
+
+
+def test_a_form_check_that_disagrees_ends_solve_in_one_line(monkeypatch, capsys):
+    """x_k off by one fails the check of the form of x (``Lattice.checked``);
+    ``hyperlat solve`` prints one ``identity failure`` line, no output and
+    no traceback, and exits 1."""
+    real = QuadraticLattice.x_k
+    monkeypatch.setattr(QuadraticLattice, "x_k", lambda lat, k, s: real(lat, k, s) + 1)
+    assert cli.main(["solve", "--spec", str(DEMOS / "quadratic.spec")]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("identity failure: integer form of order 1 disagrees with ")
+    assert err.count("\n") == 1
 
 
 @st.composite
