@@ -15,9 +15,10 @@ field.  A Casoratian that vanishes because n is inadmissible is reported with
 the order m < n that has lambda_m = lambda_n.
 
 The references the checks read live here too, so a process that only
-solves never compiles them: the weight rho (``pearson_weight``), rho_k and
-Y_n in ``Fraction`` values, each multiplied out from its definition by
-products of a large value and a small factor; the Casoratian constant
+solves never compiles them: the weight rho (``pearson_weight``) and rho_k
+in ``Fraction`` values, each multiplied out from its definition by products
+of a large value and a small factor; the ``Fraction`` views of the kernels
+of the weight product (``Y_n``) and the Casoratian constant
 (``casoratian``); the exactness auxiliaries ``gamma_ell_eta`` of the
 generalized construction; and a brute-force oracle that recovers the
 polynomial kind by exact null-space extraction from samples of L applied
@@ -50,6 +51,7 @@ from .grid import (
     iterated_delta,
     iterated_nabla,
     nabla_k,
+    pairs_of,
 )
 from .lattice import HalfInt, Lattice
 from .numerics import IntegerForm, Record, Scalar, format_rational
@@ -126,13 +128,12 @@ def rho_k(eq: eqn.HyperEquation, weight: PearsonWeight, k: int, s: HalfInt) -> S
 
 def Y_n(eq: eqn.HyperEquation, weight: PearsonWeight, n: int, window: Window) -> GridFunction:
     """Y_n(s) = rho(s) prod_{j=0..n-1} sigma(s-j), the level-n weight product
-    rho_n(s-n), from its definition; the solve's kernel is
-    ``solutions._weight_product``."""
+    rho_n(s-n): the ``Fraction`` view of ``solutions._weight_product``."""
     if not weight.window.covers(window):
         raise OutOfWindow(f"weight window {weight.window} does not cover {window}")
-    return GridFunction(window.start, tuple(
-        weight.value_at(s) * math.prod(eqn.sigma_of_s(eq, s - j) for j in range(n))
-        for s in window.points()))
+    rho = pairs_of(weight.rho.restrict(window))
+    values = sol._weight_product(eq, rho, n, window)
+    return GridFunction(window.start, tuple(Fraction(*v) for v in values))
 
 
 def casoratian(eq: eqn.HyperEquation, weight: PearsonWeight, y1: GridFunction,
