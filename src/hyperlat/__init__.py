@@ -21,13 +21,13 @@ from .equation import (
     apply_L,
     apply_L_star,
     hat_mu_n,
-    hat_tau_k,
     lambda_n,
     lambda_star,
     mu_k,
     sigma_of_s,
     sigma_star,
     tau_k,
+    tau_k_line,
     tau_of_s,
     tau_star,
 )
@@ -92,8 +92,8 @@ _IDENTITIES = (
 __all__ = [
     # equation
     "AdjointCoefficients", "HyperEquation", "adjoint_coeffs", "admissibility_violation",
-    "apply_L", "apply_L_star", "hat_mu_n", "hat_tau_k", "lambda_n", "lambda_star", "mu_k",
-    "sigma_of_s", "sigma_star", "tau_k", "tau_of_s", "tau_star",
+    "apply_L", "apply_L_star", "hat_mu_n", "lambda_n", "lambda_star", "mu_k",
+    "sigma_of_s", "sigma_star", "tau_k", "tau_k_line", "tau_of_s", "tau_star",
     # errors
     "DegenerateAbscissae", "DegenerateStep", "DivisionByZero", "HyperlatError",
     "LatticeError", "NonConstantLambdaStar", "OracleDimensionError", "OutOfWindow",

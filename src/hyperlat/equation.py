@@ -15,7 +15,9 @@ The level-k ladder coefficients
     mu_k     = lambda + kappa_k nu(k)
     lambda_n = -kappa_n nu(n)
 
-drive the polynomial eigenfunctions, and the adjoint coefficients
+drive the polynomial eigenfunctions; tau_k is affine in x_k(s) with slope
+kappa_{2k+1}, which ``tau_k_line`` checks on the whole lattice as one
+identity of integer forms.  The adjoint coefficients
 
     sigma*(s) = sigma(s-1) + tau(s-1) nabla x_{-1}(s)
     tau*(s)   = [sigma(s+1) - sigma*(s)] / delta x_{-1}(s)
@@ -39,12 +41,13 @@ from sigma~*(x(s)) = sigma*(s) + tau*(s) nabla x_1(s) / 2, which is
 sigma* and sigma forms on the whole lattice (else ``AssertionError``, a
 library bug, as in ``Lattice.checked``), and it then shares those tables.
 Every adjoint quantity reads it: ``tau_star`` its tau behind the step
-guard, ``apply_L_star`` its ``apply_L``; ``verify`` checks that the adjoint
-of the adjoint, built from the adjoint's tables, is the equation, its
-lambda included.  The closed form ``lambda_star`` is checked against its
-defining expression (``lambda_star_at``) wherever L* is applied
-(``adjoint_coeffs``, ``apply_L_star``); hat_mu_n is lambda* at lambda =
-lambda_n.  The weight is fixed only up to scale by
+guard, ``apply_L_star`` its ``apply_L``, ``adjoint_coeffs`` its lambda;
+``verify`` checks that the adjoint of the adjoint, built from the adjoint's
+tables, is the equation, its lambda included.  lambda* = lambda -
+delta_{-1} tau_{-1} is the closed form ``lambda_star`` exactly when tau_{-1}
+is the line of slope kappa_{-1}, which the build checks once on the whole
+lattice (``tau_k_line``; else ``NonConstantLambdaStar``); hat_mu_n is
+lambda* at lambda = lambda_n.  The weight is fixed only up to scale by
 
     delta_{-1}[sigma rho] = tau rho,  i.e.  rho(s+1) / rho(s) = sigma*(s+1) / sigma(s+1),
 
@@ -70,6 +73,7 @@ lambda_0..lambda_n in one pass on integers.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count
 from math import gcd
 
 from .errors import (
@@ -144,6 +148,9 @@ class HyperEquation(Record):
     @FormTable.declared
     def _adjoint(self) -> "HyperEquation":
         """L*, made as the module docstring says."""
+        if tau_k_line(self, -1) is None:
+            raise NonConstantLambdaStar("lambda* != lambda - kappa_-1: tau_-1 is not the line "
+                                        "of slope kappa_-1")
         lat, sigma, star = self.lattice, self._sigma, self._star
         x, steps, nodes = lat._table, lat._steps, []
         for t in range(7):  # x has a value at two t, a zero step at one t, at most
@@ -211,6 +218,24 @@ def tau_k(eq: HyperEquation, k: int, s: HalfInt) -> Scalar:
     """Level-k linear coefficient; defined for every integer k (also
     negative), where it has slope kappa_{2k+1} against x_k(s)."""
     return eq.lattice.nabla_quotient(sigma_star(eq, s + k + 1) - sigma_of_s(eq, s), k + 1, s)
+
+
+def tau_k_line(eq: HyperEquation, k: int) -> Scalar | None:
+    """The intercept c of the level-k line tau_k(s) = c + kappa_{2k+1} x_k(s),
+    checked on the whole lattice, or None when tau_k is not that line.  With
+    t = 2s it is the form identity
+
+        sigma*(t + 2k + 2) - sigma(t) = (c + kappa_{2k+1} x(t + k)) step(t + k - 1),
+
+    with c read at the first node t >= 0 whose step is nonzero; it holds at
+    the zeros of the step too, where the quotient tau_k is not defined."""
+    lat, slope = eq.lattice, eq.kappa(2 * k + 1)
+    t = next(t for t in count() if lat._steps[t + k - 1][0])
+    c = (lat.quotient(eq.sigma_star_at(t + 2 * k + 2) - eq.sigma_at(t), t + k - 1, k + 1, t)
+         - slope * lat.x_at(t + k))
+    lhs = lat._mover(eq._star.form)(2 * k + 2) - eq._sigma.form
+    rhs = (slope * lat._mover(lat.x_form())(k) + c) * lat._mover(lat._steps.form)(k - 1)
+    return c if lhs == rhs else None
 
 
 def mu_k(eq: HyperEquation, k: int) -> Scalar:
@@ -393,66 +418,25 @@ def tau_star(eq: HyperEquation, s: HalfInt) -> Scalar:
     return adjoint(eq).tau_at(s.twice)
 
 
-def lambda_star_at(eq: HyperEquation, s: HalfInt) -> Scalar:
-    """lambda* from its defining difference expression at s,
-    lambda - delta_{-1}([sigma*(s) - sigma(s)] / nabla x(s))."""
-    lat, t = eq.lattice, s.twice
-    h = [lat.quotient(eq.sigma_star_at(u) - eq.sigma_at(u), u - 2, 0, u) for u in (t + 2, t)]
-    return eq.lam - lat.quotient(h[0] - h[1], t - 1, -1, t)
-
-
 def lambda_star(eq: HyperEquation) -> Scalar:
     """lambda* = lambda - kappa_{-1}, the closed form."""
     return eq.lam - eq.kappa(-1)
 
 
-def _checked_lambda_star(eq: HyperEquation, points) -> Scalar:
-    """lambda_star(eq), once its defining expression has given the same value
-    at each of the points; disagreement is a hard error naming the point."""
-    closed = lambda_star(eq)
-    for s in points:
-        direct = lambda_star_at(eq, s)
-        if direct != closed:
-            raise NonConstantLambdaStar(
-                f"lambda* mismatch: direct {format_rational(direct)} vs closed form "
-                f"{format_rational(closed)} at s={s}")
-    return closed
-
-
 def adjoint_coeffs(eq: HyperEquation, window: Window) -> AdjointCoefficients:
-    """sigma*, tau* sampled on the window, with the constant lambda*, which
-    is checked against its defining expression at every window point."""
+    """sigma*, tau* sampled on the window, with the adjoint's constant
+    lambda*, which its build checks on the whole lattice."""
     sig = GridFunction.sample(window, lambda s: sigma_star(eq, s))
     tau = GridFunction.sample(window, lambda s: tau_star(eq, s))
-    return AdjointCoefficients(sig, tau, _checked_lambda_star(eq, window.points()))
+    return AdjointCoefficients(sig, tau, adjoint(eq).lam)
 
 
 def apply_L_star(eq: HyperEquation, w: GridFunction) -> GridFunction:
     """Residual of L*[w] = sigma* delta_{-1} nabla_0 w + tau* delta_0 w + lambda* w,
-    the adjoint's ``apply_L``, with lambda* checked at each output point."""
+    the adjoint's ``apply_L``."""
     if len(w) < 3:
         raise WindowTooSmall("apply_L_star needs at least three points")
-    out = apply_L(adjoint(eq), w)
-    _checked_lambda_star(eq, out.points())
-    return out
-
-
-# ---------------------------------------------------------------------------
-# level-nu coefficient functions and the hat ladder
-
-
-def hat_tau_k(eq: HyperEquation, n: int, k: int, s: HalfInt) -> Scalar:
-    """Ladder coefficient of the equation satisfied by the n-th weight
-    product Y_n: hat_tau_k(s) = -tau_{n-k-2}(s + k - n + 1).
-
-    Equivalently the explicit quotient
-
-        [sigma(s+k-n+1) - sigma(s-1) - tau(s-1) nabla x_{-1}(s)] / delta x_{k-n-1}(s),
-
-    whose slope against x_{k-n}(s) is -kappa_{2(n-k-2)+1}.  At k = n it
-    reduces to tau*(s) = -tau_{-2}(s+1).
-    """
-    return -tau_k(eq, n - k - 2, s + (k - n + 1))
+    return apply_L(adjoint(eq), w)
 
 
 def hat_mu_n(eq: HyperEquation, n: int) -> Scalar:

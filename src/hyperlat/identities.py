@@ -1,12 +1,12 @@
 """Named identity checks, parameterized by one problem specification.
 
 Every structural fact the library relies on is re-checked here on the user's
-own lattice and coefficients: ladder closed forms against their defining
-sums, the adjoint corollaries, the adjoint as an equation and its
-involution (on the whole lattice, not sampled points), the first-order
-equation of the weight product, the exactness auxiliaries of the generalized
-construction, and the residuals of all three solution families.  The CLI
-``verify`` command prints one PASS/FAIL line per identity.
+own lattice and coefficients.  The level-k lines of the ladder, the closed
+forms they give (mu_k, lambda*, tau*, hat_tau_k, eta) and the adjoint as an
+equation and its involution are checked on the whole lattice; the weight,
+the first-order equations of the weight product, the exactness auxiliaries
+and the residuals of the three solution families on window points.  The
+CLI ``verify`` command prints one PASS/FAIL line per identity.
 
 Checks run independently; a failure (including an exception at a singular
 point, or the ``AssertionError`` of a form check that disagrees, a library
@@ -303,6 +303,10 @@ class _Ctx:
             self._memo[key] = build()
         return self._memo[key]
 
+    def line(self, k: int) -> Scalar | None:
+        """The intercept of the level-k line, or None (``equation.tau_k_line``)."""
+        return self._once(("line", k), lambda: eqn.tau_k_line(self.eq, k))
+
     def solve(self, n: int, window: Window, kind: str = "polynomial",
               **options) -> sol.SolutionReport:
         """``sol.solve`` on the spec's equation.  An option given as None is
@@ -373,21 +377,17 @@ def _check_level_shift(ctx: _Ctx):
 
 
 def _check_mu_closed_vs_sum(ctx: _Ctx):
-    eq, lat = ctx.eq, ctx.lat
-    s = ctx.window.start + 1
+    # delta_j tau_j = kappa_{2j+1} on the whole lattice where line j holds
+    eq = ctx.eq
     for k in range(9):
-        total = eq.lam
-        for j in range(k):
-            total += lat.delta_quotient(eqn.tau_k(eq, j, s + 1) - eqn.tau_k(eq, j, s), j, s)
+        _ensure(all(ctx.line(j) is not None for j in range(k)), f"mu_{k} sum mismatch")
+        total = eq.lam + sum(eq.kappa(2 * j + 1) for j in range(k))
         _ensure_zero(total - eqn.mu_k(eq, k), f"mu_{k} sum mismatch")
 
 
 def _check_tau_k_slope(ctx: _Ctx):
-    eq, lat = ctx.eq, ctx.lat
-    s = ctx.window.start + 1
     for k in range(-6, 7):
-        slope = lat.delta_quotient(eqn.tau_k(eq, k, s + 1) - eqn.tau_k(eq, k, s), k, s)
-        _ensure_zero(slope - eq.kappa(2 * k + 1), f"tau_{k} slope != kappa_{2 * k + 1}")
+        _ensure(ctx.line(k) is not None, f"tau_{k} slope != kappa_{2 * k + 1}")
 
 
 # --- Pearson weight --------------------------------------------------------
@@ -511,16 +511,20 @@ def _check_adjoint_product(ctx: _Ctx):
     _ensure((lhs - rhs).is_zero(), "L*[rho y] != rho L[y]")
 
 
+def _ensure_tau_star_is_minus_line(ctx: _Ctx, message: str):
+    # tau*(s) = -tau_{-2}(s+1) = -c_{-2} - kappa_{-3} x(s), as x_{-2}(s+1) = x(s)
+    c = ctx.line(-2)
+    _ensure(c is not None and eqn.adjoint(ctx.eq).tau_t == (-c, -ctx.eq.kappa(-3)), message)
+
+
 def _check_tau_star_closed_form(ctx: _Ctx):
-    eq = ctx.eq
-    for s in list(ctx.window.points())[:6]:
-        _ensure_zero(eqn.tau_star(eq, s) + eqn.tau_k(eq, -2, s + 1),
-                     f"tau*(s) != -tau_-2(s+1) at s={s}")
+    _ensure_tau_star_is_minus_line(ctx, "tau*(s) != -tau_-2(s+1)")
 
 
 def _check_lambda_star_closed_form(ctx: _Ctx):
-    # adjoint_coeffs raises unless lambda* equals lambda - kappa_-1 at every point
-    eqn.adjoint_coeffs(ctx.eq, Window(ctx.window.start, 6))
+    # lambda* = lambda - delta_{-1} tau_{-1} is lambda - kappa_{-1} where line -1 holds
+    _ensure(ctx.line(-1) is not None and eqn.adjoint(ctx.eq).lam == eqn.lambda_star(ctx.eq),
+            "lambda* != lambda - kappa_-1")
 
 
 def _check_dual_reconstruction(ctx: _Ctx):
@@ -540,15 +544,12 @@ def _check_hat_mu_equals_lambda_star(ctx: _Ctx):
 
 
 def _check_hat_tau_constancy(ctx: _Ctx):
-    eq, lat = ctx.eq, ctx.lat
+    # hat_tau_k(s) = -tau_{n-k-2}(s+k-n+1), of slope -kappa_{2(n-k-2)+1}
+    # against x_{k-n}(s) where line n-k-2 holds; at k = n it is tau*(s)
     n = max(ctx.n, 1)
-    pts = list(ctx.window.points())[:4]
     for k in range(n + 1):
-        kap = eq.kappa(2 * (n - k - 2) + 1)
-        values = {eqn.hat_tau_k(eq, n, k, s) + kap * lat.x_at(s.twice + k - n) for s in pts}
-        _ensure(len(values) == 1, f"hat_tau_{k} drift is not constant (n={n})")
-    for s in pts:
-        _ensure_zero(eqn.hat_tau_k(eq, n, n, s) - eqn.tau_star(eq, s), "hat_tau_n != tau*")
+        _ensure(ctx.line(n - k - 2) is not None, f"hat_tau_{k} drift is not constant (n={n})")
+    _ensure_tau_star_is_minus_line(ctx, "hat_tau_n != tau*")
 
 
 # --- solution families -----------------------------------------------------
@@ -684,10 +685,8 @@ def _check_ell_gamma(ctx: _Ctx):
 
 
 def _check_eta_constant(ctx: _Ctx):
-    eq, n = ctx.eq, max(ctx.n, 1)
-    etas = {gamma_ell_eta(eq, n, s)[2] for s in list(ctx.window.points())[:5]}
-    _ensure(len(etas) == 1, "eta varies with s")
-    _ensure_zero(etas.pop() + eq.kappa(2 * n - 1), "eta != -kappa_{2n-1}")
+    # eta = delta_{-(n+1)} ell, ell(s, n) = -tau_{n-1}(s-n): -kappa_{2n-1} on line n-1
+    _ensure(ctx.line(max(ctx.n, 1) - 1) is not None, "eta != -kappa_{2n-1}")
 
 
 def _check_homogeneous_solution(ctx: _Ctx):

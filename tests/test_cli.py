@@ -80,16 +80,12 @@ window = -2..10
 
 # (check, level k, point s) of the first zero step each failing check meets
 DEGENERATE_QUAD_FAILURES = [
-    ("mu-closed-form", 0, -1),
-    ("tau-k-slope", 0, 0),
     ("level-k-pearson", 0, -1),
     ("product-rules", 0, -1),
     ("fundamental-theorem", -2, 1),
     ("telescoping-sum", 0, 0),
     ("degree-lowering", 0, -1),
     ("adjoint-product", 0, 0),
-    ("lambda-star-closed-form", 0, 0),
-    ("hat-tau-constancy", 0, 0),
     ("weight-product-ladder", -2, 0),
     ("y1-is-tau", 0, 0),
     ("rodrigues-residual", -2, 0),
@@ -102,9 +98,28 @@ DEGENERATE_QUAD_FAILURES = [
     ("oracle-agreement", -2, 0),
     ("weight-first-order", -2, 1),
     ("ell-gamma-consistency", -2, 1),
-    ("eta-constancy", -2, 1),
     ("homogeneous-solution", -2, 1),
 ]
+
+# the identities whose whole check divides by no step: the adjoint built on
+# the whole lattice, and the lines of the ladder as form identities
+DEGENERATE_QUAD_PASSES = ("mu-closed-form", "tau-k-slope", "tau-star-closed-form",
+                          "lambda-star-closed-form", "dual-reconstruction",
+                          "sigma-star-degree", "hat-tau-constancy", "eta-constancy")
+
+# differential spec 35: x = 2s^2 + 1 is symmetric about s = 0, so a sampled
+# slope of tau_-6 met the mirror pair s = 5/2 of x_-6
+MIRROR_PAIR_SPEC = """\
+lattice = quadratic
+ct1 = 2
+ct2 = 0
+ct3 = 1
+sigma = 0, 1/2, -8/5
+tau = -5/6, -4/7
+n = 0
+window = 3/2..17/2
+P = 4/3
+"""
 
 
 # quad-a at n = 0 on the shortest window the parser allows: the checks that
@@ -297,17 +312,35 @@ def test_verify_names_degenerate_points(tmp_path):
     assert result.returncode == 1
     failed = {entry["name"]: entry["detail"]
               for entry in json.loads(result.stdout) if not entry["passed"]}
-    # the adjoint is built on the whole lattice: dual-reconstruction and
-    # sigma-star-degree divide by no step, so they pass here
-    assert len(failed) == 24
+    assert len(failed) == 19
     for detail in failed.values():
         assert re.fullmatch(r"DegenerateStep: zero step of x_-?\d+ at s=-?\d+", detail)
-    assert failed["mu-closed-form"] == "DegenerateStep: zero step of x_0 at s=-1"
-    assert "dual-reconstruction" not in failed and "sigma-star-degree" not in failed
+    assert not failed.keys() & set(DEGENERATE_QUAD_PASSES)
     # the first point each check meets, in the order the formulas evaluate
     assert failed == {
         name: f"DegenerateStep: zero step of x_{k} at s={s}"
         for name, k, s in DEGENERATE_QUAD_FAILURES}
+
+
+def test_verify_passes_on_a_window_with_a_mirror_pair(tmp_path, capsys):
+    path = tmp_path / "mirror-pair.spec"
+    path.write_text(MIRROR_PAIR_SPEC)
+    out = _main_stdout(capsys, "verify", "--spec", str(path))
+    assert out.splitlines()[-1] == "ok: 34 identities"
+
+
+def test_adjoint_on_a_window_through_the_mirror_centre(tmp_path, capsys):
+    """lambda* is checked once, on the whole lattice, where the adjoint is
+    built, so ``hyperlat adjoint`` tabulates tau* on a window through the
+    zero step of x_0 at s = 0 as on the part of it that avoids the step."""
+    whole, part = tmp_path / "whole.spec", tmp_path / "part.spec"
+    whole.write_text(DEGENERATE_QUAD_SPEC)
+    part.write_text(DEGENERATE_QUAD_SPEC.replace("window = -2..10", "window = 1..10"))
+    grid, scalars = _main_stdout(capsys, "adjoint", "--spec", str(whole)).split("\n\n")
+    part_grid, part_scalars = _main_stdout(capsys, "adjoint", "--spec", str(part)).split("\n\n")
+    rows, part_rows = grid.split("\n"), part_grid.split("\n")
+    assert len(rows) == 14 and rows[4].startswith("1,") and rows[4:] == part_rows[1:]
+    assert scalars == part_scalars and "lambda_star,6" in scalars.split("\n")
 
 
 def test_verify_at_n_zero_on_the_shortest_window(tmp_path):

@@ -2,8 +2,11 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperlat import (
+    DegenerateStep,
     GridFunction,
     HalfInt,
     HyperEquation,
@@ -16,13 +19,17 @@ from hyperlat import (
     delta_k,
     lambda_n,
     mu_k,
+    parse_problem,
     pearson_weight,
     rho_k,
+    run_identity_suite,
     sigma_of_s,
     tau_k,
+    tau_k_line,
     tau_of_s,
 )
 from tests.conftest import qq_a, qq_b, quad_a
+from tests.test_kernels import lattices_and_starts, small
 
 S = HalfInt.from_int
 
@@ -68,6 +75,81 @@ def test_tau_k_affine_drift_is_constant(equation):
         drift = {tau_k(equation, k, HalfInt(t)) - kap * equation.lattice.x_k(k, HalfInt(t))
                  for t in range(8, 16, 2)}
         assert len(drift) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(lattices_and_starts(), st.tuples(small, small, small), st.tuples(small, small))
+def test_the_level_k_line_is_the_sampled_tau_k(lattice_start, sigma_t, tau_t):
+    """On both families, symmetric lattices, special classes and negative p
+    included, ``tau_k_line`` gives for k = -6..6 the intercept c of
+    tau_k(s) = c + kappa_{2k+1} x_k(s) (x_k from the family formula) at
+    every point of a span around the start where nabla x_{k+1}(s) is
+    nonzero, and a value also where the sampled quotient raises
+    DegenerateStep."""
+    lat, start = lattice_start
+    eq = HyperEquation(lat, sigma_t, tau_t)
+    for k in range(-6, 7):
+        c = tau_k_line(eq, k)
+        assert c is not None
+        for t in range(start.twice - 6, start.twice + 7):
+            s = HalfInt(t)
+            try:
+                value = tau_k(eq, k, s)
+            except DegenerateStep:
+                assert lat.x_k(k + 1, s) == lat.x_k(k + 1, s - 1)
+                continue
+            assert value == c + eq.kappa(2 * k + 1) * lat.x_k(k, s)
+
+
+def test_the_level_k_line_holds_through_the_mirror_centre():
+    """quad-a, x(s) = s(s+1), is symmetric about s = -1/2, so nabla x_{k+1}
+    vanishes at s = -(k+1)/2 and the sampled tau_k raises there; the line
+    of every level is still found, and it is tau_k on both sides."""
+    eq = quad_a()
+    for k in range(-6, 7):
+        centre = HalfInt(-k - 1)
+        with pytest.raises(DegenerateStep):
+            tau_k(eq, k, centre)
+        c = tau_k_line(eq, k)
+        assert c is not None
+        for s in (centre - 1, centre + 1):
+            assert tau_k(eq, k, s) == c + eq.kappa(2 * k + 1) * eq.lattice.x_k(k, s)
+
+
+# one equation with sigma~'' != 0 from each family: qq-b, and quad-a's lattice
+SIGMA_CURVED_SPECS = ["""\
+lattice = qquadratic
+p = 3/2
+c1 = 1
+c2 = 1
+c3 = 0
+sigma = 1, 0, 1
+tau = 2, -3
+n = 2
+window = 4..12
+""", """\
+lattice = quadratic
+ct1 = 1
+ct2 = 1
+ct3 = 0
+sigma = 1, 1, 1/2
+tau = 1, -2
+n = 2
+window = 4..12
+"""]
+
+
+@pytest.mark.parametrize("text", SIGMA_CURVED_SPECS, ids=["qq-b", "quad-a-lattice"])
+def test_a_kappa_mutant_fails_tau_k_slope(monkeypatch, text):
+    """With the nu term of kappa off by a third, tau-k-slope fails at its
+    first level on an equation with sigma~'' != 0, on either family."""
+    spec = parse_problem(text)
+    slope = lambda: next(r for r in run_identity_suite(spec) if r.name == "tau-k-slope")
+    assert slope().passed
+    kappa = HyperEquation.kappa
+    nu_term = lambda eq, mu: eq.lattice.nu(mu - 1) * eq.sigma_t[2]
+    monkeypatch.setattr(HyperEquation, "kappa", lambda eq, mu: kappa(eq, mu) + nu_term(eq, mu) / 3)
+    assert slope().detail == "tau_-6 slope != kappa_-11"
 
 
 def test_tau_k_slope_example():

@@ -59,7 +59,7 @@ from hyperlat import (
     tau_of_s,
     tau_star,
 )
-from hyperlat.equation import adjoint, lambda_star_at, pearson_steps, weight_from_steps
+from hyperlat.equation import adjoint, pearson_steps, weight_from_steps
 from hyperlat.grid import _passes
 from hyperlat.numerics import IntegerForm
 from hyperlat.solutions import sum_base_for
@@ -380,8 +380,6 @@ def ref_adjoint_coeffs(eq, window):
     sigma_star_of = ref_coefficients(eq)[2]
     sig = GridFunction.sample(window, sigma_star_of)
     tau = GridFunction.sample(window, lambda s: ref_tau_star(eq, s))
-    for s in window.points():
-        ref_checked_lambda_star(eq, s)
     return AdjointCoefficients(sig, tau, lambda_star(eq))
 
 
@@ -415,7 +413,11 @@ def test_adjoint_map_equals_the_fraction_form(problem):
     assert outcome(adjoint_coeffs, eq, window) == outcome(ref_adjoint_coeffs, eq, window)
     for s in window.points():
         assert outcome(tau_star, eq, s) == outcome(ref_tau_star, eq, s)
-        assert outcome(lambda_star_at, eq, s) == outcome(ref_lambda_star_at, eq, s)
+        # lambda*'s defining expression, wherever its steps are nonzero (no
+        # DegenerateStep), is the adjoint's lambda, checked by its build
+        direct = outcome(ref_lambda_star_at, eq, s)
+        assert direct[0] == "DegenerateStep" if isinstance(direct, tuple) else (
+            direct == adjoint(eq).lam)
         expected = outcome(ref_dual, eq, s)
         if expected[0] == "DegenerateStep":
             # the adjoint of the adjoint is an equation: it has a value at s
