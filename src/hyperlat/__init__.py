@@ -6,7 +6,7 @@ adjoint-equation machinery that certifies all of them with exact residuals.
 The identity suite (``IdentityResult``, ``identity_names``,
 ``run_identity_suite``) and the references it reads (the ``Fraction`` views
 ``PearsonWeight``, ``pearson_weight``, ``rho_k``, ``Y_n`` and
-``casoratian``, ``gamma_ell_eta``, and the brute-force oracle
+``casoratian``, and the brute-force oracle
 ``brute_force_polynomial_oracle``, ``nullspace`` and
 ``polynomial_coefficients``) live in ``identities``, imported on first
 access, so a process that only solves never loads it; ``__all__`` names
@@ -85,7 +85,7 @@ __version__ = "0.1.0"
 
 _IDENTITIES = (
     "IdentityResult", "identity_names", "run_identity_suite",
-    "PearsonWeight", "pearson_weight", "rho_k", "Y_n", "casoratian", "gamma_ell_eta",
+    "PearsonWeight", "pearson_weight", "rho_k", "Y_n", "casoratian",
     "brute_force_polynomial_oracle", "nullspace", "polynomial_coefficients",
 )
 

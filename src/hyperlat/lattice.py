@@ -30,9 +30,9 @@ reads it through one guard, ``Lattice.divisors(a, k, twice, count)``: it
 returns the table pairs of ``step_at(a + 2j)`` for j < count (a = 2s + k
 for delta x_k(s), 2s + k - 2 for nabla x_k(s)), and the first zero step
 raises ``DegenerateStep`` naming k and its s = twice/2 + j.  ``quotient``
-(and ``delta_quotient`` and ``nabla_quotient``) divide a scalar by one
-guarded step; the integer kernels of ``grid`` and ``equation`` read a run
-of pairs in one call and divide by their numerators and denominators.
+(and ``nabla_quotient``) divide a scalar by one guarded step; the integer
+kernels of ``grid`` and ``equation`` read a run of pairs in one call and
+divide by their numerators and denominators.
 
 Integer forms.  On either family x(s), its steps, and the equation's
 sigma(s), tau(s) and sigma*(s) are Laurent polynomials in one point variable
@@ -269,10 +269,6 @@ class Lattice(Record):
         """num / step_at(a), a step of x_k taken at s = twice/2, through the
         guard."""
         return num / Fraction(*self.divisors(a, k, twice, 1)[0])
-
-    def delta_quotient(self, num: Scalar, k: int, s: HalfInt) -> Scalar:
-        """num / delta x_k(s), through the guard."""
-        return self.quotient(num, s.twice + k, k, s.twice)
 
     def nabla_quotient(self, num: Scalar, k: int, s: HalfInt) -> Scalar:
         """num / nabla x_k(s), through the guard."""

@@ -97,15 +97,12 @@ DEGENERATE_QUAD_FAILURES = [
     ("generalized-residual", -2, 0),
     ("oracle-agreement", -2, 0),
     ("weight-first-order", -2, 1),
-    ("ell-gamma-consistency", -2, 1),
-    ("homogeneous-solution", -2, 1),
 ]
 
 # the identities whose whole check divides by no step: the adjoint built on
 # the whole lattice, and the lines of the ladder as form identities
-DEGENERATE_QUAD_PASSES = ("mu-closed-form", "tau-k-slope", "tau-star-closed-form",
-                          "lambda-star-closed-form", "dual-reconstruction",
-                          "sigma-star-degree", "hat-tau-constancy", "eta-constancy")
+DEGENERATE_QUAD_PASSES = ("mu-closed-form", "tau-k-slope", "dual-reconstruction",
+                          "hat-tau-constancy", "eta-constancy")
 
 # differential spec 35: x = 2s^2 + 1 is symmetric about s = 0, so a sampled
 # slope of tau_-6 met the mirror pair s = 5/2 of x_-6
@@ -312,7 +309,7 @@ def test_verify_names_degenerate_points(tmp_path):
     assert result.returncode == 1
     failed = {entry["name"]: entry["detail"]
               for entry in json.loads(result.stdout) if not entry["passed"]}
-    assert len(failed) == 19
+    assert len(failed) == 17
     for detail in failed.values():
         assert re.fullmatch(r"DegenerateStep: zero step of x_-?\d+ at s=-?\d+", detail)
     assert not failed.keys() & set(DEGENERATE_QUAD_PASSES)
@@ -326,7 +323,7 @@ def test_verify_passes_on_a_window_with_a_mirror_pair(tmp_path, capsys):
     path = tmp_path / "mirror-pair.spec"
     path.write_text(MIRROR_PAIR_SPEC)
     out = _main_stdout(capsys, "verify", "--spec", str(path))
-    assert out.splitlines()[-1] == "ok: 34 identities"
+    assert out.splitlines()[-1] == "ok: 29 identities"
 
 
 def test_adjoint_on_a_window_through_the_mirror_centre(tmp_path, capsys):
@@ -348,7 +345,7 @@ def test_verify_at_n_zero_on_the_shortest_window(tmp_path):
     path.write_text(QUAD_A_N0_SPEC)
     result = run_cli("verify", "--spec", str(path))
     assert result.returncode == 0, result.stdout
-    assert result.stdout.splitlines()[-1] == "ok: 34 identities"
+    assert result.stdout.splitlines()[-1] == "ok: 29 identities"
 
 
 @pytest.mark.parametrize("kind", ["second", "generalized"])
@@ -535,7 +532,7 @@ def test_the_identity_suite_is_imported_only_when_asked_for():
         "assert 'hyperlat.identities' in sys.modules",
         "print(len(identity_names()))"])))
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "34\n"
+    assert result.stdout == "29\n"
 
 
 def test_solve_adjoint_and_table_never_load_the_identity_suite():
@@ -570,8 +567,7 @@ def test_star_import_brings_every_public_name():
         "          if not name.startswith('_') and not isinstance(value, types.ModuleType)}",
         "lazy = {'IdentityResult', 'identity_names', 'run_identity_suite',",
         "        'PearsonWeight', 'pearson_weight', 'rho_k', 'Y_n', 'casoratian',",
-        "        'gamma_ell_eta', 'brute_force_polynomial_oracle', 'nullspace',",
-        "        'polynomial_coefficients'}",
+        "        'brute_force_polynomial_oracle', 'nullspace', 'polynomial_coefficients'}",
         "assert sorted(hyperlat.__all__) == sorted(public | lazy), hyperlat.__all__",
         "from hyperlat import *",
         "print(run_identity_suite.__module__, Y_n.__module__, solve.__module__)"])))

@@ -16,7 +16,6 @@ from hyperlat import (
     Y_n,
     apply_L,
     apply_L_star,
-    gamma_ell_eta,
     iterated_delta,
     iterated_nabla,
     lambda_n,
@@ -315,33 +314,6 @@ def test_generalized_random_polynomials(equation, window):
 def test_generalized_needs_right_coefficient_count(equation, window):
     with pytest.raises(ValueError):
         solve(equation, 2, window, "generalized", P=(F(1), F(2)))
-
-
-def test_gamma_ell_eta_consistency(equation):
-    lat = equation.lattice
-    for n in (1, 2, 3):
-        etas = set()
-        for twice in range(8, 18, 2):
-            s = HalfInt(twice)
-            gamma, ell, eta = gamma_ell_eta(equation, n, s)
-            _, ell_next, _ = gamma_ell_eta(equation, n, s + 1)
-            dsig = ((sigma_star(equation, s + 1) - sigma_star(equation, s))
-                    / lat.delta_x(-(n + 1), s))
-            assert ell_next * lat.delta_x(-n, s) / lat.delta_x(-(n + 1), s) + dsig == gamma
-            etas.add(eta)
-        assert len(etas) == 1
-        assert etas.pop() == -equation.kappa(2 * n - 1)
-
-
-def test_homogeneous_first_order_solution(equation, weight):
-    lat = equation.lattice
-    n = 2
-    win = Window(S(5), 7)
-    v = Y_n(equation, weight, n, win)
-    grad = nabla_k(lat, -n, v)
-    for s in grad.points():
-        _, ell, _ = gamma_ell_eta(equation, n, s)
-        assert sigma_star(equation, s) * grad.value_at(s) + ell * v.value_at(s) == 0
 
 
 def test_weight_product_ladder_solves_adjoint(equation, weight):
