@@ -316,6 +316,50 @@ def test_generalized_needs_right_coefficient_count(equation, window):
         solve(equation, 2, window, "generalized", P=(F(1), F(2)))
 
 
+def _gamma_ell_eta(equation, n, s):
+    # the exactness auxiliaries of the generalized construction, from their
+    # definitions: gamma = [sigma(s-n+1) - sigma*(s)] / delta x_{-(n+1)}(s),
+    # ell = [sigma(s-n) - sigma*(s)] / nabla x_{-n}(s), eta = delta_{-(n+1)} ell
+    lat = equation.lattice
+
+    def ell_at(t):
+        return (sigma_of_s(equation, t - n) - sigma_star(equation, t)) / lat.nabla_x(-n, t)
+
+    gamma = ((sigma_of_s(equation, s - n + 1) - sigma_star(equation, s))
+             / lat.delta_x(-(n + 1), s))
+    ell = ell_at(s)
+    eta = (ell_at(s + 1) - ell) / lat.delta_x(-(n + 1), s)
+    return gamma, ell, eta
+
+
+def test_gamma_ell_eta_consistency(equation):
+    lat = equation.lattice
+    for n in (1, 2, 3):
+        etas = set()
+        for twice in range(8, 18, 2):
+            s = HalfInt(twice)
+            gamma, ell, eta = _gamma_ell_eta(equation, n, s)
+            _, ell_next, _ = _gamma_ell_eta(equation, n, s + 1)
+            dsig = ((sigma_star(equation, s + 1) - sigma_star(equation, s))
+                    / lat.delta_x(-(n + 1), s))
+            assert ell_next * lat.delta_x(-n, s) / lat.delta_x(-(n + 1), s) + dsig == gamma
+            etas.add(eta)
+        assert len(etas) == 1
+        assert etas.pop() == -equation.kappa(2 * n - 1)
+
+
+def test_homogeneous_first_order_solution(equation, weight):
+    # sigma*(s) nabla_{-n} Y_n(s) + ell(s, n) Y_n(s) = 0
+    lat = equation.lattice
+    n = 2
+    win = Window(S(5), 7)
+    v = Y_n(equation, weight, n, win)
+    grad = nabla_k(lat, -n, v)
+    for s in grad.points():
+        _, ell, _ = _gamma_ell_eta(equation, n, s)
+        assert sigma_star(equation, s) * grad.value_at(s) + ell * v.value_at(s) == 0
+
+
 def test_weight_product_ladder_solves_adjoint(equation, weight):
     # w = delta_{-n}^(n) Y_n satisfies L*[w] = 0 at lambda = lambda_n
     for n in (1, 2, 3):
